@@ -1,6 +1,18 @@
 """Desk-scale ground-truth machinery: a join-based grounder, an exact
 answer-set enumerator, and brute-force QBF / coloring / abduction solvers.
 
+The grounder compiles each rule once into a static join plan: the order of
+its body atoms, with each comparison, binding equation and deferred
+arithmetic argument placed where its variables are first bound. Plans
+probe hash indexes on the bound argument positions, built on first use
+and kept current as atoms arrive, and run on an explicit stack, so body
+length is not limited by recursion depth. The possibly-true closure visits
+the strongly connected components of the positive dependency graph in
+topological order: a non-recursive component is joined once, a recursive
+one until it adds nothing. Every match is recorded, and emission reads
+the records once the closure is complete. Aggregate conditions run on the
+same plans, over the deterministic sub-program's least model.
+
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads), propagates lower/upper bounds
 between decisions, and verifies subset-minimality against the reduct. A
@@ -10,8 +22,11 @@ exactly the answer sets of the textbook reduct semantics.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import (
     GroundingLimitError,
@@ -24,6 +39,7 @@ from .errors import (
 from .parse import InputGraph, Qbf
 from .syntax import (
     Aggregate,
+    Arith,
     Atom,
     Comparison,
     Constant,
@@ -34,6 +50,8 @@ from .syntax import (
     Program,
     Rule,
     Variable,
+    _atom_vars,
+    _scc_index,
     eval_term,
     ground_term,
     is_safe,
@@ -45,6 +63,22 @@ _INT, _SYM = 0, 1
 
 def _raw_key(value) -> tuple:
     return (_INT, value) if isinstance(value, int) else (_SYM, value)
+
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compare(op: str, left, right) -> bool:
+    """The one comparison evaluator: raw ground values, integers ordered
+    before symbols."""
+    return _COMPARE[op](_raw_key(left), _raw_key(right))
 
 
 def _atom_raw(a: Atom) -> tuple:
@@ -59,182 +93,389 @@ def _atom_raw(a: Atom) -> tuple:
     return (a.pred, tuple(args))
 
 
-def _raw_atom(key: tuple) -> Atom:
-    pred, args = key
-    return Atom(pred, tuple(ground_term(v) for v in args))
+def _no_key(_) -> tuple:
+    return ()
+
+
+def _key_getter(positions):
+    """Hash key of a tuple at `positions`: the value itself for one
+    position, a tuple for several (operator.itemgetter's convention)."""
+    return itemgetter(*positions) if positions else _no_key
+
+
+def _getter(positions):
+    """The tuple of values at `positions`."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda t: (t[only],)
+    return _key_getter(positions)
 
 
 # ---------------------------------------------------------------- matching --
 
 class _Store:
-    """Possibly-true ground atoms, indexed by predicate."""
+    """Possibly-true ground atoms by predicate, with hash indexes built the
+    first time a plan asks for them and kept up to date by `add`. The index
+    on (pred, bound positions) maps the values at those positions to the
+    tuples of values at the other positions. Programs fix one arity per
+    predicate, so the positions alone identify an index."""
 
-    __slots__ = ("by_pred", "keys")
+    __slots__ = ("by_pred", "keys", "_indexes", "_by_positions")
 
     def __init__(self):
         self.by_pred: dict[str, list[tuple]] = {}
         self.keys: set[tuple] = set()
+        self._indexes: dict[str, list] = {}
+        self._by_positions: dict[tuple, dict] = {}
 
     def add(self, key: tuple) -> bool:
         if key in self.keys:
             return False
         self.keys.add(key)
-        self.by_pred.setdefault(key[0], []).append(key[1])
+        pred, args = key
+        self.by_pred.setdefault(pred, []).append(args)
+        for key_of, rest_of, index in self._indexes.get(pred, ()):
+            index.setdefault(key_of(args), []).append(rest_of(args))
         return True
 
-    def candidates(self, pred: str) -> list[tuple]:
-        return self.by_pred.get(pred, ())
+    def index(self, pred: str, positions: tuple, arity: int) -> dict:
+        index = self._by_positions.get((pred, positions))
+        if index is None:
+            key_of = _key_getter(positions)
+            rest_of = _getter([i for i in range(arity) if i not in positions])
+            index = {}
+            for args in self.by_pred.get(pred, ()):
+                index.setdefault(key_of(args), []).append(rest_of(args))
+            self._indexes.setdefault(pred, []).append((key_of, rest_of, index))
+            self._by_positions[(pred, positions)] = index
+        return index
 
 
-def _compile_atom(a: Atom):
-    """Patterns: ('v', name) variable, ('k', value) fixed, ('t', term, vars)
-    embedded arithmetic evaluated once its variables are bound."""
-    patterns = []
+class _Plan:
+    """A conjunction of positive atoms and comparisons, compiled once.
+
+    A binding is a tuple: the constants of the atoms (and of `also`, atoms
+    whose keys are read off bindings later), then the variables bound on
+    entry, then one value per slot the steps fill, in step order. `start`
+    runs on the entry binding. Each probe then looks up one atom's index on
+    its bound positions, extends the binding by the values at the other
+    positions, and runs its operations: checks (a comparison whose
+    variables are bound, a repeated variable, a deferred arithmetic
+    argument) and assignments (a binding equation, or an arithmetic
+    argument the next probe's key needs)."""
+
+    __slots__ = ("entry", "consts", "slots", "start", "probes", "atom_slots", "complete")
+
+    def __init__(self, atoms, comparisons, bound=(), also=()):
+        self.consts = consts = {}
+        for a in (*atoms, *also):
+            for arg in a.args:
+                if isinstance(arg, (Constant, Integer)):
+                    consts.setdefault(_ground_value(arg), len(consts))
+        self.entry = tuple(consts)
+        self.slots = slots = {name: len(consts) + i for i, name in enumerate(bound)}
+        width = len(slots) + len(consts)
+        pending: list = list(comparisons)  # Comparison, or (term, slot) deferred
+        fresh: list[str] = []  # names bound since the atom scores were updated
+
+        def fill(name=None) -> int:
+            nonlocal width
+            if name is not None:
+                slots[name] = width
+                fresh.append(name)
+            width += 1
+            return width - 1
+
+        def propagate(ops):
+            # Same order as evaluating at match time: sweep until no
+            # comparison becomes decidable and no equation can bind.
+            progress = bool(pending)
+            while progress:
+                progress = False
+                for item in pending[:]:
+                    if isinstance(item, Comparison):
+                        if all(vn in slots for vn in _comparison_vars(item)):
+                            ops.append(_check_op(item, slots))
+                        elif (
+                            item.is_binding_equation()
+                            and item.left.name not in slots
+                            and all(vn in slots for vn in term_variables(item.right))
+                        ):
+                            ops.append(_assign_op(_term_fn(item.right, slots)))
+                            fill(item.left.name)
+                        else:
+                            continue
+                    else:
+                        term, slot = item
+                        if not all(vn in slots for vn in term_variables(term)):
+                            continue
+                        ops.append(_equal_op(_term_fn(term, slots), slot))
+                    pending.remove(item)
+                    progress = True
+
+        ops: list = []
+        self.start = ops
+        propagate(ops)
+        self.probes = []
+        self.atom_slots: list = [None] * len(atoms)
+        remaining = list(range(len(atoms)))
+        score = [_bound_score(a, slots) for a in atoms]
+        watch: dict[str, list[int]] = {}
+        for i, a in enumerate(atoms):
+            for vn in _atom_vars(a):
+                watch.setdefault(vn, []).append(i)
+        while remaining:
+            for vn in fresh:
+                for i in watch.get(vn, ()):
+                    score[i] = _bound_score(atoms[i], slots)
+            fresh.clear()
+            # The atom with most bound arguments, ties to the earlier one.
+            idx = max(remaining, key=score.__getitem__)
+            remaining.remove(idx)
+            a = atoms[idx]
+            own = [None] * len(a.args)
+            positions = []
+            for pos, arg in enumerate(a.args):
+                if isinstance(arg, Variable):
+                    if arg.name not in slots:
+                        continue
+                    own[pos] = slots[arg.name]
+                elif isinstance(arg, Arith):
+                    if not all(vn in slots for vn in term_variables(arg)):
+                        continue
+                    ops.append(_assign_op(_term_fn(arg, slots)))
+                    own[pos] = fill()
+                else:
+                    own[pos] = consts[_ground_value(arg)]
+                positions.append(pos)
+            key_slots = [own[pos] for pos in positions]
+            ops = []
+            for pos, arg in enumerate(a.args):
+                if own[pos] is not None:
+                    continue
+                if isinstance(arg, Variable):
+                    if arg.name in slots:  # repeated within this atom
+                        own[pos] = fill()
+                        ops.append(_equal_op(itemgetter(slots[arg.name]), own[pos]))
+                    else:
+                        own[pos] = fill(arg.name)
+                else:
+                    own[pos] = fill()
+                    pending.append((arg, own[pos]))
+            propagate(ops)
+            self.probes.append(
+                (a.pred, tuple(positions), len(a.args), _key_getter(key_slots), ops)
+            )
+            self.atom_slots[idx] = tuple(own)
+        self.complete = not pending
+        if pending:
+            # Left-over comparisons with unbound variables: the rule was not
+            # groundable, which safe inputs never produce.
+            unbound = {
+                vn
+                for item in pending
+                for vn in (
+                    _comparison_vars(item)
+                    if isinstance(item, Comparison)
+                    else term_variables(item[0])
+                )
+                if vn not in slots
+            }
+            ops.append(_unbound_op(unbound))
+
+
+def _ground_value(arg):
+    return arg.name if isinstance(arg, Constant) else arg.value
+
+
+def _comparison_vars(comp: Comparison):
+    yield from term_variables(comp.left)
+    yield from term_variables(comp.right)
+
+
+def _bound_score(a: Atom, slots) -> int:
+    score = 0
     for arg in a.args:
         if isinstance(arg, Variable):
-            patterns.append(("v", arg.name))
-        elif isinstance(arg, Constant):
-            patterns.append(("k", arg.name))
-        elif isinstance(arg, Integer):
-            patterns.append(("k", arg.value))
+            score += arg.name in slots
+        elif isinstance(arg, Arith):
+            score += all(vn in slots for vn in term_variables(arg))
         else:
-            patterns.append(("t", arg, frozenset(term_variables(arg))))
-    return (a.pred, tuple(patterns))
+            score += 1
+    return score
 
 
-def _eval_comparison(comp: Comparison, binding) -> bool:
-    left = eval_term(comp.left, binding)
-    right = eval_term(comp.right, binding)
-    if comp.op == "=":
-        return left == right
-    if comp.op == "!=":
-        return left != right
-    lk, rk = _raw_key(left), _raw_key(right)
-    if comp.op == "<":
-        return lk < rk
-    if comp.op == "<=":
-        return lk <= rk
-    if comp.op == ">":
-        return lk > rk
-    return lk >= rk
+def _term_fn(term, slots):
+    """Evaluate a term over a binding tuple."""
+    if isinstance(term, Variable):
+        return itemgetter(slots[term.name])
+    if isinstance(term, (Constant, Integer)):
+        value = _ground_value(term)
+        return lambda b: value
+    where = {vn: slots[vn] for vn in term_variables(term)}
+    return lambda b: eval_term(term, {vn: b[slot] for vn, slot in where.items()})
 
 
-def _join(patterns, comparisons, store: _Store, binding: dict):
-    """Yield every extension of `binding` that matches all positive
-    patterns against the store and satisfies all comparisons. Binding
-    equations `X = phi` assign X once phi's variables are bound."""
-    pending_atoms = list(range(len(patterns)))
-    pending_comps = list(comparisons)
+def _atom_fn(a: Atom, plan: _Plan):
+    """The ground key of an atom over a binding tuple; the plan's binding
+    carries the atom's constants."""
+    pred = a.pred
+    if not any(isinstance(arg, Arith) for arg in a.args):
+        args_of = _getter([
+            plan.slots[arg.name] if isinstance(arg, Variable) else plan.consts[_ground_value(arg)]
+            for arg in a.args
+        ])
+        return lambda b: (pred, args_of(b))
+    fns = [_term_fn(arg, plan.slots) for arg in a.args]
+    return lambda b: (pred, tuple(fn(b) for fn in fns))
 
-    def propagate(trail) -> bool:
-        progress = True
-        while progress:
-            progress = False
-            for comp in pending_comps[:]:
-                comp_vars = set(term_variables(comp.left)) | set(term_variables(comp.right))
-                unbound = [vn for vn in comp_vars if vn not in binding]
-                if not unbound:
-                    if not _eval_comparison(comp, binding):
-                        return False
-                    pending_comps.remove(comp)
-                    trail.append(("c", comp))
-                    progress = True
-                elif (
-                    comp.is_binding_equation()
-                    and comp.left.name not in binding
-                    and all(vn in binding for vn in term_variables(comp.right))
-                ):
-                    binding[comp.left.name] = eval_term(comp.right, binding)
-                    trail.append(("b", comp.left.name))
-                    pending_comps.remove(comp)
-                    trail.append(("c", comp))
-                    progress = True
-        return True
 
-    def undo(trail):
-        for kind, payload in reversed(trail):
-            if kind == "b":
-                del binding[payload]
-            else:
-                pending_comps.append(payload)
+# Operations are (is_filter, fn): a filter keeps the bindings fn accepts,
+# otherwise fn maps a binding to its extension.
 
-    def bound_score(idx) -> int:
-        _, pats = patterns[idx]
-        score = 0
-        for pat in pats:
-            if pat[0] == "k" or (pat[0] == "v" and pat[1] in binding):
-                score += 1
-            elif pat[0] == "t" and all(vn in binding for vn in pat[2]):
-                score += 1
-        return score
+def _check_op(comp: Comparison, slots):
+    op, left, right = comp.op, _term_fn(comp.left, slots), _term_fn(comp.right, slots)
+    return (True, lambda b: _compare(op, left(b), right(b)))
 
-    def rec():
-        trail: list = []
-        if not propagate(trail):
-            undo(trail)
-            return
-        if not pending_atoms:
-            if pending_comps:
-                # Leftover comparisons with unbound variables: the rule was
-                # not groundable, which safe inputs never produce.
-                undo(trail)
-                raise SafetyError(
-                    {vn for comp in pending_comps
-                     for vn in set(term_variables(comp.left)) | set(term_variables(comp.right))
-                     if vn not in binding},
-                    "ungroundable comparison",
-                )
-            yield dict(binding)
-            undo(trail)
-            return
-        idx = max(pending_atoms, key=bound_score)
-        pending_atoms.remove(idx)
-        pred, pats = patterns[idx]
-        for args in store.candidates(pred):
-            if len(args) != len(pats):
-                continue
-            inner: list = []
-            ok = True
-            for pat, value in zip(pats, args):
-                kind = pat[0]
-                if kind == "k":
-                    if pat[1] != value:
-                        ok = False
-                        break
-                elif kind == "v":
-                    name = pat[1]
-                    have = binding.get(name)
-                    if have is None:
-                        binding[name] = value
-                        inner.append(("b", name))
-                    elif have != value:
-                        ok = False
-                        break
+
+def _assign_op(value):
+    return (False, lambda b: b + (value(b),))
+
+
+def _equal_op(value, slot: int):
+    return (True, lambda b: _compare("=", value(b), b[slot]))
+
+
+def _unbound_op(names: set[str]):
+    def fail(_):
+        raise SafetyError(names, "ungroundable comparison")
+
+    return (False, fail)
+
+
+def _apply(ops, bindings):
+    for is_filter, fn in ops:
+        bindings = filter(fn, bindings) if is_filter else map(fn, bindings)
+    return bindings
+
+
+def _matches(plan: _Plan, store: _Store, entry: tuple):
+    """Every extension of `entry` that matches the plan against the store,
+    depth first. The stack holds one iterator per probe, so bodies of any
+    length run without recursion. An index bucket that grows while it is
+    read yields the new tuples too."""
+    probes = [
+        (store.index(pred, positions, arity), key_of, ops)
+        for pred, positions, arity, key_of, ops in plan.probes
+    ]
+    first = _apply(plan.start, iter((entry,)))
+    if not probes:
+        yield from first
+        return
+    last = len(probes)
+    stack = [first]
+    while stack:
+        depth = len(stack)
+        for b in stack[-1]:
+            index, key_of, ops = probes[depth - 1]
+            rest = index.get(key_of(b))
+            if rest:
+                found = _apply(ops, map(b.__add__, rest))
+                if depth == last:
+                    yield from found
                 else:
-                    term, vs = pat[1], pat[2]
-                    if all(vn in binding for vn in vs):
-                        if eval_term(term, binding) != value:
-                            ok = False
-                            break
-                    else:
-                        # Re-check once the variables are bound.
-                        deferred = Comparison("=", term, ground_term(value))
-                        pending_comps.append(deferred)
-                        inner.append(("c2", deferred))
-            if ok:
-                yield from rec()
-            for kind, payload in reversed(inner):
-                if kind == "b":
-                    del binding[payload]
-                else:
-                    pending_comps.remove(payload)
-        pending_atoms.append(idx)
-        undo(trail)
-
-    yield from rec()
+                    stack.append(found)
+                    break
+        else:
+            stack.pop()
 
 
 # --------------------------------------------------------------- grounding --
+
+class _RulePlan:
+    """A rule compiled for the closure and for emission: its body plan, and
+    the ground keys of its head, positive and negative atoms over a
+    binding. `values` reads the variables in name order."""
+
+    __slots__ = ("rule", "plan", "heads", "pos", "neg", "names", "values")
+
+    def __init__(self, rule: Rule):
+        atoms = [l.atom for l in rule.pos_body]
+        negated = [l.atom for l in rule.neg_body]
+        self.rule = rule
+        self.plan = plan = _Plan(atoms, rule.arith, also=(*rule.head, *negated))
+        self.names = tuple(sorted(plan.slots))
+        self.values = _getter([plan.slots[name] for name in self.names])
+        self.pos = tuple(
+            (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
+        )
+        if plan.complete:
+            self.heads = tuple(_atom_fn(a, plan) for a in rule.head)
+            self.neg = tuple(_atom_fn(a, plan) for a in negated)
+        else:  # no binding ever gets past the plan
+            self.heads = self.neg = ()
+
+
+def _components(rules) -> list[tuple[list[int], bool]]:
+    """Rule indices grouped by the strongly connected components of the
+    positive dependency graph (body predicate -> rule -> head predicate),
+    in topological order, each flagged if it is recursive."""
+    n = len(rules)
+    node: dict[str, int] = {}
+    succ: dict[int, set[int]] = {}
+    # Edges point from a rule to what it depends on, so Tarjan numbers
+    # every component after all those it depends on.
+    for i, r in enumerate(rules):
+        succ[i] = {node.setdefault(l.atom.pred, n + len(node)) for l in r.pos_body}
+        for a in r.head:
+            succ.setdefault(node.setdefault(a.pred, n + len(node)), set()).add(i)
+    comp = _scc_index(succ, n + len(node))
+    sizes = Counter(comp)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(comp[i], []).append(i)
+    return [(groups[c], sizes[c] > 1) for c in sorted(groups)]
+
+
+def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]:
+    """Join every rule against the store and add the heads of its matches,
+    component by component in topological order. A non-recursive
+    component is joined once; a recursive one is joined until its round
+    adds no atom, and its last round's matches are the complete ones.
+    Returns each rule's matches that `keep` accepts (all without `keep`).
+    With `limit`, `spent` plus the matches so far, and the atoms, may not
+    exceed it."""
+    records: list[list] = [[] for _ in units]
+    for members, recursive in _components([u.rule for u in units]):
+        before = spent
+        while True:
+            size = len(store.keys)
+            spent = before
+            for i in members:
+                unit = units[i]
+                kept = records[i] = []
+                own = spent
+                for b in _matches(unit.plan, store, unit.plan.entry):
+                    spent += 1
+                    if limit is not None and spent > limit:
+                        raise GroundingLimitError(
+                            f"grounding exceeds {limit} rule instances: facts and join"
+                            f" matches reached {spent} at rule {i} `{unit.rule}`"
+                            f" ({spent - own} of its matches)"
+                        )
+                    if keep is None or keep(unit, b):
+                        kept.append(b)
+                        for head in unit.heads:
+                            store.add(head(b))
+                if limit is not None and len(store.keys) > limit:
+                    raise GroundingLimitError(
+                        f"possibly-true closure exceeds {limit} atoms: {len(store.keys)}"
+                        f" after rule {i} `{unit.rule}`"
+                    )
+            if not recursive or len(store.keys) == size:
+                break
+    return records
+
 
 @dataclass(frozen=True)
 class GroundingResult:
@@ -246,150 +487,93 @@ class GroundingResult:
 
 def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult:
     """Instantiate rule variables by joining positive bodies against the
-    possibly-true closure. Arithmetic atoms are evaluated away, aggregates
-    are expanded under the deterministic-fragment semantics, and instances
-    whose positive body can never be derived are omitted."""
+    possibly-true closure. Each rule is compiled once into a join plan that
+    probes hash indexes on the bound argument positions. The closure visits
+    the components of the positive dependency graph in topological order
+    and records every match; emission then reads those records, sorted by
+    binding within each rule. Arithmetic atoms are evaluated away,
+    aggregates are expanded under the deterministic-fragment semantics,
+    and instances whose positive body can never be derived are omitted.
+    Facts plus join matches may not exceed `max_ground_rules`, nor may the
+    atoms of the closure."""
     for r in program.rules:
         ok, unsafe = is_safe(r)
         if not ok:
             raise SafetyError(unsafe, str(r))
 
-    compiled = []
-    for r in program.rules:
-        pos_patterns = tuple(_compile_atom(l.atom) for l in r.pos_body)
-        compiled.append((r, pos_patterns))
-
     agg_eval = _AggregateContext(program) if any(r.aggregates for r in program.rules) else None
 
     store = _Store()
-    for f in program.facts:
-        store.add(_atom_raw(f))
-
-    emitted_budget = [0]
-
-    def charge(amount: int = 1):
-        emitted_budget[0] += amount
-        if emitted_budget[0] > max_ground_rules:
-            raise GroundingLimitError(
-                f"grounding exceeds {max_ground_rules} rule instances"
-            )
-
-    # Possibly-true closure; derived heads feed later joins immediately.
-    # The budget is charged per sweep, so divergent programs (for example
-    # arithmetic that keeps inventing integers) fail loudly.
-    changed = True
-    while changed:
-        changed = False
-        emitted_budget[0] = 0
-        for r, pos_patterns in compiled:
-            for binding in _join(pos_patterns, r.arith, store, {}):
-                charge()
-                if agg_eval and not agg_eval.all_true(r.aggregates, binding):
-                    continue
-                for head_atom in r.head:
-                    key = _ground_atom_key(head_atom, binding)
-                    if store.add(key):
-                        changed = True
-        if len(store.keys) > max_ground_rules:
-            raise GroundingLimitError(
-                f"possibly-true closure exceeds {max_ground_rules} atoms"
-            )
-
-    # Final emission with negative-literal simplification.
-    fact_keys: set[tuple] = set()
     fact_order: list[tuple] = []
     for f in program.facts:
         key = _atom_raw(f)
-        if key not in fact_keys:
-            fact_keys.add(key)
+        if store.add(key):
             fact_order.append(key)
+    fact_keys = set(fact_order)
 
-    atom_table: dict[tuple, int] = {}
-    atoms: list[Atom] = []
+    units = [_RulePlan(r) for r in program.rules]
 
-    def intern(key: tuple) -> int:
-        idx = atom_table.get(key)
-        if idx is None:
-            idx = len(atoms)
-            atom_table[key] = idx
-            atoms.append(_raw_atom(key))
-        return idx
+    def keep(unit: _RulePlan, b: tuple) -> bool:
+        aggregates = unit.rule.aggregates
+        return not aggregates or agg_eval.all_true(aggregates, unit.names, unit.values(b))
 
-    ground_rules: list[GroundRule] = []
+    records = _closure(
+        units, store, keep if agg_eval else None, max_ground_rules, len(fact_order)
+    )
+
+    # Emission, with negative-literal simplification against the closure.
+    # Atoms are numbered in order of first use.
+    number = _Numbering()
+    ground_rules = [GroundRule((number[key],), (), ()) for key in fact_order]
     source_map: dict[int, int] = {}
-    emitted_budget[0] = 0
-    for key in fact_order:
-        ground_rules.append(GroundRule((intern(key),), (), ()))
-        charge()
-
-    for src_index, (r, pos_patterns) in enumerate(compiled):
-        seen: set = set()
-        instances: list[tuple[tuple, tuple]] = []
-        for binding in _join(pos_patterns, r.arith, store, {}):
-            charge()
-            if agg_eval and not agg_eval.all_true(r.aggregates, binding):
-                continue
-            head = tuple(_ground_atom_key(a, binding) for a in r.head)
-            pos_keys = tuple(_ground_atom_key(l.atom, binding) for l in r.pos_body)
+    for src_index, (unit, matches) in enumerate(zip(units, records)):
+        _sort_by_binding(matches, unit.values)
+        for b in matches:
+            head = [fn(b) for fn in unit.heads]
+            pos_keys = [(pred, args_of(b)) for pred, args_of in unit.pos]
             neg_keys = []
-            dropped = False
-            for l in r.neg_body:
-                key = _ground_atom_key(l.atom, binding)
+            for fn in unit.neg:
+                key = fn(b)
                 if key in fact_keys:
-                    dropped = True  # negated fact: instance can never fire
-                    break
+                    break  # negated fact: instance can never fire
                 if key in store.keys:
                     neg_keys.append(key)
                 # else: atom can never be true, the literal is vacuous
-            if dropped:
-                continue
-            shape = (head, pos_keys, tuple(neg_keys))
-            if shape in seen:
-                continue
-            seen.add(shape)
-            sort_key = tuple(
-                (name, _raw_key(value)) for name, value in sorted(binding.items())
-            )
-            instances.append((sort_key, shape))
-        instances.sort(key=lambda item: item[0])
-        for _, (head, pos_keys, neg_keys) in instances:
-            gr = GroundRule(
-                tuple(_dedup(intern(k) for k in head)),
-                tuple(_dedup(intern(k) for k in pos_keys)),
-                tuple(_dedup(intern(k) for k in neg_keys)),
-            )
-            source_map[len(ground_rules)] = src_index
-            ground_rules.append(gr)
+            else:
+                source_map[len(ground_rules)] = src_index
+                ground_rules.append(
+                    GroundRule(
+                        number.distinct(head), number.distinct(pos_keys), number.distinct(neg_keys)
+                    )
+                )
 
+    terms = {v: ground_term(v) for v in {v for _, args in number for v in args}}
+    atoms = [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in number]
     gp = GroundProgram(atoms, ground_rules)
     return GroundingResult(gp, len(source_map), len(atoms), source_map)
 
 
-def _dedup(items):
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+class _Numbering(dict):
+    """Numbers keys in order of first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        self[key] = n = len(self)
+        return n
+
+    def distinct(self, keys) -> tuple[int, ...]:
+        return tuple(dict.fromkeys(map(self.__getitem__, keys)))
 
 
-def _atom_vars(a: Atom):
-    for arg in a.args:
-        yield from term_variables(arg)
-
-
-def _ground_atom_key(a: Atom, binding) -> tuple:
-    args = []
-    for arg in a.args:
-        if isinstance(arg, Constant):
-            args.append(arg.name)
-        elif isinstance(arg, Integer):
-            args.append(arg.value)
-        else:
-            args.append(eval_term(arg, binding))
-    return (a.pred, tuple(args))
+def _sort_by_binding(matches: list, values):
+    """Sort matches by their variables in name order, integers before
+    symbols. Plain tuple order agrees with that as long as it never
+    compares an integer with a symbol, and raises TypeError if it does."""
+    try:
+        matches.sort(key=values)
+    except TypeError:
+        matches.sort(key=lambda b: tuple(map(_raw_key, values(b))))
 
 
 class _AggregateContext:
@@ -433,49 +617,42 @@ class _AggregateContext:
                     det.add(pred)
                     changed = True
         self.det = det
-        self.fact_keys = {_atom_raw(f) for f in program.facts}
 
-        # Least model of the deterministic rules.
+        # Least model of the deterministic rules: an instance whose negated
+        # atom is a fact never fires.
         self.store = _Store()
         for f in program.facts:
             self.store.add(_atom_raw(f))
+        fact_keys = set(self.store.keys)
         det_rules = [
-            r
+            _RulePlan(r)
             for defs in defined_by_rules.values()
             for r in defs
             if len(r.head) == 1 and r.head[0].pred in det
         ]
-        compiled = [
-            (r, tuple(_compile_atom(l.atom) for l in r.pos_body)) for r in det_rules
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for r, patterns in compiled:
-                for binding in _join(patterns, r.arith, self.store, {}):
-                    if any(
-                        _ground_atom_key(l.atom, binding) in self.fact_keys
-                        for l in r.neg_body
-                    ):
-                        continue
-                    if self.store.add(_ground_atom_key(r.head[0], binding)):
-                        changed = True
+        _closure(
+            det_rules,
+            self.store,
+            lambda unit, b: not any(fn(b) in fact_keys for fn in unit.neg),
+        )
+        self.plans: dict[tuple, tuple] = {}
 
-    def all_true(self, aggregates, binding) -> bool:
-        return all(self._eval(agg, binding) for agg in aggregates)
+    def all_true(self, aggregates, names: tuple, values: tuple) -> bool:
+        """Whether every aggregate holds with the rule variables `names`
+        bound to `values`."""
+        return all(self._eval(agg, names, values) for agg in aggregates)
 
-    def _eval(self, agg: Aggregate, outer_binding) -> bool:
+    def _compile(self, agg: Aggregate, names: tuple):
         for lit in agg.condition:
             if lit.atom.pred not in self.det:
                 raise UnsupportedAggregateError(
                     f"aggregate condition over non-deterministic predicate {lit.atom.pred}"
                 )
         positive = [l.atom for l in agg.condition if not l.negated]
-        negative = [l.atom for l in agg.condition if l.negated]
         cond_vars = set()
         for l in agg.condition:
             cond_vars.update(_atom_vars(l.atom))
-        bound_from_pos = set(outer_binding)
+        bound_from_pos = set(names)
         for a in positive:
             bound_from_pos.update(_atom_vars(a))
         loose = cond_vars - bound_from_pos
@@ -483,18 +660,29 @@ class _AggregateContext:
             raise UnsupportedAggregateError(
                 f"aggregate variables {sorted(loose)} not bound by a positive condition literal"
             )
-        patterns = tuple(_compile_atom(a) for a in positive)
-        tuples: set[tuple] = set()
-        base = dict(outer_binding)
-        for binding in _join(patterns, (), self.store, base):
-            if any(_ground_atom_key(a, binding) in self.store.keys for a in negative):
-                continue
-            tuples.add(tuple(binding[vn] for vn in agg.tuple_vars))
+        negative = [l.atom for l in agg.condition if l.negated]
+        plan = _Plan(positive, (), names, also=negative)
+        if not plan.complete:  # no binding ever gets past the plan
+            return plan, (), None, None
+        negative = [_atom_fn(a, plan) for a in negative]
+        tuple_of = _getter([plan.slots[vn] for vn in agg.tuple_vars])
+        return plan, negative, tuple_of, _term_fn(agg.guard, plan.slots)
+
+    def _eval(self, agg: Aggregate, names: tuple, values: tuple) -> bool:
+        compiled = self.plans.get((agg, names))
+        if compiled is None:
+            compiled = self.plans[(agg, names)] = self._compile(agg, names)
+        plan, negative, tuple_of, guard = compiled
+        entry = plan.entry + values
+        tuples = {
+            tuple_of(b)
+            for b in _matches(plan, self.store, entry)
+            if not any(fn(b) in self.store.keys for fn in negative)
+        }
         value = self._aggregate_value(agg.func, tuples)
         if value is None:
             return False
-        guard = eval_term(agg.guard, outer_binding)
-        return _compare_raw(agg.guard_op, value, guard)
+        return _compare(agg.guard_op, value, guard(entry))
 
     @staticmethod
     def _aggregate_value(func: str, tuples: set[tuple]):
@@ -512,15 +700,6 @@ class _AggregateContext:
         if not firsts:
             return None  # empty #min/#max never satisfies a guard
         return min(firsts) if func == "min" else max(firsts)
-
-
-def _compare_raw(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    lk, rk = _raw_key(left), _raw_key(right)
-    return {"<": lk < rk, "<=": lk <= rk, ">": lk > rk, ">=": lk >= rk}[op]
 
 
 # ------------------------------------------------------------------ reduct --

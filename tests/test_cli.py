@@ -108,6 +108,18 @@ def test_limit_error_exit_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ground", "--max-ground-rules", "40", str(src))
     assert code == 4
     assert "exceeds" in err
+    assert "rule 0 `p(Y) :- p(X), Y = X+1.`" in err
+
+
+def test_ground_large_body_exit_0(capsys, tmp_path):
+    from test_oracle import large_body_text
+
+    src = tmp_path / "large.lp"
+    src.write_text(large_body_text())
+    code, out, err = run_cli(capsys, "ground", str(src))
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.count(":-") == 1 and "h(a) :- p0(a)," in out
 
 
 def test_ground_output(capsys, tmp_path):

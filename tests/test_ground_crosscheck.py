@@ -1,14 +1,15 @@
 """Dual-route grounding check: a deliberately naive grounder instantiates
 every rule over the full domain cross-product and keeps underivable
 instances. Answer sets (as named atom sets) must coincide with the
-join-based grounder's."""
+join-based grounder's. The naive route shares no matching or comparison
+code with the grounder it checks."""
 
 import random
 from itertools import product
 
 import pytest
 
-from bigrule.oracle import answer_sets, eval_term, ground
+from bigrule.oracle import answer_sets, ground
 from bigrule.syntax import (
     Atom,
     Constant,
@@ -18,6 +19,7 @@ from bigrule.syntax import (
     Program,
     Rule,
     Variable,
+    eval_term,
     variables_of,
 )
 
@@ -98,9 +100,16 @@ def _ground_arg(arg, binding):
 
 
 def _eval_comparison(comp, binding):
-    from bigrule.oracle import _eval_comparison as impl
-
-    return impl(comp, binding)
+    """Integers order before symbols; = and != compare values."""
+    left = eval_term(comp.left, binding)
+    right = eval_term(comp.right, binding)
+    if comp.op == "=":
+        return left == right
+    if comp.op == "!=":
+        return left != right
+    rank = lambda value: (0, value, "") if isinstance(value, int) else (1, 0, value)
+    a, b = rank(left), rank(right)
+    return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[comp.op]
 
 
 def named_answer_sets(gp, max_atoms=4000):
@@ -111,15 +120,25 @@ def named_answer_sets(gp, max_atoms=4000):
 
 
 def tiny_program(rng: random.Random) -> Program:
+    """One or two random rules with heads over g/1; bodies may read g, and
+    the rule g(X) :- g(Y), q(X,Y) is added at random, with its body in
+    either order, so positive recursion gets checked too."""
     consts = [Constant(c) for c in ("k1", "k2", "k3")]
     preds = [("p", 1), ("q", 2), ("r", 1)]
     rules = []
+    if rng.random() < 0.4:
+        body = [
+            Literal(Atom("g", (Variable("Y"),))),
+            Literal(Atom("q", (Variable("X"), Variable("Y")))),
+        ]
+        rng.shuffle(body)
+        rules.append(Rule((Atom("g", (Variable("X"),)),), tuple(body)))
     for _ in range(rng.randint(1, 2)):
         n_vars = rng.randint(1, 3)
         names = [f"V{i}" for i in range(n_vars)]
         pos = []
         for _ in range(rng.randint(1, 3)):
-            pred, arity = rng.choice(preds)
+            pred, arity = rng.choice(preds + [("g", 1)])
             pos.append(
                 Literal(Atom(pred, tuple(Variable(rng.choice(names)) for _ in range(arity))))
             )

@@ -93,6 +93,23 @@ def test_ground_division_truncates_toward_zero():
     assert any("q(-3)" in t for t in texts)
 
 
+def large_body_text(n: int = 1500) -> str:
+    """One rule of n atoms pK(X) over one variable; every pK holds for a,
+    and all but the last for b, so exactly one instance survives."""
+    facts = "".join(f"p{k}(a). p{k}(b).\n" for k in range(n - 1))
+    body = ", ".join(f"p{k}(X)" for k in range(n))
+    return f"{facts}p{n - 1}(a).\nh(X) :- {body}.\n"
+
+
+def test_ground_large_body_runs_without_recursion():
+    result = ground(parse_program(large_body_text()))
+    gp = result.ground_program
+    assert result.rule_count == 1
+    (instance,) = [gp.rules[i] for i in result.source_rule_map]
+    assert gp.rule_str(instance).startswith("h(a) :- p0(a), p1(a),")
+    assert len(instance.pos) == 1500
+
+
 def test_ground_division_by_zero_is_an_error():
     program = parse_program("p(0). p(1).\nq(X) :- p(Y), X = 1/Y.")
     with pytest.raises(DivisionByZeroError):
@@ -114,6 +131,22 @@ def test_ground_limit_exceeded():
     program = parse_program("p(1).\np(Y) :- p(X), Y = X+1.")
     with pytest.raises(GroundingLimitError):
         ground(program, max_ground_rules=50)
+
+
+def test_ground_limit_names_rule_and_counts():
+    program = parse_program("q(a).\np(X) :- q(X).\nr(Y) :- r(X), Y = X+1.\nr(0).")
+    with pytest.raises(GroundingLimitError) as info:
+        ground(program, max_ground_rules=50)
+    message = str(info.value)
+    assert "exceeds 50 rule instances" in message
+    assert "rule 1 `r(Y) :- r(X), Y = X+1.`" in message
+    assert "reached 51" in message and "48 of its matches" in message
+
+    facts = "".join(f"c({k}).\n" for k in range(30))
+    wide = parse_program(facts + "a(X) | b(X) :- c(X).")
+    with pytest.raises(GroundingLimitError) as info:
+        ground(wide, max_ground_rules=70)
+    assert "closure exceeds 70 atoms: 90 after rule 0 `a(X) | b(X) :- c(X).`" in str(info.value)
 
 
 def test_ground_negative_fact_literal_drops_instance():
