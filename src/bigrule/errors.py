@@ -86,6 +86,10 @@ class DivisionByZeroError(InputSemanticsError):
     """Arithmetic evaluation hit a division by zero."""
 
 
+class NonIntegerArithmeticError(InputSemanticsError):
+    """Arithmetic evaluation met a symbol where it needs an integer."""
+
+
 # ---------------------------------------------------------------- exit 4 ----
 
 class LimitError(BigruleError):

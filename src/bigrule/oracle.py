@@ -15,9 +15,16 @@ same plans, over the deterministic sub-program's least model.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads), propagates lower/upper bounds
-between decisions, and verifies subset-minimality against the reduct. A
-literal subset-enumeration variant is kept for cross-checking; both return
-exactly the answer sets of the textbook reduct semantics.
+between decisions, and at each leaf checks modelhood and support in one
+pass over the rules, then subset-minimality against the reduct. Rules,
+truth assignments and atom sets are bitmasks. Every upper bound is one
+Horn closure: a single forward sweep when each rule comes after all rules
+heading its positive body atoms (the usual shape of decomposed programs),
+otherwise sweeps until nothing changes. The decision search and the
+minimality search run depth first on explicit stacks, so search depth is
+not limited by recursion depth. A literal subset-enumeration variant is
+kept for cross-checking; both return exactly the answer sets of the
+textbook reduct semantics.
 """
 
 from __future__ import annotations
@@ -738,22 +745,60 @@ def _is_model(mask_rules, m: int) -> bool:
     return True
 
 
-def _possibly_true(mask_rules) -> int:
-    pt = 0
-    changed = True
-    while changed:
+def _is_ordered(mask_rules) -> bool:
+    """True when, for every positive body atom a of every rule i, the last
+    rule heading a comes before rule i. Then one forward sweep reaches the
+    least fixpoint, since a rule's body is final by the time it is read."""
+    later = 0
+    for h, p, _ in reversed(mask_rules):
+        later |= h
+        if p & later:
+            return False
+    return True
+
+
+def _horn_closure(mask_rules, ordered: bool, lo: int = 0, t: int = 0, f: int = 0) -> int:
+    """Least superset of lo closed under the rules whose negative body
+    misses t, never deriving an atom of f. With t = f = 0 this is the
+    possibly-true closure; under an assignment (t, f) it is the upper bound
+    of the atoms that can still become true. One sweep when `ordered`,
+    otherwise sweeps until nothing changes."""
+    hi = lo
+    keep = ~f
+    while True:
         changed = False
-        for h, p, _ in mask_rules:
-            if (p & ~pt) == 0 and (h & ~pt) != 0:
-                pt |= h
-                changed = True
-    return pt
+        missing = ~hi
+        for h, p, g in mask_rules:
+            if not (g & t) and not (p & missing):
+                add = h & keep & missing
+                if add:
+                    hi |= add
+                    missing = ~hi
+                    changed = True
+        if ordered or not changed:
+            return hi
 
 
-def _minimal_below(mask_rules, m: int) -> bool:
+def _supported_model(mask_rules, m: int) -> bool:
+    """One pass over the rules: m is a model, and each atom of m is the only
+    true head atom of some rule whose body m satisfies."""
+    supported = 0
+    missing = ~m
+    for h, p, g in mask_rules:
+        if not (g & m) and not (p & missing):
+            live = h & m
+            if not live:
+                return False
+            if not (live & (live - 1)):
+                supported |= live
+    return not (m & ~supported)
+
+
+def _minimal_below(mask_rules, m: int, ordered: bool) -> bool:
     """True iff no proper subset of m models the reduct w.r.t. m. Branches
-    over disjunctive heads restricted below m; every minimal model of the
-    restricted positive program appears as a leaf."""
+    over disjunctive heads restricted below m, depth first on an explicit
+    stack; every minimal model of the restricted positive program appears
+    as a leaf."""
     red = []
     for h, p, g in mask_rules:
         if g & m:
@@ -761,136 +806,107 @@ def _minimal_below(mask_rules, m: int) -> bool:
         if p & ~m:
             continue
         red.append((h & m, p))
+    # A subsequence of ordered rules with smaller heads is still ordered.
+    units = [(h, p, 0) for h, p in red if h and (h & (h - 1)) == 0]
     seen: set[int] = set()
-
-    def dfs(n: int) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for h, p in red:
-                if (p & ~n) == 0 and (h & n) == 0 and h and (h & (h - 1)) == 0:
-                    n |= h
-                    changed = True
+    stack = [0]
+    while stack:
+        n = _horn_closure(units, ordered, stack.pop())
         if n in seen:
-            return False
+            continue
         seen.add(n)
         for h, p in red:
             if (p & ~n) == 0 and (h & n) == 0:
+                children = []
                 rest = h
                 while rest:
                     low = rest & -rest
                     rest &= rest - 1
-                    if dfs(n | low):
-                        return True
+                    children.append(n | low)
+                stack.extend(reversed(children))
+                break
+        else:
+            if n != m:
                 return False
-        return n != m
-
-    return not dfs(0)
+    return True
 
 
 def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
     mask_rules = _rule_masks(gp)
-    n = len(gp.atoms)
-    universe = (1 << n) - 1
-    pt = _possibly_true(mask_rules)
+    ordered = _is_ordered(mask_rules)
+    universe = (1 << len(gp.atoms)) - 1
+    pt = _horn_closure(mask_rules, ordered)
     nb = 0
     dh = 0
     for h, _, g in mask_rules:
         nb |= g
         if h and (h & (h - 1)) != 0:
             dh |= h
-    decision_bits = []
     decided_mask = (nb | dh) & pt
-    bit = 1
-    for i in range(n):
-        if decided_mask & bit:
-            decision_bits.append(bit)
-        bit <<= 1
 
     def propagate(t: int, f: int):
         while True:
-            hi = 0
-            changed = True
-            while changed:
-                changed = False
-                for h, p, g in mask_rules:
-                    if g & t:
-                        continue
-                    if (p & ~hi) == 0:
-                        add = h & ~f & ~hi
-                        if add:
-                            hi |= add
-                            changed = True
+            hi = _horn_closure(mask_rules, ordered, t=t, f=f)
             if t & ~hi:
                 return None
             new_f = f | (universe & ~hi)
             new_t = t
+            missing = ~t
             for h, p, g in mask_rules:
-                if g & new_t:
-                    continue
-                if g & hi:
-                    continue  # may still be dropped from the reduct
-                if p & ~new_t:
+                # new_t stays below hi, so `g & hi` also skips the rules
+                # that new_t blocks; the others may still leave the reduct.
+                if g & hi or p & missing:
                     continue
                 live = h & hi
-                if live == 0:
+                if not live:
                     return None
-                if live & new_t:
-                    continue
-                if (live & (live - 1)) == 0:
+                if not (live & new_t) and not (live & (live - 1)):
                     new_t |= live
+                    missing = ~new_t
             if new_t == t and new_f == f:
-                return t, f, hi
+                return t, f
             if new_t & new_f:
                 return None
             t, f = new_t, new_f
 
+    # Depth first over the decision atoms in index order, true branch first.
     results: list[int] = []
-
-    def rec(t: int, f: int):
-        if first_only and results:
-            return
-        state = propagate(t, f)
+    stack = [(0, universe & ~pt)]
+    while stack:
+        state = propagate(*stack.pop())
         if state is None:
-            return
-        t, f, hi = state
-        for bit in decision_bits:
-            if not (t & bit) and not (f & bit):
-                rec(t | bit, f)
-                rec(t, f | bit)
-                return
-        m = t
-        if not _is_model(mask_rules, m):
-            return
-        # Support: every true atom needs a surviving rule it uniquely heads.
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest &= rest - 1
-            if not any(
-                (g & m) == 0 and (p & ~m) == 0 and (h & m) == low
-                for h, p, g in mask_rules
-            ):
-                return
-        if _minimal_below(mask_rules, m):
-            results.append(m)
-
-    rec(0, universe & ~pt)
+            continue
+        t, f = state
+        open_bits = decided_mask & ~(t | f)
+        if open_bits:
+            bit = open_bits & -open_bits
+            stack.append((t, f | bit))
+            stack.append((t | bit, f))
+        elif _supported_model(mask_rules, t) and _minimal_below(mask_rules, t, ordered):
+            results.append(t)
+            if first_only:
+                break
     return results
+
+
+def _check_atom_cap(gp: GroundProgram, max_atoms: int) -> None:
+    if len(gp.atoms) > max_atoms:
+        raise TooManyAtomsError(
+            f"ground program has {len(gp.atoms)} atoms, over the solver's cap "
+            f"max_atoms={max_atoms} (--max-atoms on the command line)"
+        )
 
 
 def answer_sets(gp: GroundProgram, max_atoms: int = 24) -> set[Interpretation]:
     """All answer sets. The cap guards against accidentally huge inputs and
     can be raised explicitly."""
-    if len(gp.atoms) > max_atoms:
-        raise TooManyAtomsError(f"{len(gp.atoms)} atoms exceeds cap {max_atoms}")
+    _check_atom_cap(gp, max_atoms)
     found = _enumerate_answer_sets(gp, first_only=False)
     return {Interpretation(frozenset(_bits(m))) for m in found}
 
 
 def has_answer_set(gp: GroundProgram, max_atoms: int = 24) -> bool:
-    if len(gp.atoms) > max_atoms:
-        raise TooManyAtomsError(f"{len(gp.atoms)} atoms exceeds cap {max_atoms}")
+    _check_atom_cap(gp, max_atoms)
     return bool(_enumerate_answer_sets(gp, first_only=True))
 
 

@@ -14,6 +14,7 @@ from .errors import (
     ArityError,
     DivisionByZeroError,
     HeadCycleError,
+    NonIntegerArithmeticError,
     ReservedPrefixCollisionError,
 )
 
@@ -118,7 +119,7 @@ def eval_term(term: Term, binding: dict[str, "str | int"]) -> "str | int":
     left = eval_term(term.left, binding)
     right = eval_term(term.right, binding)
     if not isinstance(left, int) or not isinstance(right, int):
-        raise TypeError(f"arithmetic over non-integer value in {term}")
+        raise NonIntegerArithmeticError(f"arithmetic over non-integer value in {term}")
     if term.op == "+":
         return left + right
     if term.op == "-":

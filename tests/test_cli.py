@@ -102,6 +102,21 @@ def test_prefix_shape_error_exit_2(capsys, tmp_path):
     assert "prefix" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["q(a). p(Y) :- q(X), Y = X+1.\n", "q(a). p :- q(X), r(X+1).\n"],
+    ids=["binding-equation", "body-atom"],
+)
+def test_arithmetic_over_symbol_exit_2(capsys, tmp_path, text):
+    src = tmp_path / "arith.lp"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "solve", str(src))
+    assert code == 2
+    assert out == ""
+    assert err == "error: arithmetic over non-integer value in X+1\n"
+    assert "Traceback" not in err
+
+
 def test_limit_error_exit_4(capsys, tmp_path):
     src = tmp_path / "big.lp"
     src.write_text("p(1).\np(Y) :- p(X), Y = X+1.\n")

@@ -1,5 +1,7 @@
 import random
+import sys
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,10 @@ from bigrule.errors import (
     UnsupportedAggregateError,
 )
 from bigrule.oracle import (
+    _is_ordered,
+    _minimal_below,
+    _rule_masks,
+    _supported_model,
     abduce_bruteforce,
     answer_sets,
     answer_sets_naive,
@@ -205,17 +211,29 @@ def test_answer_sets_odd_loop_has_none():
 
 def test_answer_sets_atom_cap():
     gp = gp_of([f"a{i}" for i in range(30)], [])
-    with pytest.raises(TooManyAtomsError):
-        answer_sets(gp, max_atoms=24)
+    message = (
+        "ground program has 30 atoms, over the solver's cap max_atoms=24"
+        " (--max-atoms on the command line)"
+    )
+    for solve in (answer_sets, has_answer_set):
+        with pytest.raises(TooManyAtomsError) as info:
+            solve(gp, max_atoms=24)
+        assert str(info.value) == message
 
 
 def test_answer_sets_agree_with_naive_on_corpus():
+    # Each program is solved in its own rule order and reversed, so both the
+    # one-sweep closure (ordered programs) and the repeated one are checked.
     rng = random.Random(1234)
+    ordered = Counter()
     for _ in range(400):
         gp = random_ground_program(rng, max_atoms=6, max_rules=8)
-        fast = answer_sets(gp, max_atoms=10)
         naive = answer_sets_naive(gp)
-        assert fast == naive
+        for rules in (gp.rules, gp.rules[::-1]):
+            program = GroundProgram(gp.atoms, rules)
+            ordered[_is_ordered(_rule_masks(program))] += 1
+            assert answer_sets(program, max_atoms=10) == naive
+    assert ordered[True] >= 100 and ordered[False] >= 100
 
 
 def test_answer_sets_antichain_and_modelhood():
@@ -238,6 +256,55 @@ def test_has_answer_set_matches_enumeration():
     for _ in range(150):
         gp = random_ground_program(rng)
         assert has_answer_set(gp, max_atoms=10) == bool(answer_sets(gp, max_atoms=10))
+
+
+def test_supported_model_needs_a_unique_true_head():
+    # `a | b.` supports a when b is false, but neither atom when both are
+    # true; `c :- a.` then supports c only while a is true.
+    gp = gp_of(["a", "b", "c"], [(("a", "b"), (), ()), (("c",), ("a",), ())])
+    masks = _rule_masks(gp)
+    assert _supported_model(masks, 0b101)
+    assert _supported_model(masks, 0b010)
+    assert not _supported_model(masks, 0b111)
+    assert not _supported_model(masks, 0b110)  # c unsupported
+    assert not _supported_model(masks, 0b001)  # c :- a violated
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_has_answer_set_deep_search_runs_without_recursion():
+    # One decision per even loop `ai :- not bi. bi :- not ai.`: the search
+    # goes 200 decisions deep, with the recursion limit 50 frames above here.
+    k = 200
+    names = [x for i in range(k) for x in (f"a{i}", f"b{i}")]
+    rules = [
+        rule
+        for i in range(k)
+        for rule in (((f"a{i}",), (), (f"b{i}",)), ((f"b{i}",), (), (f"a{i}",)))
+    ]
+    gp = gp_of(names, rules)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        found = has_answer_set(gp, max_atoms=2 * k)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found
+
+
+def test_minimal_below_deep_branching_runs_without_recursion():
+    # 1,200 disjunctions `ai | bi.`: all atoms true is a model but not a
+    # minimal one, found 1,200 branchings deep.
+    k = 1200
+    names = [x for i in range(k) for x in (f"a{i}", f"b{i}")]
+    gp = gp_of(names, [((f"a{i}", f"b{i}"), (), ()) for i in range(k)])
+    masks = _rule_masks(gp)
+    assert _minimal_below(masks, (1 << 2 * k) - 1, _is_ordered(masks)) is False
 
 
 # -------------------------------------------------------------- eval_qbf ---
