@@ -32,10 +32,23 @@ EXIT_UNSAT = 20
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of stdin for "-", as UTF-8 with universal
+    newlines. Bytes that are not UTF-8 raise ParseError."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:  # an already decoded text stream
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"input is not UTF-8: byte 0x{data[exc.start]:02x} at byte offset {exc.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_out(args, text: str):

@@ -16,7 +16,10 @@ same plans, over the deterministic sub-program's least model.
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads), propagates lower/upper bounds
 between decisions, and at each leaf checks modelhood and support in one
-pass over the rules, then subset-minimality against the reduct. Rules,
+pass over the rules, then subset-minimality against the reduct. It
+propagates once before the first decision and searches only the rules
+that this root assignment leaves open, starting every closure from the
+atoms it made true. Rules,
 truth assignments and atom sets are bitmasks. Every upper bound is one
 Horn closure: a single forward sweep when each rule comes after all rules
 heading its positive body atoms (the usual shape of decomposed programs),
@@ -779,10 +782,10 @@ def _horn_closure(mask_rules, ordered: bool, lo: int = 0, t: int = 0, f: int = 0
             return hi
 
 
-def _supported_model(mask_rules, m: int) -> bool:
+def _supported_model(mask_rules, m: int, supported: int = 0) -> bool:
     """One pass over the rules: m is a model, and each atom of m is the only
-    true head atom of some rule whose body m satisfies."""
-    supported = 0
+    true head atom of some rule whose body m satisfies, or is in
+    `supported` already."""
     missing = ~m
     for h, p, g in mask_rules:
         if not (g & m) and not (p & missing):
@@ -794,11 +797,12 @@ def _supported_model(mask_rules, m: int) -> bool:
     return not (m & ~supported)
 
 
-def _minimal_below(mask_rules, m: int, ordered: bool) -> bool:
+def _minimal_below(mask_rules, m: int, ordered: bool, lo: int = 0) -> bool:
     """True iff no proper subset of m models the reduct w.r.t. m. Branches
     over disjunctive heads restricted below m, depth first on an explicit
-    stack; every minimal model of the restricted positive program appears
-    as a leaf."""
+    stack, from `lo`, a set every model of the reduct below m contains;
+    every minimal model of the restricted positive program appears as a
+    leaf."""
     red = []
     for h, p, g in mask_rules:
         if g & m:
@@ -809,7 +813,7 @@ def _minimal_below(mask_rules, m: int, ordered: bool) -> bool:
     # A subsequence of ordered rules with smaller heads is still ordered.
     units = [(h, p, 0) for h, p in red if h and (h & (h - 1)) == 0]
     seen: set[int] = set()
-    stack = [0]
+    stack = [lo]
     while stack:
         n = _horn_closure(units, ordered, stack.pop())
         if n in seen:
@@ -831,49 +835,79 @@ def _minimal_below(mask_rules, m: int, ordered: bool) -> bool:
     return True
 
 
+def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int):
+    """Extend the assignment (t, f) to its fixpoint, or None on a conflict.
+    Upper bounds are Horn closures from `lo`, a set of atoms every bound
+    contains."""
+    while True:
+        hi = _horn_closure(mask_rules, ordered, lo, t, f)
+        if t & ~hi:
+            return None
+        new_f = f | (universe & ~hi)
+        new_t = t
+        missing = ~t
+        for h, p, g in mask_rules:
+            # new_t stays below hi, so `g & hi` also skips the rules
+            # that new_t blocks; the others may still leave the reduct.
+            if g & hi or p & missing:
+                continue
+            live = h & hi
+            if not live:
+                return None
+            if not (live & new_t) and not (live & (live - 1)):
+                new_t |= live
+                missing = ~new_t
+        if new_t == t and new_f == f:
+            return t, f
+        if new_t & new_f:
+            return None
+        t, f = new_t, new_f
+
+
+def _root_residual(mask_rules, ordered: bool, universe: int):
+    """Propagate once at the root, with no decision made. None on a
+    conflict, else (t0, f0, rest): the root assignment and, in their order,
+    the rules it leaves open. A rule is dropped when its body can never
+    hold (a positive atom in f0 or a negative one in t0) or when all its
+    atoms are assigned, so that its body holds and a head atom is in t0.
+    Each atom of t0 is the only true head atom, at every leaf, of the rule
+    that derived it, which is dropped: t0 is supported."""
+    pt = _horn_closure(mask_rules, ordered)
+    root = _propagate(mask_rules, ordered, universe, 0, 0, universe & ~pt)
+    if root is None:
+        return None
+    t0, f0 = root
+    unassigned = universe & ~(t0 | f0)
+    rest = [
+        (h, p, g)
+        for h, p, g in mask_rules
+        if (h | p | g) & unassigned and not (p & f0 or g & t0)
+    ]
+    return t0, f0, rest
+
+
 def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
     mask_rules = _rule_masks(gp)
     ordered = _is_ordered(mask_rules)
     universe = (1 << len(gp.atoms)) - 1
-    pt = _horn_closure(mask_rules, ordered)
-    nb = 0
-    dh = 0
+    root = _root_residual(mask_rules, ordered, universe)
+    if root is None:
+        return []
+    # Every atom of t0 is derived without a decision, so it stays in every
+    # upper bound below the root and in every model of a leaf's reduct.
+    t0, f0, rest = root
+    # Atoms that can never be true are in f0, so they are never open.
+    decided_mask = 0
     for h, _, g in mask_rules:
-        nb |= g
-        if h and (h & (h - 1)) != 0:
-            dh |= h
-    decided_mask = (nb | dh) & pt
-
-    def propagate(t: int, f: int):
-        while True:
-            hi = _horn_closure(mask_rules, ordered, t=t, f=f)
-            if t & ~hi:
-                return None
-            new_f = f | (universe & ~hi)
-            new_t = t
-            missing = ~t
-            for h, p, g in mask_rules:
-                # new_t stays below hi, so `g & hi` also skips the rules
-                # that new_t blocks; the others may still leave the reduct.
-                if g & hi or p & missing:
-                    continue
-                live = h & hi
-                if not live:
-                    return None
-                if not (live & new_t) and not (live & (live - 1)):
-                    new_t |= live
-                    missing = ~new_t
-            if new_t == t and new_f == f:
-                return t, f
-            if new_t & new_f:
-                return None
-            t, f = new_t, new_f
+        decided_mask |= g
+        if h & (h - 1):
+            decided_mask |= h
 
     # Depth first over the decision atoms in index order, true branch first.
     results: list[int] = []
-    stack = [(0, universe & ~pt)]
+    stack = [(t0, f0)]
     while stack:
-        state = propagate(*stack.pop())
+        state = _propagate(rest, ordered, universe, t0, *stack.pop())
         if state is None:
             continue
         t, f = state
@@ -882,7 +916,7 @@ def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
             bit = open_bits & -open_bits
             stack.append((t, f | bit))
             stack.append((t | bit, f))
-        elif _supported_model(mask_rules, t) and _minimal_below(mask_rules, t, ordered):
+        elif _supported_model(rest, t, t0) and _minimal_below(rest, t, ordered, t0):
             results.append(t)
             if first_only:
                 break

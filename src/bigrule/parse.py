@@ -255,7 +255,7 @@ class _AspParser:
         ok, unsafe = is_safe(rule)
         if not ok:
             raise SafetyError(unsafe, str(rule))
-        return Rule(rule.head, rule.pos_body, rule.neg_body, rule.arith, rule.aggregates, checked_safe=True)
+        return rule
 
     def program(self) -> Program:
         rules: list[Rule] = []

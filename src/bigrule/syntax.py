@@ -7,7 +7,7 @@ lowercase one; this is what guarantees a printable round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -250,7 +250,6 @@ class Rule:
     neg_body: tuple[Literal, ...] = ()
     arith: tuple[Comparison, ...] = ()
     aggregates: tuple[Aggregate, ...] = ()
-    checked_safe: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if any(l.negated for l in self.pos_body):

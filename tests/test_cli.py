@@ -251,6 +251,29 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 10 and out == "p(a)\n"
 
 
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_non_utf8_input_exit_1(tmp_path, from_stdin):
+    data = b"p(a).\np(\xff).\n"
+    bad = tmp_path / "bad.lp"
+    bad.write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigrule.cli", "solve", "-" if from_stdin else str(bad)],
+        input=data,
+        capture_output=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: input is not UTF-8: byte 0xff at byte offset 8\n"
+    assert b"Traceback" not in proc.stderr
+
+
+def test_carriage_returns_read_as_newlines(capsys, tmp_path):
+    # A comment ends at a lone \r as it does at \n.
+    src = tmp_path / "p.lp"
+    src.write_bytes(b"% comment\rp(a).\r\nq :- p(a).\r")
+    code, out, _ = run_cli(capsys, "solve", str(src))
+    assert code == 10 and out == "p(a) q\n"
+
+
 def test_output_file_option(capsys, tmp_path):
     src = tmp_path / "p.lp"
     src.write_text("p(a).\n")

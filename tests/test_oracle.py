@@ -15,6 +15,7 @@ from bigrule.errors import (
 from bigrule.oracle import (
     _is_ordered,
     _minimal_below,
+    _root_residual,
     _rule_masks,
     _supported_model,
     abduce_bruteforce,
@@ -224,16 +225,24 @@ def test_answer_sets_atom_cap():
 def test_answer_sets_agree_with_naive_on_corpus():
     # Each program is solved in its own rule order and reversed, so both the
     # one-sweep closure (ordered programs) and the repeated one are checked.
+    # It also counts the programs whose root propagation drops a rule and
+    # leaves others to search, where the dropped rules' support matters.
     rng = random.Random(1234)
     ordered = Counter()
+    partial = 0
     for _ in range(400):
         gp = random_ground_program(rng, max_atoms=6, max_rules=8)
         naive = answer_sets_naive(gp)
         for rules in (gp.rules, gp.rules[::-1]):
             program = GroundProgram(gp.atoms, rules)
-            ordered[_is_ordered(_rule_masks(program))] += 1
+            masks = _rule_masks(program)
+            in_order = _is_ordered(masks)
+            ordered[in_order] += 1
+            root = _root_residual(masks, in_order, (1 << len(gp.atoms)) - 1)
+            partial += root is not None and 0 < len(root[2]) < len(masks)
             assert answer_sets(program, max_atoms=10) == naive
     assert ordered[True] >= 100 and ordered[False] >= 100
+    assert partial >= 80
 
 
 def test_answer_sets_antichain_and_modelhood():
@@ -256,6 +265,26 @@ def test_has_answer_set_matches_enumeration():
     for _ in range(150):
         gp = random_ground_program(rng)
         assert has_answer_set(gp, max_atoms=10) == bool(answer_sets(gp, max_atoms=10))
+
+
+def test_rules_fixed_at_the_root_keep_their_support():
+    # `a.` and `b :- a.` are settled at the root and `d :- not a.` can never
+    # fire, so only `c | d :- b.` is searched; a and b still need their
+    # support, and the minimality check must start from them.
+    gp = gp_of(
+        ["a", "b", "c", "d"],
+        [
+            (("a",), (), ()),
+            (("b",), ("a",), ()),
+            (("c", "d"), ("b",), ()),
+            (("d",), (), ("a",)),
+        ],
+    )
+    masks = _rule_masks(gp)
+    assert _root_residual(masks, True, 0b1111) == (0b0011, 0, [masks[2]])
+    expected = [["a", "b", "c"], ["a", "b", "d"]]
+    assert as_names(gp, answer_sets(gp)) == expected
+    assert as_names(gp, answer_sets_naive(gp)) == expected
 
 
 def test_supported_model_needs_a_unique_true_head():

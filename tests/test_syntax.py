@@ -197,3 +197,16 @@ def test_interpretation_atom_strings():
     from bigrule.syntax import Interpretation
 
     assert Interpretation(frozenset({0, 1})).atom_strs(gp) == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "atoms, rule, message",
+    [
+        (("a", "b"), GroundRule((0,), (-1,), ()), "unregistered atom index -1"),
+        (("a", "b"), GroundRule((0,), (), (2,)), "unregistered atom index 2"),
+        (("a", "a"), GroundRule((0,), (), ()), "duplicate atom"),
+    ],
+)
+def test_ground_program_rejects_bad_atom_table(atoms, rule, message):
+    with pytest.raises(ValueError, match=message):
+        GroundProgram(tuple(Atom(a) for a in atoms), (rule,))
