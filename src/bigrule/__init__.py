@@ -62,7 +62,6 @@ from .syntax import (
     Program,
     Rule,
     Variable,
-    fresh_symbols,
     is_head_cycle_free,
     is_safe,
     shift,

@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common_decomp = argparse.ArgumentParser(add_help=False)
     common_decomp.add_argument("--heuristic", choices=("min-fill", "min-degree"), default="min-fill")
-    common_decomp.add_argument("--seed", type=int, default=0)
     common_decomp.add_argument(
         "--no-threshold",
         dest="threshold",
@@ -205,7 +204,7 @@ def _run(args) -> int:
     if args.command == "decompose":
         program = _load_program(args.program, auto_rename=args.auto_rename)
         out, report = dec.decompose_program(
-            program, heuristic=args.heuristic, seed=args.seed, threshold=args.threshold
+            program, heuristic=args.heuristic, threshold=args.threshold
         )
         _write_out(args, parse.print_program(out))
         sys.stderr.write(report.render())
@@ -247,7 +246,7 @@ def _run(args) -> int:
     if args.command == "stats":
         program = _load_program(args.program, auto_rename=args.auto_rename)
         _, report = dec.decompose_program(
-            program, heuristic=args.heuristic, seed=args.seed, threshold=args.threshold
+            program, heuristic=args.heuristic, threshold=args.threshold
         )
         _write_out(args, report.render())
         return EXIT_OK

@@ -25,8 +25,6 @@ from .syntax import (
     Program,
     Rule,
     Variable,
-    bindable_vars,
-    global_vars,
     is_safe,
     term_variables,
     variables_in_order,
@@ -147,8 +145,8 @@ def synthesize_dom_rules(rule: Rule, needed_vars, namer: FreshNamer) -> dict[str
             pos_body=tuple(atoms),
             arith=tuple(equations),
         )
-        missing = variables_of(dom_rule) - bindable_vars(dom_rule)
-        if missing:
+        ok, missing = is_safe(dom_rule)
+        if not ok:
             raise UnsecurableVariableError(
                 f"domain rule for {target} is unsafe on {sorted(missing)}"
             )
@@ -220,15 +218,15 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
         # Dom atoms for every variable the grounder could not bind here:
         # negative-literal variables, arithmetic inputs, and variables that
         # only occur inside arithmetic arguments of positive atoms.
-        loose = global_vars(draft) - bindable_vars(draft)
-        if loose:
+        ok, loose = is_safe(draft)
+        if not ok:
             dom_lits = tuple(
                 Literal(Atom(namer.dom(x), (Variable(x),))) for x in sorted(loose)
             )
             dom_vars.update(loose)
             draft = Rule(head, body_pos + dom_lits, tuple(neg_lits), tuple(ariths), tuple(aggs))
-            still = global_vars(draft) - bindable_vars(draft)
-            if still:
+            ok, still = is_safe(draft)
+            if not ok:
                 raise UnsecurableVariableError(
                     f"node rule stays unsafe on {sorted(still)}"
                 )
@@ -290,9 +288,9 @@ def split_aggregate(rule: Rule, agg_index: int, namer: FreshNamer) -> tuple[Rule
         pos_body=tuple(b for b in rest if not b.negated),
         neg_body=tuple(b for b in rest if b.negated),
     )
-    unsafe = global_vars(helper) - bindable_vars(helper)
+    ok, unsafe = is_safe(helper)
     extras: list[Rule] = []
-    if unsafe:
+    if not ok:
         # Secure from the aggregate's own positive condition first, then the
         # rule's positive body.
         securing = Rule(
@@ -354,7 +352,6 @@ def rename_reserved(program: Program) -> Program:
 def decompose_program(
     program: Program,
     heuristic: str = "min-fill",
-    seed: int = 0,
     threshold: bool = True,
     domain_size: int | None = None,
 ) -> tuple[Program, StatsReport]:
@@ -397,7 +394,7 @@ def decompose_program(
         decomposed = False
         for part, part_namer in parts:
             graph = gaifman(part)
-            td = decompose_graph(graph, heuristic=heuristic, seed=seed)
+            td = decompose_graph(graph, heuristic=heuristic)
             valid, why = validate_td(graph, td)
             if not valid:
                 raise AssertionError(f"invalid decomposition produced: {why}")

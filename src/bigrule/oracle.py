@@ -40,6 +40,7 @@ from operator import itemgetter
 
 from .errors import (
     GroundingLimitError,
+    InternalError,
     SafetyError,
     TooManyAtomsError,
     TooManyVarsError,
@@ -92,15 +93,8 @@ def _compare(op: str, left, right) -> bool:
 
 
 def _atom_raw(a: Atom) -> tuple:
-    args = []
-    for arg in a.args:
-        if isinstance(arg, Constant):
-            args.append(arg.name)
-        elif isinstance(arg, Integer):
-            args.append(arg.value)
-        else:
-            raise ValueError(f"atom {a} is not ground")
-    return (a.pred, tuple(args))
+    """The key of a ground atom, its arithmetic arguments evaluated."""
+    return (a.pred, tuple(eval_term(arg, {}) for arg in a.args))
 
 
 def _no_key(_) -> tuple:
@@ -174,7 +168,7 @@ class _Plan:
     argument) and assignments (a binding equation, or an arithmetic
     argument the next probe's key needs)."""
 
-    __slots__ = ("entry", "consts", "slots", "start", "probes", "atom_slots", "complete")
+    __slots__ = ("entry", "consts", "slots", "start", "probes", "atom_slots")
 
     def __init__(self, atoms, comparisons, bound=(), also=()):
         self.consts = consts = {}
@@ -277,21 +271,8 @@ class _Plan:
                 (a.pred, tuple(positions), len(a.args), _key_getter(key_slots), ops)
             )
             self.atom_slots[idx] = tuple(own)
-        self.complete = not pending
-        if pending:
-            # Left-over comparisons with unbound variables: the rule was not
-            # groundable, which safe inputs never produce.
-            unbound = {
-                vn
-                for item in pending
-                for vn in (
-                    _comparison_vars(item)
-                    if isinstance(item, Comparison)
-                    else term_variables(item[0])
-                )
-                if vn not in slots
-            }
-            ops.append(_unbound_op(unbound))
+        if pending:  # is_safe rejects every rule that leaves one
+            raise InternalError(f"join plan leaves {pending} unbound")
 
 
 def _ground_value(arg):
@@ -356,13 +337,6 @@ def _equal_op(value, slot: int):
     return (True, lambda b: _compare("=", value(b), b[slot]))
 
 
-def _unbound_op(names: set[str]):
-    def fail(_):
-        raise SafetyError(names, "ungroundable comparison")
-
-    return (False, fail)
-
-
 def _apply(ops, bindings):
     for is_filter, fn in ops:
         bindings = filter(fn, bindings) if is_filter else map(fn, bindings)
@@ -419,11 +393,8 @@ class _RulePlan:
         self.pos = tuple(
             (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
         )
-        if plan.complete:
-            self.heads = tuple(_atom_fn(a, plan) for a in rule.head)
-            self.neg = tuple(_atom_fn(a, plan) for a in negated)
-        else:  # no binding ever gets past the plan
-            self.heads = self.neg = ()
+        self.heads = tuple(_atom_fn(a, plan) for a in rule.head)
+        self.neg = tuple(_atom_fn(a, plan) for a in negated)
 
 
 def _components(rules) -> list[tuple[list[int], bool]]:
@@ -659,21 +630,8 @@ class _AggregateContext:
                     f"aggregate condition over non-deterministic predicate {lit.atom.pred}"
                 )
         positive = [l.atom for l in agg.condition if not l.negated]
-        cond_vars = set()
-        for l in agg.condition:
-            cond_vars.update(_atom_vars(l.atom))
-        bound_from_pos = set(names)
-        for a in positive:
-            bound_from_pos.update(_atom_vars(a))
-        loose = cond_vars - bound_from_pos
-        if loose:
-            raise UnsupportedAggregateError(
-                f"aggregate variables {sorted(loose)} not bound by a positive condition literal"
-            )
         negative = [l.atom for l in agg.condition if l.negated]
         plan = _Plan(positive, (), names, also=negative)
-        if not plan.complete:  # no binding ever gets past the plan
-            return plan, (), None, None
         negative = [_atom_fn(a, plan) for a in negative]
         tuple_of = _getter([plan.slots[vn] for vn in agg.tuple_vars])
         return plan, negative, tuple_of, _term_fn(agg.guard, plan.slots)

@@ -88,6 +88,7 @@ def _lex(text: str) -> list[_Tok]:
 
 
 _COMPARE_OPS = {"=", "!=", "<", "<=", ">", ">="}
+MAX_TERM_DEPTH = 100
 
 
 class _AspParser:
@@ -121,38 +122,55 @@ class _AspParser:
         raise ParseError(message, tok.line, tok.col)
 
     # terms ------------------------------------------------------------
+    #
+    # Each term rule returns the term and its arithmetic depth. Parentheses
+    # and arithmetic nest at most MAX_TERM_DEPTH deep, so neither parsing
+    # nor any later walk over a term runs out of stack.
 
     def term(self) -> Term:
-        t = self.term_mul()
+        return self.term_sum(0)[0]
+
+    def term_sum(self, parens: int) -> tuple[Term, int]:
+        t, depth = self.term_mul(parens)
         while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            op = self.next().text
-            t = Arith(op, t, self.term_mul())
-        return t
+            t, depth = self.arith(t, depth, self.term_mul, parens)
+        return t, depth
 
-    def term_mul(self) -> Term:
-        t = self.term_prim()
+    def term_mul(self, parens: int) -> tuple[Term, int]:
+        t, depth = self.term_prim(parens)
         while self.peek().text in ("*", "/") and self.peek().kind == "op":
-            op = self.next().text
-            t = Arith(op, t, self.term_prim())
-        return t
+            t, depth = self.arith(t, depth, self.term_prim, parens)
+        return t, depth
 
-    def term_prim(self) -> Term:
+    def arith(self, left: Term, depth: int, operand, parens: int) -> tuple[Term, int]:
+        op = self.next()
+        right, right_depth = operand(parens)
+        depth = max(depth, right_depth) + 1
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(
+                f"arithmetic nested deeper than {MAX_TERM_DEPTH}", op.line, op.col
+            )
+        return Arith(op.text, left, right), depth
+
+    def term_prim(self, parens: int) -> tuple[Term, int]:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return Integer(int(tok.text))
+            return Integer(int(tok.text)), 0
         if tok.text == "-" and self.peek(1).kind == "int":
             self.next()
-            return Integer(-int(self.next().text))
+            return Integer(-int(self.next().text)), 0
         if tok.kind == "var":
             self.next()
-            return Variable(tok.text)
+            return Variable(tok.text), 0
         if tok.kind == "ident":
             self.next()
-            return Constant(tok.text)
+            return Constant(tok.text), 0
         if tok.text == "(":
+            if parens == MAX_TERM_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_TERM_DEPTH}")
             self.next()
-            inner = self.term()
+            inner = self.term_sum(parens + 1)
             self.expect(")")
             return inner
         self.fail(f"expected a term, found {tok.text!r}")
@@ -270,8 +288,10 @@ class _AspParser:
 
 
 def parse_program(text: str) -> Program:
-    """Parse ASP program text. Every rule is safety-checked; comments run
-    from `%` to end of line."""
+    """Parse ASP program text; comments run from `%` to end of line. Every
+    rule must pass `is_safe`, which is also the grounder's binding rule, so
+    `q(X+1)` alone does not make X safe. Terms nest at most MAX_TERM_DEPTH
+    deep."""
     return _AspParser(text).program()
 
 
@@ -585,19 +605,22 @@ def parse_reified(text: str) -> GroundProgram:
 
 
 def reified_atom_ids(gp: GroundProgram) -> list[str]:
-    """Deterministic symbol id per atom: the predicate name for 0-ary atoms,
-    otherwise predicate and arguments joined by underscores; collisions get
-    a positional suffix."""
+    """Deterministic, distinct symbol id per atom: the predicate name for
+    0-ary atoms, otherwise predicate and arguments joined by underscores,
+    with `-` written as `m`. A collision gets a positional suffix, then
+    underscores until the id is unused."""
     ids: list[str] = []
     used: set[str] = set()
     for i, a in enumerate(gp.atoms):
         if a.args:
-            base = a.pred + "_" + "_".join(str(arg) for arg in a.args)
+            base = a.pred + "_" + "_".join(str(arg) for arg in a.args).replace("-", "m")
         else:
             base = a.pred
         candidate = base
         if candidate in used:
             candidate = f"{base}_{i}"
+            while candidate in used:
+                candidate += "_"
         used.add(candidate)
         ids.append(candidate)
     return ids

@@ -15,7 +15,6 @@ from .errors import (
     DivisionByZeroError,
     HeadCycleError,
     NonIntegerArithmeticError,
-    ReservedPrefixCollisionError,
 )
 
 ARITH_OPS = ("+", "-", "*", "/")
@@ -456,10 +455,6 @@ class Interpretation:
         return len(self.true_atoms)
 
 
-def interpretation(indices: Iterable[int]) -> Interpretation:
-    return Interpretation(frozenset(indices))
-
-
 # ------------------------------------------------------------- operations --
 
 def variables_of(element) -> set[str]:
@@ -534,29 +529,26 @@ def global_vars(r: Rule) -> set[str]:
 
 
 def is_safe(r: Rule) -> tuple[bool, set[str]]:
-    """Safety closure over the rule-level variables: a variable is safe if
-    it occurs in a positive non-aggregate body atom, or on the left of an
-    equation `X = phi` whose right-hand-side variables are all safe.
-    Aggregate-local variables are exempt. Returns the unsafe set."""
-    safe: set[str] = set()
-    for lit in r.pos_body:
-        safe.update(_atom_vars(lit.atom))
-    safe = _equation_closure(safe, r.arith)
+    """The one safety check, and the grounder's binding rule. A rule-level
+    variable is safe if it is an argument of a positive body atom (not one
+    inside an arithmetic argument: `q(X+1)` does not bind X), or the left
+    side of an equation `X = phi` whose variables are all safe. Each
+    aggregate condition variable must be safe or an argument of a positive
+    condition atom. Returns the unsafe set."""
+    safe = _equation_closure(_argument_vars(r.pos_body), r.arith)
     unsafe = global_vars(r) - safe
+    for agg in r.aggregates:
+        local = safe | _argument_vars(l for l in agg.condition if not l.negated)
+        for lit in agg.condition:
+            unsafe.update(name for name in _atom_vars(lit.atom) if name not in local)
     return (not unsafe, unsafe)
 
 
-def bindable_vars(r: Rule) -> set[str]:
-    """Variables a join-based grounder can bind: top-level argument
-    positions of positive body atoms, extended by the equation closure.
-    Stricter than is_safe, which also accepts occurrences buried inside
-    arithmetic arguments."""
-    bound: set[str] = set()
-    for lit in r.pos_body:
-        for arg in lit.atom.args:
-            if isinstance(arg, Variable):
-                bound.add(arg.name)
-    return _equation_closure(bound, r.arith)
+def _argument_vars(literals) -> set[str]:
+    """Variables that are whole arguments of the literals' atoms."""
+    return {
+        arg.name for lit in literals for arg in lit.atom.args if isinstance(arg, Variable)
+    }
 
 
 def _equation_closure(safe: set[str], equations) -> set[str]:
@@ -660,18 +652,3 @@ def _scc_index(succ: dict[int, set[int]], count: int) -> list[int]:
                 n_comps += 1
     return comp
 
-
-def fresh_symbols(program: Program, prefix: str) -> Iterator[str]:
-    """Yield predicate symbols `prefix_0`, `prefix_1`, ... guaranteed absent
-    from the program. Errors out if the program already steps on the prefix,
-    in which case the caller must rename first."""
-    used = set(program.predicates())
-    clashing = sorted(p for p in used if p.startswith(prefix))
-    if clashing:
-        raise ReservedPrefixCollisionError(
-            f"program already uses prefix {prefix!r}: {', '.join(clashing)}"
-        )
-    i = 0
-    while True:
-        yield f"{prefix}_{i}"
-        i += 1

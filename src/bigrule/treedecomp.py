@@ -131,13 +131,12 @@ class TreeDecomposition:
         return order
 
 
-def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill", seed: int = 0) -> TreeDecomposition:
+def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecomposition:
     """Bucket elimination along the chosen heuristic ordering. Ties are
     broken by the lexicographically smallest vertex name, which makes the
-    result deterministic; the seed is accepted for interface stability."""
+    result deterministic."""
     if heuristic not in ("min-fill", "min-degree"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    del seed
     if not g.vertices:
         return TreeDecomposition([frozenset()], [], 0)
 

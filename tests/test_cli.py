@@ -1,7 +1,10 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bigrule.cli import main
 
@@ -115,6 +118,61 @@ def test_arithmetic_over_symbol_exit_2(capsys, tmp_path, text):
     assert out == ""
     assert err == "error: arithmetic over non-integer value in X+1\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ground", "solve", "decompose"])
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        (
+            "r(1). p :- r(Y), #count{X : q(X+1)} >= 0.\n",
+            "p :- r(Y), #count{X : q(X+1)} >= 0.",
+        ),
+        ("q(3). p(X) :- q(X+1).\n", "p(X) :- q(X+1)."),
+        ("p(X) :- q(X+1).\n", "p(X) :- q(X+1)."),
+        (
+            "q(3). r(1). p(X) :- q(X+1), r(Y), not s(X,Y), t(Y,Z), u(Z).\n",
+            "p(X) :- q(X+1), r(Y), t(Y,Z), u(Z), not s(X,Y).",
+        ),
+    ],
+    ids=["aggregate", "body-atom", "body-atom-no-facts", "mixed-body"],
+)
+def test_variable_only_inside_arithmetic_is_unsafe_exit_1(capsys, tmp_path, command, text, rule):
+    src = tmp_path / "p.lp"
+    src.write_text(text)
+    assert run_cli(capsys, command, str(src)) == (1, "", f"error: unsafe variables {{X}} in `{rule}`\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, expected",
+    [
+        ("solve", "p(1+1). q(X) :- p(X).\n", (10, "p(2) q(2)\n", "")),
+        ("ground", "p(1+1). q(X) :- p(X).\n", (0, "p(2).\nq(2) :- p(2).\n", "")),
+        ("solve", "p(1/0).\n", (2, "", "error: division by zero in 1/0\n")),
+        ("ground", "p(1/0).\n", (2, "", "error: division by zero in 1/0\n")),
+        ("solve", "p(a+1).\n", (2, "", "error: arithmetic over non-integer value in a+1\n")),
+        ("ground", "p(a+1).\n", (2, "", "error: arithmetic over non-integer value in a+1\n")),
+    ],
+)
+def test_arithmetic_in_facts_is_evaluated(capsys, tmp_path, command, text, expected):
+    src = tmp_path / "p.lp"
+    src.write_text(text)
+    assert run_cli(capsys, command, str(src)) == expected
+
+
+@pytest.mark.parametrize("command", ["ground", "solve", "decompose"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p(" + "(" * 3000 + "1" + ")" * 3000 + ").\n", "col 103: parentheses nested deeper than 100"),
+        ("q(1). p(Y) :- q(X), Y = X" + "+1" * 3000 + ".\n", "col 226: arithmetic nested deeper than 100"),
+    ],
+    ids=["parentheses", "arithmetic"],
+)
+def test_deep_terms_exit_1(capsys, tmp_path, command, text, message):
+    src = tmp_path / "deep.lp"
+    src.write_text(text)
+    assert run_cli(capsys, command, str(src)) == (1, "", f"error: line 1, {message}\n")
 
 
 def test_limit_error_exit_4(capsys, tmp_path):
@@ -233,7 +291,7 @@ def test_decompose_deterministic_and_min_degree(capsys, tmp_path):
     outputs = set()
     for heuristic in ("min-fill", "min-degree", "min-fill"):
         code, out, err = run_cli(
-            capsys, "decompose", "--heuristic", heuristic, "--seed", "7", str(src)
+            capsys, "decompose", "--heuristic", heuristic, str(src)
         )
         assert code == 0
         outputs.add((heuristic, out, err))
@@ -292,3 +350,97 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "decompose" in proc.stdout
+
+
+# ------------------------------------------------------------- totality ----
+#
+# Program text from a small grammar: atoms with arithmetic arguments,
+# equations, comparisons, negation, aggregates and deep terms. Products
+# take a constant right operand, so no derived integer squares itself.
+
+_VARS = ("X", "Y", "Z")
+_term = st.recursive(
+    st.sampled_from(_VARS + ("a", "b", "0", "1", "2", "-1")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-/"), inner).map("".join),
+        st.tuples(inner, st.sampled_from(("*2", "*-1"))).map(lambda t: f"({t[0]}){t[1]}"),
+    ),
+    max_leaves=4,
+)
+_deep_rule = st.sampled_from((1, 99, 100, 101, 3000)).flatmap(
+    lambda d: st.sampled_from(("(" * d + "X" + ")" * d, "X" + "+1" * d))
+).map("p(Y) :- q(X,Z), Y = {}.".format)
+
+
+def _atoms(terms):
+    return st.one_of(
+        st.just("r"),
+        st.builds("p({})".format, terms),
+        st.builds("q({},{})".format, terms, terms),
+    )
+
+
+_atom = _atoms(_term)
+_binding_atom = _atoms(st.sampled_from(_VARS + ("a", "1")))
+_literal = st.one_of(_atom, _atom.map("not {}".format))
+_comparison = st.builds(
+    "{} {} {}".format, _term, st.sampled_from(("=", "!=", "<", "<=", ">", ">=")), _term
+)
+_equation = st.builds("{} = {}".format, st.sampled_from(_VARS), _term)
+_aggregate = st.builds(
+    "#{}{{{} : {}}} {} {}".format,
+    st.sampled_from(("count", "sum", "min", "max")),
+    st.sampled_from(_VARS),
+    st.lists(_literal, min_size=1, max_size=2).map(", ".join),
+    st.sampled_from(("=", "<", ">=")),
+    _term,
+)
+_body = st.lists(
+    st.one_of(_binding_atom, _binding_atom, _literal, _comparison, _equation, _aggregate),
+    max_size=4,
+)
+_rule = st.builds(
+    lambda head, body: f"{' | '.join(head)} :- {', '.join(body)}.",
+    st.lists(_atom, max_size=2),
+    _body,
+)
+_ground_term = st.sampled_from(("a", "1", "2", "-1", "1+1", "1/0", "a+1", "2*3"))
+_fact = st.one_of(
+    st.builds("p({}).".format, _ground_term),
+    st.builds("q({},{}).".format, _ground_term, _ground_term),
+)
+_program = st.builds(
+    lambda facts, rules, deep: "\n".join(facts + rules + deep) + "\n",
+    st.lists(_fact, max_size=3),
+    st.lists(_rule, min_size=1, max_size=3),
+    st.lists(_deep_rule, max_size=1),
+)
+
+_COMMANDS = (
+    ("ground", "--max-ground-rules", "500"),
+    ("solve", "--max-atoms", "12", "--max-ground-rules", "500"),
+    ("decompose",),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_program)
+@example("r(1). p :- r(Y), #count{X : q(X+1)} >= 0.\n")
+@example("q(3). p(X) :- q(X+1).\n")
+@example("p(X) :- q(X+1).\n")
+@example("q(3). r(1). p(X) :- q(X+1), r(Y), not s(X,Y), t(Y,Z), u(Z).\n")
+@example("p(1+1). q(X) :- p(X).\n")
+@example("p(1/0).\n")
+@example("p(a+1).\n")
+@example("p(" + "(" * 3000 + "1" + ")" * 3000 + ").\n")
+@example("q(1). p(Y) :- q(X), Y = X" + "+1" * 3000 + ".\n")
+def test_every_program_gets_an_exit_code(tmp_path_factory, text):
+    src = tmp_path_factory.mktemp("fuzz") / "p.lp"
+    src.write_text(text)
+    for command in _COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(src)])
+        assert code in {0, 1, 2, 3, 4, 10, 20}, (command, code)
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()

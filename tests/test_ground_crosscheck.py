@@ -40,15 +40,16 @@ def ground_naive(program: Program) -> GroundProgram:
         rules.append(GroundRule((intern(fact),), (), ()))
     for rule in program.rules:
         assert not rule.aggregates, "naive grounder covers aggregate-free rules"
-        # Variables with a plain positive occurrence range over the domain;
-        # the rest are computed from binding equations (same convention as
-        # the real grounder, reached independently here by substitution).
-        from bigrule.syntax import bindable_vars
-
-        equation_bound = bindable_vars(rule) - bindable_vars(
-            Rule(rule.head, rule.pos_body, rule.neg_body)
-        )
-        names = sorted(variables_of(rule) - equation_bound)
+        # Variables that are arguments of positive atoms range over the
+        # domain; the rest are computed from binding equations (same
+        # convention as the real grounder, reached independently here by
+        # substitution).
+        names = sorted({
+            arg.name
+            for lit in rule.pos_body
+            for arg in lit.atom.args
+            if isinstance(arg, Variable)
+        })
         for combo in product(domain, repeat=len(names)):
             binding = {
                 name: (term.value if hasattr(term, "value") else term.name)

@@ -4,15 +4,18 @@ import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bigrule.errors import (
     DivisionByZeroError,
     GroundingLimitError,
+    InternalError,
     TooManyAtomsError,
     TooManyVarsError,
     UnsupportedAggregateError,
 )
 from bigrule.oracle import (
+    _Plan,
     _is_ordered,
     _minimal_below,
     _root_residual,
@@ -31,10 +34,21 @@ from bigrule.oracle import (
 from bigrule.parse import make_graph, parse_program, parse_qdimacs
 from bigrule.rewriters import AbductionInstance
 from bigrule.syntax import (
+    Aggregate,
+    Arith,
     Atom,
+    Comparison,
+    Constant,
     GroundProgram,
     GroundRule,
+    Integer,
     Interpretation,
+    Literal,
+    Rule,
+    Variable,
+    global_vars,
+    is_safe,
+    variables_of,
 )
 
 from corpus import random_ground_program, random_qbf2
@@ -423,6 +437,71 @@ def test_abduce_require_consistent_changes_answer():
     inst = AbductionInstance(gp, frozenset(), frozenset())
     assert abduce_bruteforce(inst) == frozenset()
     assert abduce_bruteforce(inst, require_consistent=True) is None
+
+
+# ----------------------------------------------------------------- safety --
+
+_leaf = st.one_of(
+    st.sampled_from(("X", "Y", "Z")).map(Variable), st.sampled_from((Integer(1), Constant("a")))
+)
+_term = st.one_of(_leaf, st.builds(Arith, st.sampled_from("+-"), _leaf, _leaf))
+_atom = st.builds(
+    lambda pred, args: Atom(pred, tuple(args)),
+    st.sampled_from("pq"),
+    st.lists(_term, min_size=1, max_size=2),
+)
+_literal = st.builds(Literal, _atom, st.booleans())
+_comparison = st.one_of(
+    st.builds(Comparison, st.sampled_from(("=", "<")), _term, _term),
+    st.builds(Comparison, st.just("="), st.sampled_from(("X", "Y", "Z")).map(Variable), _term),
+)
+
+
+@st.composite
+def _aggregate(draw):
+    condition = tuple(draw(st.lists(_literal, min_size=1, max_size=2)))
+    names = sorted(variables_of(list(condition)))
+    tuple_vars = draw(st.lists(st.sampled_from(names), unique=True, max_size=1)) if names else []
+    return Aggregate("count", tuple(tuple_vars), condition, ">=", draw(_term))
+
+
+_rule = st.builds(
+    lambda head, body, neg, arith, aggs: Rule(
+        tuple(head),
+        tuple(Literal(a) for a in body),
+        tuple(Literal(a, True) for a in neg),
+        tuple(arith),
+        tuple(aggs),
+    ),
+    st.lists(_atom, max_size=1),
+    st.lists(_atom, max_size=3),
+    st.lists(_atom, max_size=2),
+    st.lists(_comparison, max_size=2),
+    st.lists(_aggregate(), max_size=1),
+)
+
+
+def _plans_leave_a_variable_unbound(r: Rule) -> bool:
+    """Compile the rule's join plan, then each aggregate's condition plan
+    over the rule's bound variables, as the grounder does, and report
+    whether any variable is left unbound."""
+    try:
+        plan = _Plan([l.atom for l in r.pos_body], r.arith)
+        if global_vars(r) - plan.slots.keys():
+            return True
+        names = tuple(sorted(plan.slots))
+        for agg in r.aggregates:
+            cond = _Plan([l.atom for l in agg.condition if not l.negated], (), names)
+            if variables_of(list(agg.condition)) - cond.slots.keys():
+                return True
+    except InternalError:  # a comparison or arithmetic argument stayed open
+        return True
+    return False
+
+
+@given(_rule)
+def test_is_safe_is_the_plan_binding_rule(r):
+    assert is_safe(r)[0] == (not _plans_leave_a_variable_unbound(r))
 
 
 # ------------------------------------------------------------- aggregates --

@@ -23,13 +23,25 @@ from bigrule.parse import (
     parse_qdimacs,
     parse_reified,
     print_program,
+    reified_atom_ids,
 )
-from bigrule.syntax import GroundProgram, GroundRule, Atom
+from bigrule.syntax import Arith, Atom, Constant, GroundProgram, GroundRule, Integer
 
 from corpus import random_ground_program, random_safe_rule_program
 
 
 # ------------------------------------------------------------ ASP text ----
+
+def test_fifty_deep_terms_parse():
+    nested = "(" * 50 + "1" + "+1)" * 50
+    program = parse_program(f"p({nested}). q(Y) :- p(X), Y = X{'+1' * 50}.")
+    term = program.facts[0].args[0]
+    for _ in range(50):
+        assert isinstance(term, Arith)
+        term = term.left
+    assert term == Integer(1)
+    assert parse_program(print_program(program)) == program
+
 
 def test_parse_three_facts():
     program = parse_program("col(r). col(g). col(b).")
@@ -267,6 +279,25 @@ def test_reified_duplicate_id():
 def test_reified_unknown_predicate():
     with pytest.raises(ParseError):
         parse_reified("atom(a). weird(a).")
+
+
+def test_reified_ids_are_distinct_symbols():
+    # p_a(b) falls back to p_a_b, then to p_a_b_2, which the first atom holds;
+    # p(-1) must not yield p_-1, which is not a symbol.
+    gp = GroundProgram(
+        (
+            Atom("p_a_b_2"),
+            Atom("p", (Constant("a_b"),)),
+            Atom("p_a", (Constant("b"),)),
+            Atom("p", (Integer(-1),)),
+        ),
+        (GroundRule((0,)), GroundRule((1, 2)), GroundRule((3,), (), (0,))),
+    )
+    ids = reified_atom_ids(gp)
+    assert ids == ["p_a_b_2", "p_a_b", "p_a_b_2_", "p_m1"]
+    back = parse_reified(emit_reified(gp))
+    assert [str(a) for a in back.atoms] == ids
+    assert back.rules == gp.rules
 
 
 def test_reified_round_trip_on_random_programs():

@@ -13,6 +13,7 @@ from bigrule.errors import (
 from bigrule.oracle import (
     abduce_bruteforce,
     answer_sets,
+    answer_sets_naive,
     eval_qbf,
     ground,
     has_answer_set,
@@ -25,6 +26,7 @@ from bigrule.parse import (
     parse_program,
     parse_qdimacs,
     print_program,
+    reified_atom_ids,
 )
 from bigrule.rewriters import (
     AbductionInstance,
@@ -37,7 +39,7 @@ from bigrule.rewriters import (
     threecol_second_level,
     threecol_single_rule,
 )
-from bigrule.syntax import Atom, GroundProgram, GroundRule, Integer, is_safe
+from bigrule.syntax import Atom, Constant, GroundProgram, GroundRule, Integer, is_safe
 
 from corpus import random_qbf2, random_qbf3
 
@@ -301,6 +303,18 @@ def test_disjunctive_to_normal_disjunctive_fact():
 def test_disjunctive_to_normal_odd_loop():
     gp = gp_of(["a"], [(("a",), (), ("a",))])
     assert rewrite_and_solve(gp) == original_sets(gp) == set()
+
+
+def test_disjunctive_to_normal_with_colliding_atom_ids():
+    # p_a(b) and p(a_b) share the base id p_a_b; the fallback p_a_b_2 is taken.
+    gp = GroundProgram(
+        (Atom("p_a_b_2"), Atom("p", (Constant("a_b"),)), Atom("p_a", (Constant("b"),))),
+        (GroundRule((0,)), GroundRule((1, 2))),
+    )
+    ids = reified_atom_ids(gp)
+    want = {frozenset(ids[i] for i in s.true_atoms) for s in answer_sets_naive(gp)}
+    assert len(want) == 2
+    assert rewrite_and_solve(gp) == want
 
 
 def test_disjunctive_to_normal_neq_chain_shape():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bigrule.errors import ArityError, HeadCycleError, ReservedPrefixCollisionError
+from bigrule.errors import ArityError, HeadCycleError
 from bigrule.parse import parse_program
 from bigrule.syntax import (
     Arith,
@@ -16,8 +16,6 @@ from bigrule.syntax import (
     Program,
     Rule,
     Variable,
-    bindable_vars,
-    fresh_symbols,
     is_head_cycle_free,
     is_safe,
     shift,
@@ -104,7 +102,7 @@ def test_is_safe_monotone_under_positive_atoms(data):
 
 def test_bindable_vars_excludes_embedded_arith():
     r = rule_of("p(X) :- q(X), or(N, X-Y, M), leq(Y, X).")
-    assert bindable_vars(r) == {"X", "Y", "N", "M"}
+    assert is_safe(r) == (True, set())
     r2 = Rule(
         head=(),
         pos_body=(
@@ -114,9 +112,7 @@ def test_bindable_vars_excludes_embedded_arith():
             ),
         ),
     )
-    assert "X" not in bindable_vars(r2)
-    ok, _ = is_safe(r2)
-    assert ok  # loose safety accepts it; only grounding-oriented code cares
+    assert is_safe(r2) == (False, {"X"})
 
 
 def test_shift_textbook_disjunction():
@@ -160,24 +156,6 @@ def test_shift_preserves_answer_sets_on_hcf_corpus():
         checked += 1
         assert answer_sets(shift(gp), max_atoms=10) == answer_sets(gp, max_atoms=10)
     assert checked >= 150
-
-
-def test_fresh_symbols_counter():
-    program = parse_program("p(a). q(b).")
-    gen = fresh_symbols(program, "temp")
-    assert [next(gen) for _ in range(3)] == ["temp_0", "temp_1", "temp_2"]
-
-
-def test_fresh_symbols_reserved_collision():
-    program = parse_program("temp_0(a).")
-    with pytest.raises(ReservedPrefixCollisionError):
-        next(fresh_symbols(program, "temp"))
-
-
-def test_fresh_symbols_custom_prefix():
-    program = parse_program("p(a).")
-    gen = fresh_symbols(program, "dom_X")
-    assert next(gen) == "dom_X_0"
 
 
 def test_arity_clash_rejected():
