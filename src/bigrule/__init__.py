@@ -21,7 +21,6 @@ from .oracle import (
     eval_qbf_expansion,
     ground,
     has_answer_set,
-    reduct,
     solve_coloring,
 )
 from .parse import (

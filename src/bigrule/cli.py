@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-threshold",
         dest="threshold",
         action="store_false",
-        help="decompose even when it does not lower the variable count",
+        help="split every rule along its tree decomposition, without weighing"
+        " the estimated join work of the split against the whole rule",
     )
     common_decomp.add_argument(
         "--auto-rename",
@@ -104,11 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rew.add_argument("--hyp", help="hypothesis ids file (abduce)")
     p_rew.add_argument("--man", help="manifestation ids file (abduce)")
     p_rew.add_argument("--max-tuple-width", type=int, default=12)
-    p_rew.add_argument(
-        "--require-consistent",
-        action="store_true",
-        help="request the abduction variant that also requires a non-empty answer set",
-    )
 
     p_ground = sub.add_parser("ground", parents=[limits], help="print the ground program")
     p_ground.add_argument("program")
@@ -177,11 +173,6 @@ def _run_rewrite(args) -> int:
         _write_out(args, parse.print_program(rewriters.disjunctive_to_normal(gp)))
         return EXIT_OK
     # abduce
-    if args.require_consistent:
-        raise InputSemanticsError(
-            "no encoding is provided for the variant requiring a non-empty"
-            " answer set; the flag exists on the brute-force oracle only"
-        )
     if not args.hyp or not args.man:
         raise InputSemanticsError("abduce needs --hyp and --man id files")
     gp = parse.parse_reified(_read(args.input))

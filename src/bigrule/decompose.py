@@ -1,7 +1,7 @@
 """Rule decomposition: split a large rule into small equivalent rules along
 a tree decomposition of its Gaifman graph, plus the arithmetic and
-aggregate extensions and a program-level driver with a grounding-size
-estimator.
+aggregate extensions, and a program-level driver that splits a rule only
+where the split's join work, estimated from the facts, is the smaller.
 
 Fresh predicates are `temp_<rule>_<node>` and `dom_<rule>_<var>`; input
 programs using these prefixes are rejected unless renamed first.
@@ -17,10 +17,14 @@ from .errors import (
     UncoveredAtomError,
     UnsecurableVariableError,
 )
+from .oracle import _comparison_vars, _components, _join_order
 from .syntax import (
     Aggregate,
+    Arith,
     Atom,
     Comparison,
+    Constant,
+    Integer,
     Literal,
     Program,
     Rule,
@@ -60,6 +64,10 @@ class FreshNamer:
 
 @dataclass
 class RuleStats:
+    """One source rule: its variables, the width of its decomposition, the
+    rules emitted for it, and the estimated ground instances of the rule
+    (`est_before`) and of the emitted rules (`est_after`)."""
+
     index: int
     vars: int
     width: int
@@ -91,6 +99,221 @@ def grounding_estimate(rule: Rule, domain_size: int) -> int:
     count = len(variables_of(rule))
     value = domain_size**count
     return min(value, ESTIMATE_SATURATED)
+
+
+# --------------------------------------------------------------- estimates --
+
+_ESTIMATE_CAP = float(ESTIMATE_SATURATED)
+
+# The cost of one more rule, in partial bindings: compiling its join plan,
+# building its indexes and grounding and solving over the atoms it adds.
+# On the seed-17 shift benchmark programs a least-squares fit of
+# ground-plus-solve time put one emitted rule at 60 to 80 bindings.
+RULE_COST = 70.0
+
+
+class _Size:
+    """Estimated atoms of one predicate and distinct values per argument.
+    An argument's distinct values are its constants plus the largest spread
+    a rule gives it, at most the atoms. While only facts define the
+    predicate, `rows` holds their argument tuples."""
+
+    __slots__ = ("atoms", "distinct", "constants", "spreads", "rows", "_keys")
+
+    def __init__(self, arity: int, rows=None):
+        self.rows = rows
+        self._keys: dict[tuple, float] = {}
+        self.constants = [set() for _ in range(arity)]
+        self.spreads = [0.0] * arity
+        if rows is None:
+            self.atoms = 0.0
+            self.distinct = [0.0] * arity
+        else:
+            self.atoms = float(len(rows))
+            for row in rows:
+                for column, value in zip(self.constants, row):
+                    column.add(value)
+            self.distinct = [float(len(c)) for c in self.constants]
+
+    def key_count(self, positions: tuple) -> float:
+        """Distinct value tuples of the facts at `positions`."""
+        count = self._keys.get(positions)
+        if count is None:
+            count = self._keys[positions] = float(
+                len({tuple(row[p] for p in positions) for row in self.rows})
+            )
+        return count
+
+    def add(self, count: float, args, spreads) -> None:
+        """Add `count` derived atoms with head arguments `args`, each
+        non-constant argument taking `spreads` distinct values."""
+        self.rows = None
+        self.atoms = min(self.atoms + count, _ESTIMATE_CAP)
+        for pos, arg in enumerate(args):
+            if isinstance(arg, (Constant, Integer)):
+                self.constants[pos].add(arg)
+            else:
+                self.spreads[pos] = max(self.spreads[pos], spreads[pos])
+        self.distinct = [
+            min(self.atoms, len(c) + s) for c, s in zip(self.constants, self.spreads)
+        ]
+
+
+def _fact_sizes(facts) -> dict[str, _Size]:
+    rows: dict[str, set] = {}
+    for f in facts:
+        rows.setdefault(f.pred, set()).add(f.args)
+    return {pred: _Size(len(next(iter(r))), r) for pred, r in rows.items()}
+
+
+def _distinct(term, values: dict[str, float], rows: float) -> float:
+    """Estimated distinct values of a term over `rows` bindings."""
+    if isinstance(term, Variable):
+        return min(values[term.name], rows)
+    if isinstance(term, Arith):
+        product = 1.0
+        for name in term_variables(term):
+            product *= values[name]
+        return min(product, rows)
+    return 1.0
+
+
+def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
+    """Estimated join work of grounding `rule`, its matches, and the
+    distinct values of each variable. Body atoms are probed in the
+    grounder's join order (`oracle._join_order`), each comparison applied
+    once its variables are bound. A probe of a predicate defined by facts
+    alone multiplies the bindings by its atoms over the distinct values of
+    its bound arguments taken together. Otherwise each bound argument
+    divides by the larger of its two value counts, System R's
+    |R join S| = |R| |S| / max(V(R,a), V(S,a)) (Selinger et al., SIGMOD
+    1979). An equality keeps 1/max of its sides' values and an order
+    comparison a third. The work is the sum of the bindings left after
+    each probe."""
+    atoms = [l.atom for l in rule.pos_body]
+    values: dict[str, float] = {}
+    rows = 1.0
+    work = 0.0
+    pending: list = list(rule.arith)  # Comparison, or (term, values) deferred
+    fresh: list[str] = []
+
+    def settle():
+        nonlocal rows
+        progress = True
+        while progress:
+            progress = False
+            for item in pending[:]:
+                if isinstance(item, Comparison):
+                    if all(vn in values for vn in _comparison_vars(item)):
+                        if item.op == "=":
+                            rows /= max(
+                                _distinct(item.left, values, rows),
+                                _distinct(item.right, values, rows),
+                                1.0,
+                            )
+                        elif item.op != "!=":
+                            rows /= 3
+                    elif (
+                        item.is_binding_equation()
+                        and item.left.name not in values
+                        and all(vn in values for vn in term_variables(item.right))
+                    ):
+                        values[item.left.name] = max(_distinct(item.right, values, rows), 1.0)
+                        fresh.append(item.left.name)
+                    else:
+                        continue
+                else:
+                    term, spread = item
+                    if not all(vn in values for vn in term_variables(term)):
+                        continue
+                    rows /= max(_distinct(term, values, rows), spread, 1.0)
+                pending.remove(item)
+                progress = True
+
+    if pending:
+        settle()
+    for idx in _join_order(atoms, values, fresh):
+        a = atoms[idx]
+        size = sizes.get(a.pred)
+        if size is None or not size.atoms:
+            rows = 0.0
+            break
+        before = rows if rows > 1.0 else 1.0
+        keyed: list[int] = []  # positions bound before the probe
+        divisor = 1.0  # System R, over the keyed positions
+        repeats = 1.0  # variables repeated within the atom
+        new: dict[str, float] = {}
+        for pos, arg in enumerate(a.args):
+            spread = size.distinct[pos]
+            kind = type(arg)
+            if kind is Variable:
+                name = arg.name
+                if name in values:
+                    known = values[name]
+                    if known > before:
+                        known = before
+                    keyed.append(pos)
+                    divisor *= max(known, spread, 1.0)
+                    values[name] = known if known < spread else spread
+                elif name in new:
+                    repeats *= max(new[name], spread, 1.0)
+                    new[name] = min(new[name], spread)
+                else:
+                    new[name] = spread
+                    fresh.append(name)
+            elif kind is Arith:
+                if all(vn in values for vn in term_variables(arg)):
+                    keyed.append(pos)
+                    divisor *= max(_distinct(arg, values, before), spread, 1.0)
+                else:
+                    pending.append((arg, spread))
+            else:
+                keyed.append(pos)
+                if spread > 1.0:
+                    divisor *= spread
+        if size.rows is not None and keyed:
+            divisor = size.key_count(tuple(keyed))
+        rows *= size.atoms / (divisor * repeats)
+        if rows > _ESTIMATE_CAP:
+            rows = _ESTIMATE_CAP
+        values.update(new)
+        if pending:
+            settle()
+        work += rows
+    return min(work, _ESTIMATE_CAP), rows, values
+
+
+def _add_heads(heads, rows: float, values: dict[str, float], sizes) -> None:
+    """Add the head atoms of `rows` estimated matches to `sizes`."""
+    if not rows:
+        return
+    for h in heads:
+        spreads = [_distinct(arg, values, rows) for arg in h.args]
+        product = 1.0
+        for spread in spreads:
+            product *= spread
+        size = sizes.get(h.pred)
+        if size is None:
+            size = sizes[h.pred] = _Size(len(h.args))
+        size.add(min(rows, product), h.args, spreads)
+
+
+def _pieces_estimate(pieces: list[Rule], sizes) -> tuple[float, float]:
+    """Join work and matches of a decomposition's rules, estimated in their
+    emission order. Every piece but the last (the root, which keeps the
+    source head) defines a fresh predicate, whose sizes are added."""
+    work = rows_total = 0.0
+    for piece in pieces:
+        w, rows, values = _join_estimate(piece, sizes)
+        work += w
+        rows_total += rows
+        if piece is not pieces[-1]:
+            _add_heads(piece.head, rows, values, sizes)
+    return work, rows_total
+
+
+def _count(estimate: float) -> int:
+    return min(round(estimate), ESTIMATE_SATURATED)
 
 
 def synthesize_dom_rules(rule: Rule, needed_vars, namer: FreshNamer) -> dict[str, Rule]:
@@ -169,10 +392,11 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
     pre = td.preorder()
     position = {node: i for i, node in enumerate(pre)}
 
-    elements = list(rule.body_elements())
     assigned: dict[int, list] = {node: [] for node in range(len(td.bags))}
-    for element in elements:
-        element_vars = variables_of(element)
+    ordered_vars: dict[int, list[str]] = {}  # by id of the element
+    for element in rule.body_elements():
+        names = ordered_vars[id(element)] = variables_in_order(element)
+        element_vars = set(names)
         for node in post:
             if element_vars <= td.bags[node]:
                 assigned[node].append(element)
@@ -198,7 +422,7 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
             shared = td.bags[node] & td.bags[parent[node]]
             order: list[str] = []
             for element in assigned[node]:
-                for name in variables_in_order(element):
+                for name in ordered_vars[id(element)]:
                     if name in shared and name not in order:
                         order.append(name)
             for m in children[node]:
@@ -353,11 +577,16 @@ def decompose_program(
     program: Program,
     heuristic: str = "min-fill",
     threshold: bool = True,
-    domain_size: int | None = None,
 ) -> tuple[Program, StatsReport]:
-    """Per rule: normalize aggregates, tree-decompose the Gaifman graph,
-    and split the rule when that lowers the maximum per-rule variable count
-    (always, when the threshold policy is off). Facts pass through."""
+    """Per rule: normalize aggregates, tree-decompose each part's Gaifman
+    graph, and split a part when its largest bag is smaller than the part
+    and the split is estimated cheaper: its join work plus RULE_COST for
+    each rule it adds is below the whole part's join work (see
+    `_join_estimate`). When both join works are zero, as when no body
+    predicate has facts or derivations, the part is split. Without the
+    threshold every part is split. Rules are estimated in the grounder's
+    component order, so derived predicates have sizes when they are read;
+    the output keeps the input order. Facts pass through."""
     clashing = sorted(
         p for p in program.predicates() if p.startswith(RESERVED_PREFIXES)
     )
@@ -369,71 +598,101 @@ def decompose_program(
         ok, unsafe = is_safe(r)
         if not ok:
             raise SafetyError(unsafe, str(r))
-    size = len(program.domain) if domain_size is None else domain_size
 
+    sizes = _fact_sizes(program.facts)
+    decided: list = [None] * len(program.rules)
+    for members, recursive in _components(program.rules):
+        if recursive:
+            # One round over the component first, so that its rules see
+            # sizes for the predicates they derive for each other.
+            for index in members:
+                rule = program.rules[index]
+                _, rows, values = _join_estimate(rule, sizes)
+                _add_heads(rule.head, rows, values, sizes)
+        for index in members:
+            decided[index] = _decompose_one(
+                index, program.rules[index], heuristic, threshold, sizes, not recursive
+            )
     out_rules: list[Rule] = []
     report = StatsReport()
-    for index, original in enumerate(program.rules):
-        namer = FreshNamer(str(index))
+    for emitted, stats in decided:
+        out_rules.extend(emitted)
+        report.rules.append(stats)
+    return Program(out_rules, program.facts), report
 
-        parts: list[tuple[Rule, FreshNamer]] = []
-        current = original
-        helper_parts: list[tuple[Rule, FreshNamer]] = []
-        for agg_index in range(len(original.aggregates)):
-            current, helpers = split_aggregate(current, agg_index, namer)
-            for pos_h, helper in enumerate(helpers):
-                # Only the first helper carries body structure worth
-                # decomposing; domain definitions are already minimal.
-                tag = namer.aggregate_part(agg_index)
-                helper_parts.append((helper, FreshNamer(f"{tag.tag}_{pos_h}")))
-        parts.append((current, namer))
-        parts.extend(helper_parts)
 
-        emitted: list[Rule] = []
-        width = -1
-        decomposed = False
-        for part, part_namer in parts:
+def _decompose_one(
+    index: int, original: Rule, heuristic: str, threshold: bool, sizes, add_heads: bool
+):
+    """The rules emitted for one source rule, and its statistics. With
+    `add_heads`, adds the estimated sizes of its head predicates to
+    `sizes`."""
+    namer = FreshNamer(str(index))
+    parts: list[tuple[Rule, FreshNamer]] = []
+    current = original
+    helper_parts: list[tuple[Rule, FreshNamer]] = []
+    for agg_index in range(len(original.aggregates)):
+        current, helpers = split_aggregate(current, agg_index, namer)
+        for pos_h, helper in enumerate(helpers):
+            # Only the first helper carries body structure worth
+            # decomposing; domain definitions are already minimal.
+            tag = namer.aggregate_part(agg_index)
+            helper_parts.append((helper, FreshNamer(f"{tag.tag}_{pos_h}")))
+    parts.append((current, namer))
+    parts.extend(helper_parts)
+
+    emitted: list[Rule] = []
+    width = -1
+    decomposed = False
+    est_before = est_after = 0.0
+    for part, part_namer in parts:
+        nvars = len(variables_of(part))
+        work, rows, values = _join_estimate(part, sizes)
+        est_before += rows
+        pieces = [part]
+        piece_rows = rows
+        if nvars > 1:  # one bag holds one variable: never split
             graph = gaifman(part)
             td = decompose_graph(graph, heuristic=heuristic)
             valid, why = validate_td(graph, td)
             if not valid:
                 raise AssertionError(f"invalid decomposition produced: {why}")
             width = max(width, td.width)
-            nvars = len(variables_of(part))
-            apply_split = max(len(b) for b in td.bags) < nvars if threshold else True
-            if apply_split and nvars > 0:
+            # A split adds a rule per extra bag at least, so it cannot pay
+            # while the whole part's work is below their cost.
+            if not threshold or (
+                max(len(b) for b in td.bags) < nvars
+                and (not work or work > RULE_COST * (len(td.bags) - 1))
+            ):
                 head_vars = variables_of(list(part.head)) if part.head else set()
-                rooted = root_at_head(td, head_vars)
-                pieces = decompose_rule(part, rooted, part_namer)
-                decomposed = decomposed or len(pieces) > 1 or pieces[0] != part
-                emitted.extend(pieces)
-            else:
-                emitted.append(part)
+                split = decompose_rule(part, root_at_head(td, head_vars), part_namer)
+                split_work, split_rows = _pieces_estimate(split, sizes)
+                if (
+                    not threshold
+                    or split_work == work == 0
+                    or split_work + RULE_COST * (len(split) - 1) < work
+                ):
+                    pieces, piece_rows = split, split_rows
+                    decomposed = decomposed or len(split) > 1 or split[0] != part
+        else:
+            width = max(width, nvars - 1)
+        if add_heads:
+            _add_heads(part.head, rows, values, sizes)
+        est_after += piece_rows
+        emitted.extend(pieces)
 
-        est_before = grounding_estimate(original, size)
-        est_after = sum(grounding_estimate(r, size) for r in emitted)
-        est_after = min(est_after, ESTIMATE_SATURATED)
-        max_temp_arity = max(
-            (
-                a.arity
-                for r in emitted
-                for a in r.head
-                if a.pred.startswith("temp_")
-            ),
-            default=0,
-        )
-        report.rules.append(
-            RuleStats(
-                index=index,
-                vars=len(variables_of(original)),
-                width=width,
-                emitted=len(emitted),
-                est_before=est_before,
-                est_after=est_after,
-                decomposed=decomposed,
-                max_temp_arity=max_temp_arity,
-            )
-        )
-        out_rules.extend(emitted)
-
-    return Program(out_rules, program.facts), report
+    max_temp_arity = max(
+        (a.arity for r in emitted for a in r.head if a.pred.startswith("temp_")),
+        default=0,
+    )
+    stats = RuleStats(
+        index=index,
+        vars=len(variables_of(original)) if original.aggregates else nvars,
+        width=width,
+        emitted=len(emitted),
+        est_before=_count(est_before),
+        est_after=_count(est_after),
+        decomposed=decomposed,
+        max_temp_arity=max_temp_arity,
+    )
+    return emitted, stats

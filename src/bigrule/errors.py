@@ -116,6 +116,10 @@ class TupleWidthError(LimitError):
     """Per-clause existential tuple width above the expansion cap."""
 
 
+class IntegerRangeError(LimitError):
+    """An evaluated integer left the 64-bit range."""
+
+
 # ------------------------------------------------------------- internal ----
 
 class InternalError(BigruleError):

@@ -40,6 +40,7 @@ from operator import itemgetter
 
 from .errors import (
     GroundingLimitError,
+    IntegerRangeError,
     InternalError,
     SafetyError,
     TooManyAtomsError,
@@ -222,20 +223,7 @@ class _Plan:
         propagate(ops)
         self.probes = []
         self.atom_slots: list = [None] * len(atoms)
-        remaining = list(range(len(atoms)))
-        score = [_bound_score(a, slots) for a in atoms]
-        watch: dict[str, list[int]] = {}
-        for i, a in enumerate(atoms):
-            for vn in _atom_vars(a):
-                watch.setdefault(vn, []).append(i)
-        while remaining:
-            for vn in fresh:
-                for i in watch.get(vn, ()):
-                    score[i] = _bound_score(atoms[i], slots)
-            fresh.clear()
-            # The atom with most bound arguments, ties to the earlier one.
-            idx = max(remaining, key=score.__getitem__)
-            remaining.remove(idx)
+        for idx in _join_order(atoms, slots, fresh):
             a = atoms[idx]
             own = [None] * len(a.args)
             positions = []
@@ -282,6 +270,28 @@ def _ground_value(arg):
 def _comparison_vars(comp: Comparison):
     yield from term_variables(comp.left)
     yield from term_variables(comp.right)
+
+
+def _join_order(atoms, bound, fresh: list):
+    """Indices of `atoms` in join order: next the atom with most bound
+    arguments, ties to the earlier one. The caller adds to `bound` (names of
+    bound variables) and to `fresh` (names bound since the last step) before
+    asking for the next index; only atoms holding a fresh name are
+    rescored."""
+    score = [_bound_score(a, bound) for a in atoms]
+    watch: dict[str, list[int]] = {}
+    for i, a in enumerate(atoms):
+        for vn in _atom_vars(a):
+            watch.setdefault(vn, []).append(i)
+    remaining = list(range(len(atoms)))
+    while remaining:
+        for vn in fresh:
+            for i in watch.get(vn, ()):
+                score[i] = _bound_score(atoms[i], bound)
+        fresh.clear()
+        idx = max(remaining, key=score.__getitem__)
+        remaining.remove(idx)
+        yield idx
 
 
 def _bound_score(a: Atom, slots) -> int:
@@ -436,18 +446,21 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                 unit = units[i]
                 kept = records[i] = []
                 own = spent
-                for b in _matches(unit.plan, store, unit.plan.entry):
-                    spent += 1
-                    if limit is not None and spent > limit:
-                        raise GroundingLimitError(
-                            f"grounding exceeds {limit} rule instances: facts and join"
-                            f" matches reached {spent} at rule {i} `{unit.rule}`"
-                            f" ({spent - own} of its matches)"
-                        )
-                    if keep is None or keep(unit, b):
-                        kept.append(b)
-                        for head in unit.heads:
-                            store.add(head(b))
+                try:
+                    for b in _matches(unit.plan, store, unit.plan.entry):
+                        spent += 1
+                        if limit is not None and spent > limit:
+                            raise GroundingLimitError(
+                                f"grounding exceeds {limit} rule instances: facts and join"
+                                f" matches reached {spent} at rule {i} `{unit.rule}`"
+                                f" ({spent - own} of its matches)"
+                            )
+                        if keep is None or keep(unit, b):
+                            kept.append(b)
+                            for head in unit.heads:
+                                store.add(head(b))
+                except IntegerRangeError as exc:
+                    raise IntegerRangeError(f"{exc} at rule {i} `{unit.rule}`") from None
                 if limit is not None and len(store.keys) > limit:
                     raise GroundingLimitError(
                         f"possibly-true closure exceeds {limit} atoms: {len(store.keys)}"
@@ -487,7 +500,10 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     store = _Store()
     fact_order: list[tuple] = []
     for f in program.facts:
-        key = _atom_raw(f)
+        try:
+            key = _atom_raw(f)
+        except IntegerRangeError as exc:
+            raise IntegerRangeError(f"{exc} in fact `{f}.`") from None
         if store.add(key):
             fact_order.append(key)
     fact_keys = set(fact_order)
@@ -509,24 +525,27 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     source_map: dict[int, int] = {}
     for src_index, (unit, matches) in enumerate(zip(units, records)):
         _sort_by_binding(matches, unit.values)
-        for b in matches:
-            head = [fn(b) for fn in unit.heads]
-            pos_keys = [(pred, args_of(b)) for pred, args_of in unit.pos]
-            neg_keys = []
-            for fn in unit.neg:
-                key = fn(b)
-                if key in fact_keys:
-                    break  # negated fact: instance can never fire
-                if key in store.keys:
-                    neg_keys.append(key)
-                # else: atom can never be true, the literal is vacuous
-            else:
-                source_map[len(ground_rules)] = src_index
-                ground_rules.append(
-                    GroundRule(
-                        number.distinct(head), number.distinct(pos_keys), number.distinct(neg_keys)
+        try:
+            for b in matches:
+                head = [fn(b) for fn in unit.heads]
+                pos_keys = [(pred, args_of(b)) for pred, args_of in unit.pos]
+                neg_keys = []
+                for fn in unit.neg:
+                    key = fn(b)
+                    if key in fact_keys:
+                        break  # negated fact: instance can never fire
+                    if key in store.keys:
+                        neg_keys.append(key)
+                    # else: atom can never be true, the literal is vacuous
+                else:
+                    source_map[len(ground_rules)] = src_index
+                    ground_rules.append(
+                        GroundRule(
+                            number.distinct(head), number.distinct(pos_keys), number.distinct(neg_keys)
+                        )
                     )
-                )
+        except IntegerRangeError as exc:  # a negated atom's argument
+            raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
 
     terms = {v: ground_term(v) for v in {v for _, args in number for v in args}}
     atoms = [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in number]
@@ -668,19 +687,6 @@ class _AggregateContext:
         if not firsts:
             return None  # empty #min/#max never satisfies a guard
         return min(firsts) if func == "min" else max(firsts)
-
-
-# ------------------------------------------------------------------ reduct --
-
-def reduct(gp: GroundProgram, interp: Interpretation) -> GroundProgram:
-    """Gelfond-Lifschitz reduct: drop rules whose negative body meets the
-    interpretation, strip negative bodies from the rest."""
-    rules = [
-        GroundRule(r.head, r.pos, ())
-        for r in gp.rules
-        if not (set(r.neg) & interp.true_atoms)
-    ]
-    return GroundProgram(gp.atoms, rules)
 
 
 # ------------------------------------------------------------- answer sets --

@@ -29,6 +29,8 @@ from .syntax import (
     Constant,
     GroundProgram,
     GroundRule,
+    INT_MAX,
+    INT_MIN,
     Integer,
     Literal,
     Program,
@@ -37,6 +39,16 @@ from .syntax import (
     Variable,
     is_safe,
 )
+
+
+def _integer(text: str, sign: int, at) -> Integer:
+    """An integer literal, which must lie in the 64-bit range; `at` is the
+    token that starts it."""
+    digits = text.lstrip("0") or "0"
+    value = sign * int(digits) if len(digits) <= len(str(INT_MAX)) else None
+    if value is None or not INT_MIN <= value <= INT_MAX:
+        raise ParseError("integer outside the 64-bit range", at.line, at.col)
+    return Integer(value)
 
 
 class QdimacsWarning(UserWarning):
@@ -156,10 +168,10 @@ class _AspParser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return Integer(int(tok.text)), 0
+            return _integer(tok.text, 1, tok), 0
         if tok.text == "-" and self.peek(1).kind == "int":
             self.next()
-            return Integer(-int(self.next().text)), 0
+            return _integer(self.next().text, -1, tok), 0
         if tok.kind == "var":
             self.next()
             return Variable(tok.text), 0

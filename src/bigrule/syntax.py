@@ -14,12 +14,15 @@ from .errors import (
     ArityError,
     DivisionByZeroError,
     HeadCycleError,
+    IntegerRangeError,
     NonIntegerArithmeticError,
 )
 
 ARITH_OPS = ("+", "-", "*", "/")
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 AGGREGATE_FUNCS = ("count", "sum", "min", "max")
+# Integers are 64-bit: a literal or an evaluated value outside is an error.
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
 
 
 # ------------------------------------------------------------------ terms --
@@ -108,7 +111,8 @@ def term_variables(term: Term) -> Iterator[str]:
 def eval_term(term: Term, binding: dict[str, "str | int"]) -> "str | int":
     """Evaluate a term to a raw ground value (str for symbols, int for
     numbers) under a complete binding. Division truncates toward zero;
-    division by zero is an error, never a silent drop."""
+    division by zero is an error, never a silent drop, and so is a value
+    outside the 64-bit range."""
     if isinstance(term, Variable):
         return binding[term.name]
     if isinstance(term, Constant):
@@ -120,15 +124,21 @@ def eval_term(term: Term, binding: dict[str, "str | int"]) -> "str | int":
     if not isinstance(left, int) or not isinstance(right, int):
         raise NonIntegerArithmeticError(f"arithmetic over non-integer value in {term}")
     if term.op == "+":
-        return left + right
-    if term.op == "-":
-        return left - right
-    if term.op == "*":
-        return left * right
-    if right == 0:
+        value = left + right
+    elif term.op == "-":
+        value = left - right
+    elif term.op == "*":
+        value = left * right
+    elif right == 0:
         raise DivisionByZeroError(f"division by zero in {term}")
-    # Truncation toward zero, unlike Python's floor division.
-    return int(left / right)
+    else:
+        # Truncation toward zero, unlike Python's floor division.
+        value = abs(left) // abs(right)
+        if (left < 0) != (right < 0):
+            value = -value
+    if not INT_MIN <= value <= INT_MAX:
+        raise IntegerRangeError(f"{term} evaluates to {value}, outside the 64-bit range")
+    return value
 
 
 def ground_term(value: "str | int") -> GroundTerm:
@@ -466,6 +476,14 @@ def variables_of(element) -> set[str]:
 def variables_in_order(element) -> list[str]:
     """Like variables_of but first-occurrence ordered (used for interface
     tuples whose argument order should mirror the source)."""
+    if isinstance(element, Literal):
+        element = element.atom
+    if isinstance(element, Atom):
+        out = []
+        for name in _atom_vars(element):
+            if name not in out:
+                out.append(name)
+        return out
     out: list[str] = []
     seen: set[str] = set()
 

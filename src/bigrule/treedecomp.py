@@ -8,6 +8,7 @@ programming) is provided for small graphs as a test yardstick.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import NoCoveringBagError, TooManyVerticesError
@@ -55,12 +56,13 @@ def gaifman(rule: Rule) -> GaifmanGraph:
 class TreeDecomposition:
     """Rooted tree of bags. Nodes are indices into `bags`."""
 
-    __slots__ = ("bags", "edges", "root")
+    __slots__ = ("bags", "edges", "root", "_parent")
 
     def __init__(self, bags, edges, root: int):
         self.bags: tuple[frozenset[str], ...] = tuple(frozenset(b) for b in bags)
         self.edges: tuple[tuple[int, int], ...] = tuple(tuple(sorted(e)) for e in edges)
         self.root = root
+        self._parent: list[int] | None = None
         if not self.bags:
             raise ValueError("a tree decomposition needs at least one node")
         if not 0 <= root < len(self.bags):
@@ -83,19 +85,20 @@ class TreeDecomposition:
 
     def parents(self) -> list[int]:
         """Parent index per node, -1 for the root, via BFS from the root."""
-        adj = self.neighbors()
-        parent = [-2] * len(self.bags)
-        parent[self.root] = -1
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            for nxt in sorted(adj[node]):
-                if parent[nxt] == -2:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        if any(p == -2 for p in parent):
-            raise ValueError("tree decomposition is not connected")
-        return parent
+        if self._parent is None:
+            adj = self.neighbors()
+            parent = [-2] * len(self.bags)
+            parent[self.root] = -1
+            queue = [self.root]
+            for node in queue:
+                for nxt in sorted(adj[node]):
+                    if parent[nxt] == -2:
+                        parent[nxt] = node
+                        queue.append(nxt)
+            if -2 in parent:
+                raise ValueError("tree decomposition is not connected")
+            self._parent = parent
+        return list(self._parent)
 
     def children(self) -> list[list[int]]:
         parent = self.parents()
@@ -146,27 +149,42 @@ def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecompo
     eliminated: list[str] = []
 
     def fill_in(vtx: str) -> int:
-        nbs = sorted(adj[vtx])
-        count = 0
-        for i, u in enumerate(nbs):
-            for w in nbs[i + 1:]:
-                if w not in adj[u]:
-                    count += 1
-        return count
+        """Missing edges among the neighbours of vtx."""
+        nbs = adj[vtx]
+        present = sum(len(adj[u] & nbs) for u in nbs) // 2
+        return len(nbs) * (len(nbs) - 1) // 2 - present
 
+    def degree(vtx: str) -> int:
+        return len(adj[vtx])
+
+    cost = fill_in if heuristic == "min-fill" else degree
+    # A heap of (cost, vertex) with stale entries skipped. Eliminating a
+    # vertex changes the degree of its neighbours only, and the fill-in of
+    # its neighbours and of theirs, so only those are recounted.
+    current = {vtx: cost(vtx) for vtx in adj}
+    heap = [(c, vtx) for vtx, c in current.items()]
+    heapq.heapify(heap)
     while adj:
-        if heuristic == "min-degree":
-            best = min(adj, key=lambda vtx: (len(adj[vtx]), vtx))
-        else:
-            best = min(adj, key=lambda vtx: (fill_in(vtx), vtx))
-        nbs = adj[best]
+        c, best = heapq.heappop(heap)
+        if current.get(best) != c:
+            continue
+        nbs = adj.pop(best)
+        del current[best]
         bags.append(frozenset(nbs | {best}))
         position[best] = len(eliminated)
         eliminated.append(best)
         for u in nbs:
             adj[u].discard(best)
             adj[u].update(nbs - {u})
-        del adj[best]
+        touched = set(nbs)
+        if cost is fill_in:
+            for u in nbs:
+                touched |= adj[u]
+        for u in touched:
+            c = cost(u)
+            if c != current[u]:
+                current[u] = c
+                heapq.heappush(heap, (c, u))
 
     edges: list[tuple[int, int]] = []
     roots: list[int] = []

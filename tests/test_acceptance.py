@@ -7,7 +7,13 @@ import time
 
 import pytest
 
-from bigrule.decompose import FreshNamer, decompose_program, decompose_rule
+from bigrule.cli import _projected
+from bigrule.decompose import (
+    FreshNamer,
+    decompose_program,
+    decompose_rule,
+    grounding_estimate,
+)
 from bigrule.oracle import (
     abduce_bruteforce,
     answer_sets,
@@ -61,17 +67,9 @@ def _report(number: int, ok: bool, label: str, detail: str, started: float):
     print(f"ACCEPTANCE [{number:2d}] {verdict} - {label} ({detail}, {elapsed:.1f}s)")
 
 
-def _projected(gp, prefixes=("temp_", "dom_"), max_atoms=5000):
-    out = set()
-    for interp in answer_sets(gp, max_atoms=max_atoms):
-        out.add(
-            frozenset(
-                str(gp.atoms[i])
-                for i in interp.true_atoms
-                if not gp.atoms[i].pred.startswith(prefixes)
-            )
-        )
-    return out
+def _fresh_projected(gp):
+    """Answer sets without the decomposition's temp_ and dom_ atoms."""
+    return _projected(gp, answer_sets(gp, max_atoms=5000), ("temp_", "dom_"))
 
 
 def _rule_corpus(count=200):
@@ -92,11 +90,14 @@ def test_criterion_1_decomposition_equivalence():
     mismatches = []
     programs = _rule_corpus(200)
     for k, program in enumerate(programs):
-        decomposed, _ = decompose_program(program)
-        left = _projected(ground(program).ground_program)
-        right = _projected(ground(decomposed).ground_program)
-        if left != right:
-            mismatches.append(k)
+        left = _fresh_projected(ground(program).ground_program)
+        # The estimate keeps most of these rules whole; always splitting
+        # checks every decomposition too.
+        for threshold in (True, False):
+            decomposed, _ = decompose_program(program, threshold=threshold)
+            right = _fresh_projected(ground(decomposed).ground_program)
+            if left != right:
+                mismatches.append((k, threshold))
     ok = not mismatches
     _report(1, ok, "decomposition equivalence",
             f"{len(programs)} rules, {len(mismatches)} mismatches", started)
@@ -249,14 +250,14 @@ def test_criterion_7_grounding_size_bound():
     violations = []
     checked = 0
     for program in _rule_corpus(200):
-        decomposed, report = decompose_program(program, domain_size=n)
+        decomposed, report = decompose_program(program, threshold=False)
         stats = report.rules[0]
         if not stats.decomposed:
             continue
         checked += 1
         emitted = decomposed.rules
-        total = sum(n ** len(variables_of(r)) for r in emitted)
-        original = n ** len(variables_of(program.rules[0]))
+        total = sum(grounding_estimate(r, n) for r in emitted)
+        original = grounding_estimate(program.rules[0], n)
         if total > original:
             violations.append(("sum", stats.index, total, original))
         if any(len(variables_of(r)) > stats.width + 1 for r in emitted):
@@ -267,8 +268,8 @@ def test_criterion_7_grounding_size_bound():
         [frozenset({"X", "W", "Y"}), frozenset({"Y", "Z", "W"})], [(0, 1)], 0
     )
     pieces = decompose_rule(worked, td, FreshNamer("0"))
-    worked_sum = sum(10 ** len(variables_of(r)) for r in pieces)
-    if not (worked_sum <= 3000 < 10_000 == 10 ** len(variables_of(worked))):
+    worked_sum = sum(grounding_estimate(r, 10) for r in pieces)
+    if not (worked_sum <= 3000 < 10_000 == grounding_estimate(worked, 10)):
         violations.append(("worked", worked_sum))
     ok = not violations
     _report(7, ok, "grounding-size bound after decomposition",

@@ -49,7 +49,7 @@ def test_rewrite_3col_k4_solve_exit_10(capsys, tmp_path):
 
 def test_decompose_worked_rule_prints_stats_to_stderr(capsys, tmp_path):
     src = tmp_path / "rule.lp"
-    src.write_text("e(a,b). e(b,c).\nh(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X).\n")
+    src.write_text("h(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X).\n")
     code, out, err = run_cli(capsys, "decompose", str(src))
     assert code == 0
     assert "temp_0_1" in out
@@ -184,6 +184,51 @@ def test_limit_error_exit_4(capsys, tmp_path):
     assert "rule 0 `p(Y) :- p(X), Y = X+1.`" in err
 
 
+SQUARING = "p(2).\np(Y) :- p(X), Y = X*X.\n"
+HUNDRED_FACTORS = "q(10).\nr(Y) :- q(X), Y = {}.\ns(Z) :- r(Y), Z = {}.\n".format(
+    "*".join(["X"] * 100), "*".join(["Y"] * 100)
+)
+
+
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        (SQUARING, "rule 0 `p(Y) :- p(X), Y = X*X.`"),
+        (HUNDRED_FACTORS, "rule 0 `r(Y) :- q(X), Y = X*X*"),
+        ("q(1). r(Y) :- q(X), not s(X*9223372036854775807*2), Y = X.\n", "rule 0 `r(Y)"),
+        ("p(9223372036854775807+1).\n", "in fact `p(9223372036854775807+1).`"),
+    ],
+)
+def test_integer_outside_64_bits_exit_4(capsys, tmp_path, text, rule):
+    src = tmp_path / "int.lp"
+    src.write_text(text)
+    for command in ("ground", "solve"):
+        code, out, err = run_cli(capsys, command, str(src))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "outside the 64-bit range" in err
+        assert rule in err
+
+
+@pytest.mark.parametrize(
+    "literal", ["9223372036854775808", "-9223372036854775809", "1" * 5000]
+)
+def test_integer_literal_outside_64_bits_exit_1(capsys, tmp_path, literal):
+    src = tmp_path / "int.lp"
+    src.write_text(f"p({literal}).\n")
+    code, _, err = run_cli(capsys, "ground", str(src))
+    assert code == 1
+    assert err == "error: line 1, col 3: integer outside the 64-bit range\n"
+
+
+def test_integer_range_ends_are_kept(capsys, tmp_path):
+    src = tmp_path / "int.lp"
+    src.write_text("p(9223372036854775807). p(-9223372036854775808).\n")
+    code, out, _ = run_cli(capsys, "ground", str(src))
+    assert code == 0
+    assert out == "p(9223372036854775807).\np(-9223372036854775808).\n"
+
+
 def test_ground_large_body_exit_0(capsys, tmp_path):
     from test_oracle import large_body_text
 
@@ -239,27 +284,6 @@ def test_rewrite_abduce_full_flow(capsys, tmp_path):
     )
     assert code == 0
     assert "hyp(h)." in out and "sat :- assign(m,1)." in out
-
-
-def test_rewrite_abduce_require_consistent_not_provided(capsys, tmp_path):
-    reified = tmp_path / "gp.lp"
-    reified.write_text("atom(a). rule(r0). head(r0,a).\n")
-    hyp = tmp_path / "hyp.txt"
-    hyp.write_text("a\n")
-    man = tmp_path / "man.txt"
-    man.write_text("")
-    code, _, err = run_cli(
-        capsys,
-        "rewrite",
-        "abduce",
-        str(reified),
-        "--hyp",
-        str(hyp),
-        "--man",
-        str(man),
-        "--require-consistent",
-    )
-    assert code == 2 and "no encoding" in err
 
 
 def test_auto_rename_flag(capsys, tmp_path):
@@ -355,15 +379,15 @@ def test_console_entry_point_runs():
 # ------------------------------------------------------------- totality ----
 #
 # Program text from a small grammar: atoms with arithmetic arguments,
-# equations, comparisons, negation, aggregates and deep terms. Products
-# take a constant right operand, so no derived integer squares itself.
+# equations, comparisons, negation, aggregates and deep terms. Products of
+# variables may square a derived integer until it leaves the 64-bit range.
 
 _VARS = ("X", "Y", "Z")
 _term = st.recursive(
     st.sampled_from(_VARS + ("a", "b", "0", "1", "2", "-1")),
     lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from("+-/"), inner).map("".join),
-        st.tuples(inner, st.sampled_from(("*2", "*-1"))).map(lambda t: f"({t[0]}){t[1]}"),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]})*({t[1]})"),
     ),
     max_leaves=4,
 )
@@ -434,6 +458,8 @@ _COMMANDS = (
 @example("p(a+1).\n")
 @example("p(" + "(" * 3000 + "1" + ")" * 3000 + ").\n")
 @example("q(1). p(Y) :- q(X), Y = X" + "+1" * 3000 + ".\n")
+@example(SQUARING)
+@example(HUNDRED_FACTORS)
 def test_every_program_gets_an_exit_code(tmp_path_factory, text):
     src = tmp_path_factory.mktemp("fuzz") / "p.lp"
     src.write_text(text)

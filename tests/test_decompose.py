@@ -13,8 +13,9 @@ from bigrule.decompose import (
     synthesize_dom_rules,
 )
 from bigrule.errors import ReservedPrefixCollisionError, UnsecurableVariableError
-from bigrule.oracle import answer_sets, ground
-from bigrule.parse import parse_program, print_program
+from bigrule.oracle import answer_sets, answer_sets_naive, ground
+from bigrule.parse import make_graph, parse_program, parse_qdimacs, print_program
+from bigrule.rewriters import qbf2_classic, threecol_single_rule
 from bigrule.syntax import (
     Atom,
     Integer,
@@ -91,7 +92,7 @@ def test_worked_example_produces_three_known_rules():
 
 def test_worked_example_width_two_via_driver():
     program = Program([WORKED_RULE], parse_program("e(a,b). e(b,c). e(c,d). e(d,a).").facts)
-    _, report = decompose_program(program)
+    _, report = decompose_program(program, threshold=False)
     assert report.rules[0].width == 2
     assert report.rules[0].decomposed
 
@@ -247,13 +248,13 @@ def test_chorded_cycle_rule_decomposes_to_three_vars():
         "e(r,g). e(r,b). e(g,b). e(g,r). e(b,r). e(b,g). col(r). col(g). col(b).\n"
         ":- e(A,B), e(B,C), e(C,D), e(D,A), e(B,D)."
     )
-    decomposed, report = decompose_program(program)
+    decomposed, report = decompose_program(program, threshold=False)
     stats = report.rules[0]
     assert stats.width == 2
     assert stats.decomposed
     for rule in decomposed.rules:
         assert len(variables_of(rule)) <= 3
-    ok, _, _ = equivalent_after_decomposition(program)
+    ok, _, _ = equivalent_after_decomposition(program, threshold=False)
     assert ok
 
 
@@ -282,16 +283,14 @@ def test_grounding_estimate_saturates():
 
 
 def test_worked_example_estimate_bound():
-    program = Program([WORKED_RULE], parse_program("e(a,b).").facts)
-    _, report = decompose_program(program, domain_size=10)
-    stats = report.rules[0]
-    assert stats.est_before == 10_000
-    assert stats.est_after <= 3000
+    pieces = decompose_rule(WORKED_RULE, WORKED_TD, FreshNamer("0"))
+    assert grounding_estimate(WORKED_RULE, 10) == 10_000
+    assert sum(grounding_estimate(piece, 10) for piece in pieces) <= 3000
 
 
 def test_temp_arity_reported():
     program = Program([WORKED_RULE], parse_program("e(a,b).").facts)
-    _, report = decompose_program(program)
+    _, report = decompose_program(program, threshold=False)
     assert report.rules[0].max_temp_arity == 2
 
 
@@ -341,3 +340,71 @@ def test_emitted_rules_are_safe_and_bounded():
         if stats.decomposed:
             for rule in decomposed.rules:
                 assert len(variables_of(rule)) <= stats.width + 1
+
+
+# ---------------------------------------------------------------- policy ----
+
+def naive_projected(program):
+    """Answer sets of the undecomposed program by subset enumeration."""
+    gp = ground(program).ground_program
+    return {
+        frozenset(str(gp.atoms[i]) for i in interp.true_atoms)
+        for interp in answer_sets_naive(gp, max_atoms=len(gp.atoms))
+    }
+
+
+def test_policy_keeps_classic_qbf2_rule_whole():
+    # forall x1 exists y2: (x1 | y2) & (x1 | -y2) is false, so the
+    # encoding has answer sets.
+    qbf = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n1 -2 0\n")
+    program = qbf2_classic(qbf)
+    sat = next(i for i, r in enumerate(program.rules) if r.head and r.head[0].pred == "sat"
+               and len(r.pos_body) == 6)
+    decomposed, report = decompose_program(program)
+    assert not report.rules[sat].decomposed
+    assert decomposed.rules == program.rules
+    split, forced = decompose_program(program, threshold=False)
+    assert forced.rules[sat].decomposed  # the rule has a smaller decomposition
+    expected = naive_projected(program)
+    assert expected
+    assert project_answer_sets(ground(decomposed).ground_program) == expected
+    assert project_answer_sets(ground(split).ground_program) == expected
+
+
+def test_policy_splits_grid_coloring_rule():
+    edges = [(f"v{r}{c}", f"v{r}{c + 1}") for r in range(3) for c in range(2)]
+    edges += [(f"v{r}{c}", f"v{r + 1}{c}") for r in range(2) for c in range(3)]
+    program = threecol_single_rule(make_graph(edges))
+    decomposed, report = decompose_program(program)
+    assert report.rules[0].decomposed
+    assert report.rules[0].est_after < report.rules[0].est_before
+    assert decomposed == decompose_program(program, threshold=False)[0]
+    assert project_answer_sets(ground(decomposed).ground_program) == naive_projected(program)
+
+
+def test_policy_without_facts_splits_structurally():
+    rng = random.Random(77)
+    split = 0
+    for _ in range(40):
+        rules = random_safe_rule_program(rng, max_vars=6, max_body=7).rules
+        program = Program(rules)
+        decomposed, report = decompose_program(program)
+        assert decomposed == decompose_program(program, threshold=False)[0]
+        assert all(s.est_before == s.est_after == 0 for s in report.rules)
+        assert project_answer_sets(ground(decomposed).ground_program) == naive_projected(program)
+        split += report.rules[0].decomposed
+    assert split >= 10
+
+
+def test_estimates_reach_recursive_and_empty_rules():
+    program = parse_program(
+        "e(1,2). e(2,3). e(3,4).\n"
+        "r(X,Z) :- r(X,Y), e(Y,Z).\n"
+        "r(X,Y) :- e(X,Y).\n"
+        "s(X) :- t(X).\n"
+    )
+    _, report = decompose_program(program)
+    recursive, base, empty = report.rules
+    assert base.est_before == 3
+    assert recursive.est_before > 0  # sees r's base atoms though listed first
+    assert empty.est_before == empty.est_after == 0

@@ -28,7 +28,6 @@ from bigrule.oracle import (
     eval_qbf_expansion,
     ground,
     has_answer_set,
-    reduct,
     solve_coloring,
 )
 from bigrule.parse import make_graph, parse_program, parse_qdimacs
@@ -42,7 +41,6 @@ from bigrule.syntax import (
     GroundProgram,
     GroundRule,
     Integer,
-    Interpretation,
     Literal,
     Rule,
     Variable,
@@ -185,26 +183,6 @@ def test_ground_deterministic_order():
     assert [r1.ground_program.rule_str(r) for r in r1.ground_program.rules] == [
         r2.ground_program.rule_str(r) for r in r2.ground_program.rules
     ]
-
-
-# ----------------------------------------------------------------- reduct --
-
-def test_reduct_keeps_rule_on_empty_intersection():
-    gp = gp_of(["a", "b"], [(("a",), (), ("b",))])
-    red = reduct(gp, Interpretation(frozenset()))
-    assert red.rules == (GroundRule((0,), (), ()),)
-
-
-def test_reduct_drops_rule():
-    gp = gp_of(["a", "b"], [(("a",), (), ("b",))])
-    red = reduct(gp, Interpretation(frozenset({1})))
-    assert red.rules == ()
-
-
-def test_reduct_mixed():
-    gp = gp_of(["a", "b", "c"], [(("a",), ("b",), ("c",)), (("c",), (), ("a",))])
-    red = reduct(gp, Interpretation(frozenset({0})))
-    assert red.rules == (GroundRule((0,), (1,), ()),)
 
 
 # ------------------------------------------------------------ answer sets --

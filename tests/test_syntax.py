@@ -16,6 +16,7 @@ from bigrule.syntax import (
     Program,
     Rule,
     Variable,
+    eval_term,
     is_head_cycle_free,
     is_safe,
     shift,
@@ -188,3 +189,20 @@ def test_interpretation_atom_strings():
 def test_ground_program_rejects_bad_atom_table(atoms, rule, message):
     with pytest.raises(ValueError, match=message):
         GroundProgram(tuple(Atom(a) for a in atoms), (rule,))
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("100000000000000001/3", 33333333333333333),
+        ("(0-100000000000000001)/7", -14285714285714285),
+        ("9223372036854775807/2", 4611686018427387903),
+        ("-7/2", -3),
+        ("7/(0-2)", -3),
+        ("-7/(0-2)", 3),
+        ("7/2", 3),
+    ],
+)
+def test_division_is_exact_and_truncates_toward_zero(text, value):
+    comp = parse_program(f"p(Y) :- Y = {text}.").rules[0].arith[0]
+    assert eval_term(comp.right, {}) == value
