@@ -634,8 +634,8 @@ def _decompose_one(
     for agg_index in range(len(original.aggregates)):
         current, helpers = split_aggregate(current, agg_index, namer)
         for pos_h, helper in enumerate(helpers):
-            # Only the first helper carries body structure worth
-            # decomposing; domain definitions are already minimal.
+            # Every helper, the domain definitions included, becomes a
+            # part of its own that is estimated and may be split.
             tag = namer.aggregate_part(agg_index)
             helper_parts.append((helper, FreshNamer(f"{tag.tag}_{pos_h}")))
     parts.append((current, namer))

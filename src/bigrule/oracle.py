@@ -389,14 +389,16 @@ def _matches(plan: _Plan, store: _Store, entry: tuple):
 class _RulePlan:
     """A rule compiled for the closure and for emission: its body plan, and
     the ground keys of its head, positive and negative atoms over a
-    binding. `values` reads the variables in name order."""
+    binding. `values` reads the variables in name order; `index` is the
+    rule's position in its program, which errors name."""
 
-    __slots__ = ("rule", "plan", "heads", "pos", "neg", "names", "values")
+    __slots__ = ("rule", "index", "plan", "heads", "pos", "neg", "names", "values")
 
-    def __init__(self, rule: Rule):
+    def __init__(self, rule: Rule, index: int):
         atoms = [l.atom for l in rule.pos_body]
         negated = [l.atom for l in rule.neg_body]
         self.rule = rule
+        self.index = index
         self.plan = plan = _Plan(atoms, rule.arith, also=(*rule.head, *negated))
         self.names = tuple(sorted(plan.slots))
         self.values = _getter([plan.slots[name] for name in self.names])
@@ -452,7 +454,7 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                         if limit is not None and spent > limit:
                             raise GroundingLimitError(
                                 f"grounding exceeds {limit} rule instances: facts and join"
-                                f" matches reached {spent} at rule {i} `{unit.rule}`"
+                                f" matches reached {spent} at rule {unit.index} `{unit.rule}`"
                                 f" ({spent - own} of its matches)"
                             )
                         if keep is None or keep(unit, b):
@@ -460,11 +462,13 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                             for head in unit.heads:
                                 store.add(head(b))
                 except IntegerRangeError as exc:
-                    raise IntegerRangeError(f"{exc} at rule {i} `{unit.rule}`") from None
+                    raise IntegerRangeError(
+                        f"{exc} at rule {unit.index} `{unit.rule}`"
+                    ) from None
                 if limit is not None and len(store.keys) > limit:
                     raise GroundingLimitError(
                         f"possibly-true closure exceeds {limit} atoms: {len(store.keys)}"
-                        f" after rule {i} `{unit.rule}`"
+                        f" after rule {unit.index} `{unit.rule}`"
                     )
             if not recursive or len(store.keys) == size:
                 break
@@ -495,8 +499,6 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
         if not ok:
             raise SafetyError(unsafe, str(r))
 
-    agg_eval = _AggregateContext(program) if any(r.aggregates for r in program.rules) else None
-
     store = _Store()
     fact_order: list[tuple] = []
     for f in program.facts:
@@ -508,7 +510,10 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
             fact_order.append(key)
     fact_keys = set(fact_order)
 
-    units = [_RulePlan(r) for r in program.rules]
+    units = [_RulePlan(r, i) for i, r in enumerate(program.rules)]
+    agg_eval = None
+    if any(r.aggregates for r in program.rules):
+        agg_eval = _AggregateContext(program, units, fact_order, max_ground_rules)
 
     def keep(unit: _RulePlan, b: tuple) -> bool:
         aggregates = unit.rule.aggregates
@@ -578,62 +583,45 @@ def _sort_by_binding(matches: list, values):
 
 class _AggregateContext:
     """Aggregate expansion over the deterministic sub-program: condition
-    predicates must be defined by facts or by normal, aggregate-free rules
-    whose bodies stay inside the fragment (negation only over fact-defined
-    predicates). Their extension is then identical in every answer set, so
-    aggregates can be decided at grounding time."""
+    predicates must be defined by facts or by normal, non-recursive,
+    aggregate-free rules whose bodies stay inside the fragment (negation
+    only over fact-defined predicates). Their extension is then identical
+    in every answer set, so aggregates can be decided at grounding time."""
 
-    def __init__(self, program: Program):
-        defined_by_rules: dict[str, list[Rule]] = {}
-        for r in program.rules:
-            for a in r.head:
-                defined_by_rules.setdefault(a.pred, []).append(r)
-        fact_preds = {f.pred for f in program.facts}
-        fact_only = {
-            p for p in fact_preds if p not in defined_by_rules
-        }
-
-        det = set(fact_only) | {
-            p for p in program.predicates() if p not in defined_by_rules and p not in fact_preds
-        }
-        changed = True
-        while changed:
-            changed = False
-            for pred, defs in defined_by_rules.items():
-                if pred in det:
-                    continue
-                ok = True
-                for r in defs:
-                    if len(r.head) != 1 or r.aggregates:
-                        ok = False
-                        break
-                    if any(l.atom.pred not in det for l in r.pos_body):
-                        ok = False
-                        break
-                    if any(l.atom.pred not in fact_only for l in r.neg_body):
-                        ok = False
-                        break
-                if ok:
-                    det.add(pred)
-                    changed = True
-        self.det = det
+    def __init__(self, program: Program, units, fact_order, limit: int):
+        fact_only = {f.pred for f in program.facts}
+        fact_only.difference_update(a.pred for r in program.rules for a in r.head)
+        # One pass in topological order: every rule using a predicate
+        # positively comes after all rules defining it.
+        self.outside: set[str] = set()
+        fragment = []
+        for members, recursive in _components(program.rules):
+            for i in members:
+                r = program.rules[i]
+                if (
+                    recursive
+                    or len(r.head) != 1
+                    or r.aggregates
+                    or any(l.atom.pred in self.outside for l in r.pos_body)
+                    or any(l.atom.pred not in fact_only for l in r.neg_body)
+                ):
+                    self.outside.update(a.pred for a in r.head)
+                else:
+                    fragment.append(units[i])
 
         # Least model of the deterministic rules: an instance whose negated
-        # atom is a fact never fires.
+        # atom is a fact never fires. Its matches count against the same
+        # limit as the main closure's, on their own.
         self.store = _Store()
-        for f in program.facts:
-            self.store.add(_atom_raw(f))
-        fact_keys = set(self.store.keys)
-        det_rules = [
-            _RulePlan(r)
-            for defs in defined_by_rules.values()
-            for r in defs
-            if len(r.head) == 1 and r.head[0].pred in det
-        ]
+        for key in fact_order:
+            self.store.add(key)
+        fact_keys = set(fact_order)
         _closure(
-            det_rules,
+            [u for u in fragment if u.rule.head[0].pred not in self.outside],
             self.store,
             lambda unit, b: not any(fn(b) in fact_keys for fn in unit.neg),
+            limit,
+            len(fact_keys),
         )
         self.plans: dict[tuple, tuple] = {}
 
@@ -644,7 +632,7 @@ class _AggregateContext:
 
     def _compile(self, agg: Aggregate, names: tuple):
         for lit in agg.condition:
-            if lit.atom.pred not in self.det:
+            if lit.atom.pred in self.outside:
                 raise UnsupportedAggregateError(
                     f"aggregate condition over non-deterministic predicate {lit.atom.pred}"
                 )

@@ -22,6 +22,7 @@ from .errors import (
     SafetyError,
 )
 from .syntax import (
+    COMPARISON_OPS,
     Aggregate,
     Arith,
     Atom,
@@ -39,6 +40,17 @@ from .syntax import (
     Variable,
     is_safe,
 )
+
+
+_CLIP_CHARS = 32
+
+
+def _clip(text) -> str:
+    """The text of an input token or fact for an error message, cut after
+    _CLIP_CHARS characters with `…`, so the line stays short however long
+    the input."""
+    text = str(text)
+    return text if len(text) <= _CLIP_CHARS else text[:_CLIP_CHARS] + "…"
 
 
 def _integer(text: str, sign: int, at) -> Integer:
@@ -99,7 +111,6 @@ def _lex(text: str) -> list[_Tok]:
     return toks
 
 
-_COMPARE_OPS = {"=", "!=", "<", "<=", ">", ">="}
 MAX_TERM_DEPTH = 100
 
 
@@ -126,7 +137,8 @@ class _AspParser:
     def expect(self, text: str) -> _Tok:
         tok = self.peek()
         if tok.kind == "eof" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            found = _clip(tok.text) or "end of input"
+            raise ParseError(f"expected {text!r}, found {found!r}", tok.line, tok.col)
         return self.next()
 
     def fail(self, message: str):
@@ -185,14 +197,14 @@ class _AspParser:
             inner = self.term_sum(parens + 1)
             self.expect(")")
             return inner
-        self.fail(f"expected a term, found {tok.text!r}")
+        self.fail(f"expected a term, found {_clip(tok.text)!r}")
 
     # atoms and body elements -------------------------------------------
 
     def atom(self) -> Atom:
         tok = self.peek()
         if tok.kind != "ident":
-            self.fail(f"expected a predicate name, found {tok.text!r}")
+            self.fail(f"expected a predicate name, found {_clip(tok.text)!r}")
         self.next()
         args: list[Term] = []
         if self.accept("("):
@@ -226,7 +238,7 @@ class _AspParser:
             condition.append(self.condition_literal())
         self.expect("}")
         op_tok = self.peek()
-        if op_tok.text not in _COMPARE_OPS:
+        if op_tok.text not in COMPARISON_OPS:
             self.fail("expected an aggregate guard comparison")
         self.next()
         guard = self.term()
@@ -246,7 +258,7 @@ class _AspParser:
             return Literal(self.atom(), False)
         # Could still be a bare 0-ary atom or the left side of a comparison.
         term = self.term()
-        if self.peek().text in _COMPARE_OPS and self.peek().kind == "op":
+        if self.peek().text in COMPARISON_OPS and self.peek().kind == "op":
             op = self.next().text
             return Comparison(op, term, self.term())
         if isinstance(term, Constant):
@@ -339,9 +351,6 @@ class Clause:
         taut = any(-lit in seen for lit in seen)
         return Clause(tuple(seen), taut)
 
-    def variables(self) -> list[int]:
-        return [abs(l) for l in self.lits]
-
 
 @dataclass(frozen=True, slots=True)
 class Qbf:
@@ -350,18 +359,6 @@ class Qbf:
     prefix: tuple[tuple[str, tuple[int, ...]], ...]
     clauses: tuple[Clause, ...]
     num_vars: int
-
-    def quantifier_of(self, var: int) -> str:
-        for q, block in self.prefix:
-            if var in block:
-                return q
-        raise KeyError(f"variable {var} not quantified")
-
-    def universals(self) -> list[int]:
-        return [x for q, block in self.prefix if q == "a" for x in block]
-
-    def existentials(self) -> list[int]:
-        return [x for q, block in self.prefix if q == "e" for x in block]
 
 
 def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
@@ -413,11 +410,11 @@ def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
             try:
                 var = int(tok)
             except ValueError as exc:
-                raise ParseError(f"bad quantifier token {tok!r}", line) from exc
+                raise ParseError(f"bad quantifier token {_clip(tok)!r}", line) from exc
             if var <= 0 or var > num_vars:
-                raise ParseError(f"quantified variable {var} out of range", line)
+                raise ParseError(f"quantified variable {_clip(var)} out of range", line)
             if var in bound:
-                raise ParseError(f"variable {var} quantified twice", line)
+                raise ParseError(f"variable {_clip(var)} quantified twice", line)
             bound.add(var)
             block.append(var)
         if blocks and blocks[-1][0] == q:
@@ -432,19 +429,19 @@ def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
         try:
             lit = int(tok)
         except ValueError as exc:
-            raise ParseError(f"bad clause token {tok!r}", line) from exc
+            raise ParseError(f"bad clause token {_clip(tok)!r}", line) from exc
         if lit == 0:
             raw_clauses.append(current)
             current = []
             continue
         if abs(lit) > num_vars:
-            raise ParseError(f"literal {lit} out of range", line)
+            raise ParseError(f"literal {_clip(lit)} out of range", line)
         current.append(lit)
     if current:
         raise ParseError("clause not terminated by 0", tokens[-1][1])
     if len(raw_clauses) != num_clauses:
         raise ParseError(
-            f"header announces {num_clauses} clauses, found {len(raw_clauses)}"
+            f"header announces {_clip(num_clauses)} clauses, found {len(raw_clauses)}"
         )
 
     if not blocks and strict:
@@ -507,10 +504,10 @@ def make_graph(edges, partition_v1=None) -> InputGraph:
     norm: set[tuple[str, str]] = set()
     for u, w in edges:
         if u == w:
-            raise ParseError(f"self-loop on {u!r}")
+            raise ParseError(f"self-loop on {_clip(u)!r}")
         for name in (u, w):
             if not _VERTEX_RE.match(name):
-                raise ParseError(f"vertex name {name!r} is not a valid constant")
+                raise ParseError(f"vertex name {_clip(name)!r} is not a valid constant")
         vertices.update((u, w))
         norm.add((min(u, w), max(u, w)))
     partition = None
@@ -518,7 +515,7 @@ def make_graph(edges, partition_v1=None) -> InputGraph:
         v1 = frozenset(partition_v1)
         unknown = v1 - vertices
         if unknown:
-            raise PartitionError(f"partition references unknown vertices {sorted(unknown)}")
+            raise PartitionError(f"partition references unknown vertices {_clip(sorted(unknown))}")
         partition = (v1, frozenset(vertices) - v1)
     return InputGraph(frozenset(vertices), frozenset(norm), partition)
 
@@ -548,10 +545,10 @@ def parse_graph(text: str) -> InputGraph:
             raise ParseError("expected `u v` edge line", lineno)
         u, w = fields
         if u == w:
-            raise ParseError(f"self-loop on {u!r}", lineno)
+            raise ParseError(f"self-loop on {_clip(u)!r}", lineno)
         for name in (u, w):
             if not _VERTEX_RE.match(name):
-                raise ParseError(f"vertex name {name!r} is not a valid constant", lineno)
+                raise ParseError(f"vertex name {_clip(name)!r} is not a valid constant", lineno)
         edges.append((u, w))
     return make_graph(edges, v1 if in_partition else None)
 
@@ -575,24 +572,24 @@ def parse_reified(text: str) -> GroundProgram:
 
     def symbol(term, what, fact):
         if not isinstance(term, Constant):
-            raise ParseError(f"{what} id in {fact} must be a symbol")
+            raise ParseError(f"{what} id in {_clip(fact)} must be a symbol")
         return term.name
 
     for fact in program.facts:
         if fact.pred not in _REIFIED_PREDS:
-            raise ParseError(f"unexpected predicate {fact.pred!r} in reified input")
+            raise ParseError(f"unexpected predicate {_clip(fact.pred)!r} in reified input")
         if fact.arity != _REIFIED_PREDS[fact.pred]:
             raise ParseError(f"{fact.pred} must have arity {_REIFIED_PREDS[fact.pred]}")
         if fact.pred == "atom":
             name = symbol(fact.args[0], "atom", fact)
             if name in atom_idx:
-                raise DuplicateIdError(f"atom id {name!r} declared twice")
+                raise DuplicateIdError(f"atom id {_clip(name)!r} declared twice")
             atom_idx[name] = len(atoms)
             atoms.append(name)
         elif fact.pred == "rule":
             name = symbol(fact.args[0], "rule", fact)
             if name in rule_idx:
-                raise DuplicateIdError(f"rule id {name!r} declared twice")
+                raise DuplicateIdError(f"rule id {_clip(name)!r} declared twice")
             rule_idx[name] = len(rule_ids)
             rule_ids.append(name)
             parts[name] = [[], [], []]
@@ -604,9 +601,13 @@ def parse_reified(text: str) -> GroundProgram:
         rid = symbol(fact.args[0], "rule", fact)
         aid = symbol(fact.args[1], "atom", fact)
         if rid not in rule_idx:
-            raise DanglingReferenceError(f"{fact} references undeclared rule {rid!r}")
+            raise DanglingReferenceError(
+                f"{_clip(fact)} references undeclared rule {_clip(rid)!r}"
+            )
         if aid not in atom_idx:
-            raise DanglingReferenceError(f"{fact} references undeclared atom {aid!r}")
+            raise DanglingReferenceError(
+                f"{_clip(fact)} references undeclared atom {_clip(aid)!r}"
+            )
         parts[rid][slot[fact.pred]].append(atom_idx[aid])
 
     rules = [

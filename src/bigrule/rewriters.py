@@ -312,101 +312,41 @@ def qbf3_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
 
 # ------------------------------------------------ reduct-check construction --
 
-class ReductRuleBuilder:
-    """Assembles the subset-minimality constraint body: B_subset guesses a
-    pointwise smaller assignment, B_neq forces it properly smaller through
-    an or/3 chain, B_model checks it models the reduct. Hypothesis atoms,
-    when given, are pinned equal (they are facts of the extended program)."""
+def reduct_rule(gp: GroundProgram, atom_ids, head, hypotheses=frozenset()) -> Rule:
+    """The subset-minimality constraint body: B_subset guesses a pointwise
+    smaller assignment Y, B_neq forces it properly smaller through an or/3
+    chain, B_model checks it models the reduct. Hypothesis atoms are pinned
+    equal (they are facts of the extended program)."""
+    x = [Variable(f"X_{aid}") for aid in atom_ids]
+    y = [Variable(f"Y_{aid}") for aid in atom_ids]
+    literals: list[Literal] = []
+    equations: list[Comparison] = []
+    for i, aid in enumerate(atom_ids):
+        literals.append(pos(Atom("assign", (Constant(aid), x[i]))))
+        if i in hypotheses:
+            # Guessed hypotheses are facts of the extended program, so
+            # the reduct candidate must agree; oriented to keep Y safe.
+            equations.append(Comparison("=", y[i], x[i]))
+        else:
+            literals.append(pos(Atom("leq", (y[i], x[i]))))
 
-    def __init__(self, gp: GroundProgram, atom_ids, hypotheses: frozenset[int] | None = None):
-        self.gp = gp
-        self.atom_ids = list(atom_ids)
-        self.hypotheses = hypotheses or frozenset()
-        self.model_var = {
-            i: (Variable(f"X_{aid}"), Variable(f"Y_{aid}"))
-            for i, aid in enumerate(self.atom_ids)
-        }
+    def chain(name: str, middles: list) -> None:
+        """or/3 links name0 .. nameK over the middles, from 0 to 1."""
+        links = [Variable(f"{name}{k}") for k in range(len(middles) + 1)]
+        equations.append(Comparison("=", links[0], Integer(0)))
+        for k, middle in enumerate(middles):
+            literals.append(pos(Atom("or", (links[k], middle, links[k + 1]))))
+        equations.append(Comparison("=", links[-1], Integer(1)))
 
-    def subset_literals(self):
-        literals: list[Literal] = []
-        equations: list[Comparison] = []
-        for i, aid in enumerate(self.atom_ids):
-            x_var, y_var = self.model_var[i]
-            literals.append(pos(Atom("assign", (Constant(aid), x_var))))
-            if i in self.hypotheses:
-                # Guessed hypotheses are facts of the extended program, so
-                # the reduct candidate must agree; oriented to keep Y safe.
-                equations.append(Comparison("=", y_var, x_var))
-            else:
-                literals.append(pos(Atom("leq", (y_var, x_var))))
-        return literals, equations
-
-    def neq_elements(self):
-        literals: list[Literal] = []
-        equations: list[Comparison] = [Comparison("=", Variable("N0"), Integer(0))]
-        for i in range(len(self.gp.atoms)):
-            x_var, y_var = self.model_var[i]
-            literals.append(
-                pos(
-                    Atom(
-                        "or",
-                        (Variable(f"N{i}"), Arith("-", x_var, y_var), Variable(f"N{i + 1}")),
-                    )
-                )
-            )
-        equations.append(
-            Comparison("=", Variable(f"N{len(self.gp.atoms)}"), Integer(1))
+    chain("N", [Arith("-", xi, yi) for xi, yi in zip(x, y)])
+    for r_index, rule in enumerate(gp.rules):
+        chain(
+            f"R{r_index}_",
+            [y[i] for i in rule.head]
+            + [Arith("-", Integer(1), y[i]) for i in rule.pos]
+            + [x[i] for i in rule.neg],
         )
-        return literals, equations
-
-    def model_elements(self):
-        literals: list[Literal] = []
-        equations: list[Comparison] = []
-        for r_index, rule in enumerate(self.gp.rules):
-            chain = 0
-            equations.append(
-                Comparison("=", Variable(f"R{r_index}_0"), Integer(0))
-            )
-            for i in rule.head:
-                _, y_var = self.model_var[i]
-                literals.append(self._or_link(r_index, chain, y_var))
-                chain += 1
-            for i in rule.pos:
-                _, y_var = self.model_var[i]
-                literals.append(
-                    self._or_link(r_index, chain, Arith("-", Integer(1), y_var))
-                )
-                chain += 1
-            for i in rule.neg:
-                x_var, _ = self.model_var[i]
-                literals.append(self._or_link(r_index, chain, x_var))
-                chain += 1
-            equations.append(
-                Comparison("=", Variable(f"R{r_index}_{chain}"), Integer(1))
-            )
-        return literals, equations
-
-    def _or_link(self, r_index: int, position: int, middle) -> Literal:
-        return pos(
-            Atom(
-                "or",
-                (
-                    Variable(f"R{r_index}_{position}"),
-                    middle,
-                    Variable(f"R{r_index}_{position + 1}"),
-                ),
-            )
-        )
-
-    def build(self, head: tuple[Atom, ...]) -> Rule:
-        subset_lits, subset_eqs = self.subset_literals()
-        neq_lits, neq_eqs = self.neq_elements()
-        model_lits, model_eqs = self.model_elements()
-        return Rule(
-            head=head,
-            pos_body=tuple(subset_lits + neq_lits + model_lits),
-            arith=tuple(subset_eqs + neq_eqs + model_eqs),
-        )
+    return Rule(head=tuple(head), pos_body=tuple(literals), arith=tuple(equations))
 
 
 _TRUTH_TABLE_FACTS = (
@@ -467,7 +407,7 @@ def disjunctive_to_normal(gp: GroundProgram) -> Program:
             neg_body=(neg(Atom("sat", (var_r,))),),
         ),
     ]
-    rules.append(ReductRuleBuilder(gp, atom_ids).build(head=()))
+    rules.append(reduct_rule(gp, atom_ids, head=()))
     return Program(rules, facts)
 
 
@@ -528,7 +468,5 @@ def abduction_encoding(inst: AbductionInstance) -> Program:
         violated += [pos(Atom("assign", (Constant(atom_ids[i]), one))) for i in rule.pos]
         violated += [pos(Atom("assign", (Constant(atom_ids[i]), zero))) for i in rule.neg]
         rules.append(Rule(head=(sat,), pos_body=tuple(violated)))
-    rules.append(
-        ReductRuleBuilder(gp, atom_ids, frozenset(inst.hypotheses)).build(head=(sat,))
-    )
+    rules.append(reduct_rule(gp, atom_ids, (sat,), inst.hypotheses))
     return Program(rules, facts)

@@ -87,18 +87,6 @@ def _prec(op: str) -> int:
     return 1 if op in ("+", "-") else 2
 
 
-def v(name: str) -> Variable:
-    return Variable(name)
-
-
-def c(name: str) -> Constant:
-    return Constant(name)
-
-
-def n(value: int) -> Integer:
-    return Integer(value)
-
-
 def term_variables(term: Term) -> Iterator[str]:
     """All variable names in a term, in occurrence order."""
     if isinstance(term, Variable):
@@ -163,22 +151,6 @@ class Atom:
 
     def is_ground(self) -> bool:
         return not any(True for _ in _atom_vars(self))
-
-
-def atom(pred: str, *args: "Term | str | int") -> Atom:
-    """Convenience constructor: bare strings become variables or constants
-    by their leading character, ints become integer terms."""
-    return Atom(pred, tuple(_coerce(a) for a in args))
-
-
-def _coerce(x) -> Term:
-    if isinstance(x, (Variable, Constant, Integer, Arith)):
-        return x
-    if isinstance(x, int):
-        return Integer(x)
-    if isinstance(x, str):
-        return Variable(x) if x[0].isupper() else Constant(x)
-    raise TypeError(f"cannot make a term from {x!r}")
 
 
 def _atom_vars(a: Atom) -> Iterator[str]:
@@ -277,25 +249,10 @@ class Rule:
         body = ", ".join(parts)
         return f"{head} :- {body}." if head else f":- {body}."
 
-    @property
-    def is_normal(self) -> bool:
-        return len(self.head) <= 1
-
     def body_elements(self):
         """Body units in canonical order: positive, negative, arithmetic,
         aggregates. Each is treated as one unit by the Gaifman graph."""
         return (*self.pos_body, *self.neg_body, *self.arith, *self.aggregates)
-
-
-def rule(head=(), pos_body=(), neg_body=(), arith=(), aggregates=()) -> Rule:
-    return Rule(tuple(head), tuple(pos_body), tuple(neg_body), tuple(arith), tuple(aggregates))
-
-
-def fact_atom(pred: str, *args) -> Atom:
-    a = atom(pred, *args)
-    if not a.is_ground():
-        raise ValueError(f"fact must be ground: {a}")
-    return a
 
 
 # ---------------------------------------------------------------- program --
@@ -417,13 +374,12 @@ class GroundRule:
 class GroundProgram:
     """Propositional program: an indexed atom table plus index-based rules."""
 
-    __slots__ = ("atoms", "rules", "_index")
+    __slots__ = ("atoms", "rules")
 
     def __init__(self, atoms: Iterable[Atom] = (), rules: Iterable[GroundRule] = ()):
         self.atoms: tuple[Atom, ...] = tuple(atoms)
         self.rules: tuple[GroundRule, ...] = tuple(rules)
-        self._index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
-        if len(self._index) != len(self.atoms):
+        if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate atom in ground program atom table")
         bound = len(self.atoms)
         for r in self.rules:
@@ -438,9 +394,6 @@ class GroundProgram:
 
     def __repr__(self):
         return f"GroundProgram({len(self.atoms)} atoms, {len(self.rules)} rules)"
-
-    def index_of(self, a: Atom) -> int:
-        return self._index[a]
 
     def rule_str(self, r: GroundRule) -> str:
         head = " | ".join(str(self.atoms[i]) for i in r.head)

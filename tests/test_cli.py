@@ -175,6 +175,28 @@ def test_deep_terms_exit_1(capsys, tmp_path, command, text, message):
     assert run_cli(capsys, command, str(src)) == (1, "", f"error: line 1, {message}\n")
 
 
+LONG = "b" * 5000
+
+
+@pytest.mark.parametrize(
+    "mode, text",
+    [
+        ("qbf2", f"p cnf 2 1\na {'1' * 5000} 0\ne 2 0\n1 2 0\n"),
+        ("qbf2", f"p cnf 2 1\na 1 0\ne 2 0\n1 {LONG} 0\n"),
+        ("qbf2", f"p cnf 2 1\na 1 0\ne 2 0\n1 {'1' * 4000} 0\n"),
+        ("3col", f"a {LONG.upper()}\n"),
+        ("shift", f"atom(a). rule(r0). head(r0,{LONG}).\n"),
+    ],
+    ids=["quantifier-token", "clause-token", "clause-literal", "vertex-name", "reified-fact"],
+)
+def test_long_input_token_is_quoted_short(capsys, tmp_path, mode, text):
+    src = tmp_path / "long.txt"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "rewrite", mode, str(src))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "…" in err and len(err) < 120
+
+
 def test_limit_error_exit_4(capsys, tmp_path):
     src = tmp_path / "big.lp"
     src.write_text("p(1).\np(Y) :- p(X), Y = X+1.\n")

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from bigrule import oracle
 from bigrule.errors import (
     DivisionByZeroError,
     GroundingLimitError,
@@ -529,9 +530,58 @@ def test_ground_aggregate_over_derived_deterministic_predicate():
     assert any(t.startswith("ok") for t in texts)
 
 
-def test_ground_aggregate_rejects_nondeterministic_condition():
-    program = parse_program(
-        "c(a).\np(X) | q(X) :- c(X).\nok :- #count{X : p(X)} >= 1, c(X)."
-    )
+@pytest.mark.parametrize(
+    "text",
+    [
+        "c(a).\np(X) | q(X) :- c(X).\nok :- #count{X : p(X)} >= 1, c(X).",
+        "e(a,b). e(b,c).\nr(X,Y) :- e(X,Y).\nr(X,Z) :- r(X,Y), e(Y,Z).\n"
+        "ok :- #count{X,Y : r(X,Y)} >= 1.",
+        "c(a). c(b).\nd(X) :- c(X), X != a.\np(X) :- c(X), not d(X).\n"
+        "ok :- #count{X : p(X)} >= 1.",
+        "c(a).\np(X) :- c(X), #count{Y : c(Y)} >= 1.\nok :- #count{X : p(X)} >= 1.",
+        "c(a).\nd(X) | e(X) :- c(X).\np(X) :- c(X), d(X).\nok :- #count{X : p(X)} >= 1.",
+    ],
+    ids=["disjunctive", "recursive", "negates-derived", "has-aggregate", "uses-disjunctive"],
+)
+def test_ground_aggregate_rejects_nondeterministic_condition(text):
     with pytest.raises(UnsupportedAggregateError):
-        ground(program)
+        ground(parse_program(text))
+
+
+def test_ground_aggregate_over_two_level_derived_chain():
+    program = parse_program(
+        "e(a,b). e(b,c). f(b).\nl1(X,Y) :- e(X,Y).\nl2(X) :- l1(X,Y), not f(X).\n"
+        "one :- #count{X : l2(X)} = 1.\ntwo :- #count{X : l2(X)} = 2."
+    )
+    gp = ground(program).ground_program
+    texts = {gp.rule_str(r) for r in gp.rules}
+    assert "one." in texts
+    assert not any(t.startswith("two") for t in texts)
+
+
+def test_aggregate_fragment_closure_carries_the_budget(monkeypatch):
+    limits = []
+    closure = oracle._closure
+
+    def spy(units, store, keep=None, limit=None, spent=0):
+        limits.append(limit)
+        return closure(units, store, keep, limit, spent)
+
+    monkeypatch.setattr(oracle, "_closure", spy)
+    program = parse_program(
+        "e(a,b). e(b,c).\nl(X,Y) :- e(X,Y).\nok :- #count{X,Y : l(X,Y)} = 2."
+    )
+    ground(program, max_ground_rules=500)
+    assert limits == [500, 500]
+
+
+def test_aggregate_fragment_limit_names_the_program_rule():
+    facts = "".join(f"n({k}).\n" for k in range(10))
+    program = parse_program(
+        facts + "q :- #count{X : n(X)} >= 1.\nd(X,Y,Z) :- n(X), n(Y), n(Z)."
+    )
+    with pytest.raises(GroundingLimitError) as info:
+        ground(program, max_ground_rules=100)
+    message = str(info.value)
+    assert "exceeds 100 rule instances" in message
+    assert "at rule 1 `d(X,Y,Z) :- n(X), n(Y), n(Z).`" in message

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 
@@ -30,18 +31,18 @@ from bigrule.parse import (
 )
 from bigrule.rewriters import (
     AbductionInstance,
-    ReductRuleBuilder,
     abduction_encoding,
     disjunctive_to_normal,
     qbf2_classic,
     qbf2_large_rule,
     qbf3_large_rule,
+    reduct_rule,
     threecol_second_level,
     threecol_single_rule,
 )
 from bigrule.syntax import Atom, Constant, GroundProgram, GroundRule, Integer, is_safe
 
-from corpus import random_qbf2, random_qbf3
+from corpus import random_abduction, random_ground_program, random_qbf2, random_qbf3
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -319,10 +320,11 @@ def test_disjunctive_to_normal_with_colliding_atom_ids():
 
 def test_disjunctive_to_normal_neq_chain_shape():
     gp = gp_of(["a", "b"], [(("a", "b"), (), ())])
-    builder = ReductRuleBuilder(gp, ["a", "b"])
-    lits, eqs = builder.neq_elements()
-    assert [str(e) for e in eqs] == ["N0 = 0", "N2 = 1"]
-    assert [str(l) for l in lits] == ["or(N0,X_a-Y_a,N1)", "or(N1,X_b-Y_b,N2)"]
+    rule = reduct_rule(gp, ["a", "b"], head=())
+    eqs = [str(e) for e in rule.arith if str(e).startswith("N")]
+    lits = [str(l) for l in rule.pos_body if str(l).startswith("or(N")]
+    assert eqs == ["N0 = 0", "N2 = 1"]
+    assert lits == ["or(N0,X_a-Y_a,N1)", "or(N1,X_b-Y_b,N2)"]
 
 
 def test_disjunctive_to_normal_empty_program():
@@ -335,9 +337,45 @@ def test_disjunctive_to_normal_empty_program():
 
 def test_reduct_rule_is_safe():
     gp = gp_of(["a", "b", "c"], [(("a", "b"), ("c",), ()), (("c",), (), ("a",))])
-    rule = ReductRuleBuilder(gp, ["a", "b", "c"]).build(head=())
+    rule = reduct_rule(gp, ["a", "b", "c"], head=())
     ok, unsafe = is_safe(rule)
     assert ok, unsafe
+
+
+# ------------------------------------------------------------ golden output --
+#
+# sha256 of the printed rewriter output over fixed seeded corpora. The
+# digests were taken before the subset-minimality constraint became the
+# function `reduct_rule`; never regenerate them to make a change pass.
+# 35 of the 60 abduction instances have hypotheses, so the `Y_h = X_h`
+# pinning is covered.
+
+
+def _print_digest(programs) -> str:
+    h = hashlib.sha256()
+    for program in programs:
+        h.update(print_program(program).encode())
+    return h.hexdigest()
+
+
+def test_disjunctive_to_normal_matches_golden_digest():
+    rng = random.Random(0xD150)
+    programs = [
+        disjunctive_to_normal(random_ground_program(rng, max_atoms=7, max_rules=9))
+        for _ in range(60)
+    ]
+    assert _print_digest(programs) == (
+        "ac798fb150ab84b35890ddc8650a22368199a77979ba5bb53f830d6ed3eafa24"
+    )
+
+
+def test_abduction_encoding_matches_golden_digest():
+    rng = random.Random(0xAB0C)
+    instances = [random_abduction(rng, max_atoms=6, max_hyp=3) for _ in range(60)]
+    assert sum(1 for inst in instances if inst.hypotheses) == 35
+    assert _print_digest(abduction_encoding(inst) for inst in instances) == (
+        "a21f6f6f4cdbe5a6aee41ba20d369d93b9ae8145fbc3b52bc66088049a327416"
+    )
 
 
 # -------------------------------------------------------------- abduction ---
