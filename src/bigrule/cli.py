@@ -182,7 +182,7 @@ def _run_rewrite(args) -> int:
         out = set()
         for token in _read(path).split():
             if token not in ids:
-                raise InputSemanticsError(f"unknown atom id {token!r}")
+                raise InputSemanticsError(f"unknown atom id {parse._clip(token)!r}")
             out.add(ids[token])
         return frozenset(out)
 

@@ -14,20 +14,30 @@ the records once the closure is complete. Aggregate conditions run on the
 same plans, over the deterministic sub-program's least model.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
-in negative bodies or disjunctive heads), propagates lower/upper bounds
-between decisions, and at each leaf checks modelhood and support in one
-pass over the rules, then subset-minimality against the reduct. It
-propagates once before the first decision and searches only the rules
-that this root assignment leaves open, starting every closure from the
-atoms it made true. Rules,
-truth assignments and atom sets are bitmasks. Every upper bound is one
-Horn closure: a single forward sweep when each rule comes after all rules
-heading its positive body atoms (the usual shape of decomposed programs),
-otherwise sweeps until nothing changes. The decision search and the
-minimality search run depth first on explicit stacks, so search depth is
-not limited by recursion depth. A literal subset-enumeration variant is
-kept for cross-checking; both return exactly the answer sets of the
-textbook reduct semantics.
+in negative bodies or disjunctive heads). Rules, truth assignments and atom
+sets are bitmasks. Between decisions it propagates in rounds, each one sweep
+over the rules with the Clark-completion steps of clasp (Gebser, Kaufmann &
+Schaub, AIJ 2012): forward, a rule whose body holds makes its only head atom
+that can still be true true; backward, a rule whose head atoms are all false
+makes its last undecided body literal fail; support, an atom made true below
+the root with exactly one rule left that can support it forces that rule's
+body true and its other head atoms false. Atoms outside the upper bound are
+false. Every upper bound is one Horn closure: a single forward sweep when
+each rule comes after all rules heading its positive body atoms (the usual
+shape of decomposed programs), otherwise sweeps until nothing changes; it is
+computed again only when a round could shrink it. The root, before the first
+decision, propagates forward only: the search counts the atoms it made true
+as supported by the rules it settles, which holds only for atoms the forward
+step derives. The search covers only the rules the root leaves open,
+starting every closure from the atoms the root made true. Each leaf is
+checked for modelhood and support in one pass over the rules, then for
+subset-minimality against the reduct. Propagation prunes only branches
+without answer sets, so answer sets come out in lexicographic order of the
+decision atoms, true first. The decision search and the minimality search
+run depth first on explicit stacks, so search depth is not limited by
+recursion depth. A literal subset-enumeration variant is kept for
+cross-checking; both return exactly the answer sets of the textbook reduct
+semantics.
 """
 
 from __future__ import annotations
@@ -609,15 +619,28 @@ class _AggregateContext:
                 else:
                     fragment.append(units[i])
 
-        # Least model of the deterministic rules: an instance whose negated
-        # atom is a fact never fires. Its matches count against the same
-        # limit as the main closure's, on their own.
+        # Only the rules whose head reaches a condition predicate through
+        # positive bodies matter; in reverse order a rule comes before the
+        # rules defining its body predicates.
+        read = {
+            l.atom.pred for r in program.rules for agg in r.aggregates for l in agg.condition
+        }
+        needed = []
+        for unit in reversed(fragment):
+            pred = unit.rule.head[0].pred
+            if pred in read and pred not in self.outside:
+                needed.append(unit)
+                read.update(l.atom.pred for l in unit.rule.pos_body)
+
+        # Least model of those rules: an instance whose negated atom is a
+        # fact never fires. Its matches count against the same limit as the
+        # main closure's, on their own.
         self.store = _Store()
         for key in fact_order:
             self.store.add(key)
         fact_keys = set(fact_order)
         _closure(
-            [u for u in fragment if u.rule.head[0].pred not in self.outside],
+            needed[::-1],
             self.store,
             lambda unit, b: not any(fn(b) in fact_keys for fn in unit.neg),
             limit,
@@ -787,45 +810,92 @@ def _minimal_below(mask_rules, m: int, ordered: bool, lo: int = 0) -> bool:
     return True
 
 
-def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int):
-    """Extend the assignment (t, f) to its fixpoint, or None on a conflict.
-    Upper bounds are Horn closures from `lo`, a set of atoms every bound
-    contains."""
+def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int,
+               negs: int, close: bool = True, *, _search: bool = True):
+    """Extend the assignment (t, f) to its fixpoint, or None on a conflict:
+    forward steps, and in the search backward and support steps for the
+    atoms of t outside `lo`, a set of atoms every upper bound contains. An
+    atom no rule can support is a conflict. The bound's closure runs when
+    `close` is set and after a round that makes an atom false (it lies
+    inside the bound) or makes true an atom of `negs`, the atoms of the
+    rules' negative bodies; no other change can shrink the bound."""
     while True:
-        hi = _horn_closure(mask_rules, ordered, lo, t, f)
-        if t & ~hi:
-            return None
-        new_f = f | (universe & ~hi)
-        new_t = t
-        missing = ~t
-        for h, p, g in mask_rules:
-            # new_t stays below hi, so `g & hi` also skips the rules
-            # that new_t blocks; the others may still leave the reduct.
-            if g & hi or p & missing:
-                continue
-            live = h & hi
-            if not live:
+        if close:
+            hi = _horn_closure(mask_rules, ordered, lo, t, f)
+            if t & ~hi:
                 return None
-            if not (live & new_t) and not (live & (live - 1)):
-                new_t |= live
-                missing = ~new_t
-        if new_t == t and new_f == f:
-            return t, f
-        if new_t & new_f:
+            f |= universe & ~hi
+        t_in, f_in = t, f
+        need = t & ~lo if _search else 0
+        # Rules that can support each atom of `need`: in `once` for one, also
+        # in `twice` for two or more; `sole` holds the last one seen. An atom
+        # whose support is settled (body true, other head atoms false) goes
+        # into both, as nothing is left to force. Support counts only atoms
+        # true at the round's start, whose rules are all swept after them.
+        once = twice = 0
+        sole = {}
+        open_t, open_f = ~t, ~f
+        for rule in mask_rules:
+            h, p, g = rule
+            if p & f or g & t:
+                continue
+            body = p & open_t | g & open_f  # the undecided body literals
+            live = h & open_f
+            if not body:
+                if not live:
+                    return None
+                if not live & t:
+                    if not live & (live - 1):
+                        t |= live
+                        open_t = ~t
+                    continue
+            elif not live:
+                if _search and not body & (body - 1):
+                    if body & p:
+                        f |= body
+                        open_f = ~f
+                    else:
+                        t |= body
+                        open_t = ~t
+                continue
+            true = h & t
+            if true & need and not true & (true - 1):
+                if body or live != true:
+                    twice |= once & true
+                    sole[true] = rule
+                else:
+                    twice |= true
+                once |= true
+        if need & ~once:
             return None
-        t, f = new_t, new_f
+        forced = need & ~twice
+        while forced:
+            bit = forced & -forced
+            forced ^= bit
+            h, p, g = sole[bit]
+            t |= p
+            f |= g | h & ~bit
+        if t & f:
+            return None
+        if t == t_in and f == f_in:
+            return t, f
+        close = f != f_in or t & ~t_in & negs
 
 
 def _root_residual(mask_rules, ordered: bool, universe: int):
-    """Propagate once at the root, with no decision made. None on a
-    conflict, else (t0, f0, rest): the root assignment and, in their order,
-    the rules it leaves open. A rule is dropped when its body can never
-    hold (a positive atom in f0 or a negative one in t0) or when all its
-    atoms are assigned, so that its body holds and a head atom is in t0.
-    Each atom of t0 is the only true head atom, at every leaf, of the rule
-    that derived it, which is dropped: t0 is supported."""
-    pt = _horn_closure(mask_rules, ordered)
-    root = _propagate(mask_rules, ordered, universe, 0, 0, universe & ~pt)
+    """Propagate once at the root, with no decision made and forward only.
+    None on a conflict, else (t0, f0, rest): the root assignment and, in
+    their order, the rules it leaves open. A rule is dropped when its body
+    can never hold (a positive atom in f0 or a negative one in t0) or when
+    all its atoms are assigned, so that its body holds and a head atom is in
+    t0. Each atom of t0 is the only true head atom, at every leaf, of the
+    rule that derived it, which is dropped: t0 is supported. That holds
+    only for atoms the forward step derives, which is why the backward and
+    support steps wait for the search."""
+    negs = 0
+    for _, _, g in mask_rules:
+        negs |= g
+    root = _propagate(mask_rules, ordered, universe, 0, 0, 0, negs, _search=False)
     if root is None:
         return None
     t0, f0 = root
@@ -849,25 +919,31 @@ def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
     # upper bound below the root and in every model of a leaf's reduct.
     t0, f0, rest = root
     # Atoms that can never be true are in f0, so they are never open.
-    decided_mask = 0
+    decided_mask = negs = 0
     for h, _, g in mask_rules:
         decided_mask |= g
         if h & (h - 1):
             decided_mask |= h
+    for _, _, g in rest:
+        negs |= g
 
     # Depth first over the decision atoms in index order, true branch first.
+    # An entry's flag says whether its bound needs a new closure: not at the
+    # root, whose bound f0 holds, nor after making true an atom of no
+    # negative body.
     results: list[int] = []
-    stack = [(t0, f0)]
+    stack = [(t0, f0, False)]
     while stack:
-        state = _propagate(rest, ordered, universe, t0, *stack.pop())
+        t, f, close = stack.pop()
+        state = _propagate(rest, ordered, universe, t0, t, f, negs, close)
         if state is None:
             continue
         t, f = state
         open_bits = decided_mask & ~(t | f)
         if open_bits:
             bit = open_bits & -open_bits
-            stack.append((t, f | bit))
-            stack.append((t | bit, f))
+            stack.append((t, f | bit, True))
+            stack.append((t | bit, f, bit & negs != 0))
         elif _supported_model(rest, t, t0) and _minimal_below(rest, t, ordered, t0):
             results.append(t)
             if first_only:

@@ -308,6 +308,22 @@ def test_rewrite_abduce_full_flow(capsys, tmp_path):
     assert "hyp(h)." in out and "sat :- assign(m,1)." in out
 
 
+def test_rewrite_abduce_unknown_long_id_is_clipped(capsys, tmp_path):
+    reified = tmp_path / "gp.lp"
+    reified.write_text("atom(h). atom(m). rule(r0). head(r0,m). pos(r0,h).\n")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("x" * 5000 + "\n")
+    man = tmp_path / "man.txt"
+    man.write_text("m\n")
+    code, out, err = run_cli(
+        capsys, "rewrite", "abduce", str(reified), "--hyp", str(hyp), "--man", str(man)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown atom id 'xxx")
+    assert err.count("\n") == 1 and len(err) < 120
+    assert "Traceback" not in err
+
+
 def test_auto_rename_flag(capsys, tmp_path):
     src = tmp_path / "clash.lp"
     src.write_text("temp_0(a).\np(X) :- temp_0(X).\n")

@@ -17,6 +17,7 @@ from bigrule.errors import (
 )
 from bigrule.oracle import (
     _Plan,
+    _enumerate_answer_sets,
     _is_ordered,
     _minimal_below,
     _root_residual,
@@ -236,6 +237,53 @@ def test_answer_sets_agree_with_naive_on_corpus():
             assert answer_sets(program, max_atoms=10) == naive
     assert ordered[True] >= 100 and ordered[False] >= 100
     assert partial >= 80
+
+
+def test_enumeration_order_is_decision_order():
+    # The search returns answer sets in lexicographic order of the decision
+    # atoms (those in negative bodies or disjunctive heads), true before
+    # false, however much propagation prunes; `first_only` keeps the first.
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(600):
+        gp = random_ground_program(rng, max_atoms=9, max_rules=14)
+        naive = answer_sets_naive(gp)
+        for rules in (gp.rules, gp.rules[::-1]):
+            decisions = sorted(
+                {i for r in rules for i in r.neg}
+                | {i for r in rules if len(r.head) > 1 for i in r.head}
+            )
+            expected = sorted(
+                (sum(1 << i for i in s.true_atoms) for s in naive),
+                key=lambda m: [not m >> i & 1 for i in decisions],
+            )
+            program = GroundProgram(gp.atoms, rules)
+            for first_only in (True, False):
+                found = _enumerate_answer_sets(program, first_only)
+                assert found == (expected[:1] if first_only else expected)
+                checked += 1
+    assert checked == 2400
+
+
+def test_root_propagates_forward_only():
+    # Making a true at the root because `:- not a.` needs it would count a
+    # as supported by the dropped constraint, and {a, d, e}, where neither
+    # `a :- b.` nor `a :- c.` fires, would pass as an answer set.
+    gp = gp_of(
+        ["a", "b", "c", "d", "e"],
+        [
+            ((), (), ("a",)),
+            (("a",), ("b",), ()),
+            (("a",), ("c",), ()),
+            (("b",), (), ("d",)),
+            (("d",), (), ("b",)),
+            (("c",), (), ("e",)),
+            (("e",), (), ("c",)),
+        ],
+    )
+    expected = [["a", "b", "c"], ["a", "b", "e"], ["a", "c", "d"]]
+    assert as_names(gp, answer_sets(gp)) == expected
+    assert as_names(gp, answer_sets_naive(gp)) == expected
 
 
 def test_answer_sets_antichain_and_modelhood():
@@ -585,3 +633,28 @@ def test_aggregate_fragment_limit_names_the_program_rule():
     message = str(info.value)
     assert "exceeds 100 rule instances" in message
     assert "at rule 1 `d(X,Y,Z) :- n(X), n(Y), n(Z).`" in message
+
+
+def test_aggregate_fragment_grounds_only_rules_conditions_read(monkeypatch):
+    # `d` feeds no aggregate condition, so the fragment store holds no `d`
+    # atom; `m` is read positively and `e` negated, so both are closed.
+    stores = []
+    init = oracle._AggregateContext.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        stores.append(self.store)
+
+    monkeypatch.setattr(oracle._AggregateContext, "__init__", spy)
+    facts = "".join(f"n({k}).\n" for k in range(10))
+    program = parse_program(
+        facts + "d(X,Y,Z) :- n(X), n(Y), n(Z).\nm(X) :- n(X).\ne(X) :- m(X), X > 5.\n"
+        "q :- #count{X : m(X), not e(X)} = 6."
+    )
+    gp = ground(program).ground_program
+    (store,) = stores
+    assert "d" not in store.by_pred
+    assert len(store.by_pred["m"]) == 10 and len(store.by_pred["e"]) == 4
+    texts = {gp.rule_str(r) for r in gp.rules}
+    assert "q." in texts
+    assert sum(t.startswith("d(") for t in texts) == 1000
