@@ -51,6 +51,13 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def count(text: str) -> int:
+    """A non-negative integer option; argparse makes a ValueError a usage error."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _write_out(args, text: str):
     if args.output == "-":
         sys.stdout.write(text)
@@ -90,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     limits = argparse.ArgumentParser(add_help=False)
-    limits.add_argument("--max-atoms", type=int, default=24)
-    limits.add_argument("--max-ground-rules", type=int, default=200_000)
+    limits.add_argument("--max-atoms", type=count, default=24)
+    limits.add_argument("--max-ground-rules", type=count, default=200_000)
 
     p_dec = sub.add_parser("decompose", parents=[common_decomp], help="split large rules")
     p_dec.add_argument("program")
@@ -104,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rew.add_argument("input")
     p_rew.add_argument("--hyp", help="hypothesis ids file (abduce)")
     p_rew.add_argument("--man", help="manifestation ids file (abduce)")
-    p_rew.add_argument("--max-tuple-width", type=int, default=12)
+    p_rew.add_argument("--max-tuple-width", type=count, default=12)
 
     p_ground = sub.add_parser("ground", parents=[limits], help="print the ground program")
     p_ground.add_argument("program")

@@ -10,8 +10,11 @@ length is not limited by recursion depth. The possibly-true closure visits
 the strongly connected components of the positive dependency graph in
 topological order: a non-recursive component is joined once, a recursive
 one until it adds nothing. Every match is recorded, and emission reads
-the records once the closure is complete. Aggregate conditions run on the
-same plans, over the deterministic sub-program's least model.
+the records once the closure is complete. It numbers atoms in order of first
+use: facts, then rule by rule the instances sorted by binding, each with its
+head, positive and negative atoms in turn, once none of its negated atoms is
+a fact. Aggregate conditions run on the same plans, over the deterministic
+sub-program's least model.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads). Rules, truth assignments and atom
@@ -122,7 +125,7 @@ def _getter(positions):
     """The tuple of values at `positions`."""
     if len(positions) == 1:
         (only,) = positions
-        return lambda t: (t[only],)
+        return itemgetter(slice(only, only + 1))
     return _key_getter(positions)
 
 
@@ -327,18 +330,16 @@ def _term_fn(term, slots):
     return lambda b: eval_term(term, {vn: b[slot] for vn, slot in where.items()})
 
 
-def _atom_fn(a: Atom, plan: _Plan):
-    """The ground key of an atom over a binding tuple; the plan's binding
-    carries the atom's constants."""
-    pred = a.pred
+def _atom_key(a: Atom, plan: _Plan) -> tuple:
+    """`(pred, args_of)`: the atom's ground key over a binding b is `(pred,
+    args_of(b))`. The plan's binding carries the atom's constants."""
     if not any(isinstance(arg, Arith) for arg in a.args):
-        args_of = _getter([
+        return a.pred, _getter([
             plan.slots[arg.name] if isinstance(arg, Variable) else plan.consts[_ground_value(arg)]
             for arg in a.args
         ])
-        return lambda b: (pred, args_of(b))
     fns = [_term_fn(arg, plan.slots) for arg in a.args]
-    return lambda b: (pred, tuple(fn(b) for fn in fns))
+    return a.pred, lambda b: tuple([fn(b) for fn in fns])
 
 
 # Operations are (is_filter, fn): a filter keeps the bindings fn accepts,
@@ -398,9 +399,9 @@ def _matches(plan: _Plan, store: _Store, entry: tuple):
 
 class _RulePlan:
     """A rule compiled for the closure and for emission: its body plan, and
-    the ground keys of its head, positive and negative atoms over a
-    binding. `values` reads the variables in name order; `index` is the
-    rule's position in its program, which errors name."""
+    the keys (`_atom_key`) of its head, positive and negative atoms. `values`
+    reads the variables in name order; `index` is the rule's position in its
+    program, which errors name."""
 
     __slots__ = ("rule", "index", "plan", "heads", "pos", "neg", "names", "values")
 
@@ -415,8 +416,8 @@ class _RulePlan:
         self.pos = tuple(
             (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
         )
-        self.heads = tuple(_atom_fn(a, plan) for a in rule.head)
-        self.neg = tuple(_atom_fn(a, plan) for a in negated)
+        self.heads = tuple(_atom_key(a, plan) for a in rule.head)
+        self.neg = tuple(_atom_key(a, plan) for a in negated)
 
 
 def _components(rules) -> list[tuple[list[int], bool]]:
@@ -469,8 +470,8 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                             )
                         if keep is None or keep(unit, b):
                             kept.append(b)
-                            for head in unit.heads:
-                                store.add(head(b))
+                            for pred, args_of in unit.heads:
+                                store.add((pred, args_of(b)))
                 except IntegerRangeError as exc:
                     raise IntegerRangeError(
                         f"{exc} at rule {unit.index} `{unit.rule}`"
@@ -533,34 +534,48 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
         units, store, keep if agg_eval else None, max_ground_rules, len(fact_order)
     )
 
-    # Emission, with negative-literal simplification against the closure.
-    # Atoms are numbered in order of first use.
+    # Emission, with negative-literal simplification against the closure. A
+    # list of atoms can repeat one only if two of them share a predicate.
     number = _Numbering()
-    ground_rules = [GroundRule((number[key],), (), ()) for key in fact_order]
+    num = number.__getitem__
+    ground_rules = [GroundRule((num(key),), (), ()) for key in fact_order]
+    append = ground_rules.append
     source_map: dict[int, int] = {}
     for src_index, (unit, matches) in enumerate(zip(units, records)):
         _sort_by_binding(matches, unit.values)
-        try:
+        first = len(ground_rules)
+        heads, pos, neg = unit.heads, unit.pos, unit.neg
+        pos_repeats = _may_repeat(pos)
+        if not neg and len(heads) <= 1:
+            head_pred, head_of = heads[0] if heads else (None, None)
             for b in matches:
-                head = [fn(b) for fn in unit.heads]
-                pos_keys = [(pred, args_of(b)) for pred, args_of in unit.pos]
-                neg_keys = []
-                for fn in unit.neg:
-                    key = fn(b)
-                    if key in fact_keys:
-                        break  # negated fact: instance can never fire
-                    if key in store.keys:
-                        neg_keys.append(key)
-                    # else: atom can never be true, the literal is vacuous
-                else:
-                    source_map[len(ground_rules)] = src_index
-                    ground_rules.append(
-                        GroundRule(
-                            number.distinct(head), number.distinct(pos_keys), number.distinct(neg_keys)
-                        )
-                    )
-        except IntegerRangeError as exc:  # a negated atom's argument
-            raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
+                head = (num((head_pred, head_of(b))),) if heads else ()
+                body = [num((pred, args_of(b))) for pred, args_of in pos]
+                append(GroundRule(head, tuple(dict.fromkeys(body) if pos_repeats else body), ()))
+        else:
+            head_repeats, neg_repeats = _may_repeat(heads), _may_repeat(neg)
+            try:
+                for b in matches:
+                    neg_keys = []
+                    for pred, args_of in neg:
+                        key = (pred, args_of(b))
+                        if key in fact_keys:
+                            break  # negated fact: instance can never fire
+                        if key in store.keys:
+                            neg_keys.append(key)
+                        # else: atom can never be true, the literal is vacuous
+                    else:
+                        head = [num((pred, args_of(b))) for pred, args_of in heads]
+                        body = [num((pred, args_of(b))) for pred, args_of in pos]
+                        negs = [num(key) for key in neg_keys]
+                        append(GroundRule(
+                            tuple(dict.fromkeys(head) if head_repeats else head),
+                            tuple(dict.fromkeys(body) if pos_repeats else body),
+                            tuple(dict.fromkeys(negs) if neg_repeats else negs),
+                        ))
+            except IntegerRangeError as exc:  # a negated atom's argument
+                raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
+        source_map.update(dict.fromkeys(range(first, len(ground_rules)), src_index))
 
     terms = {v: ground_term(v) for v in {v for _, args in number for v in args}}
     atoms = [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in number]
@@ -577,8 +592,9 @@ class _Numbering(dict):
         self[key] = n = len(self)
         return n
 
-    def distinct(self, keys) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(map(self.__getitem__, keys)))
+
+def _may_repeat(atoms) -> bool:  # only atoms of one predicate can coincide
+    return len({pred for pred, _ in atoms}) < len(atoms)
 
 
 def _sort_by_binding(matches: list, values):
@@ -642,7 +658,7 @@ class _AggregateContext:
         _closure(
             needed[::-1],
             self.store,
-            lambda unit, b: not any(fn(b) in fact_keys for fn in unit.neg),
+            lambda unit, b: not any((pred, args_of(b)) in fact_keys for pred, args_of in unit.neg),
             limit,
             len(fact_keys),
         )
@@ -662,7 +678,7 @@ class _AggregateContext:
         positive = [l.atom for l in agg.condition if not l.negated]
         negative = [l.atom for l in agg.condition if l.negated]
         plan = _Plan(positive, (), names, also=negative)
-        negative = [_atom_fn(a, plan) for a in negative]
+        negative = [_atom_key(a, plan) for a in negative]
         tuple_of = _getter([plan.slots[vn] for vn in agg.tuple_vars])
         return plan, negative, tuple_of, _term_fn(agg.guard, plan.slots)
 
@@ -675,7 +691,7 @@ class _AggregateContext:
         tuples = {
             tuple_of(b)
             for b in _matches(plan, self.store, entry)
-            if not any(fn(b) in self.store.keys for fn in negative)
+            if not any((pred, args_of(b)) in self.store.keys for pred, args_of in negative)
         }
         value = self._aggregate_value(agg.func, tuples)
         if value is None:

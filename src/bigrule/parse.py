@@ -362,9 +362,10 @@ class Qbf:
 
 
 def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
-    """Parse standard QDIMACS. Unbound variables are implicitly bound
-    existentially innermost and flagged with a warning; in strict mode an
-    entirely quantifier-free file is rejected."""
+    """Parse standard QDIMACS. Unbound variables that occur in a clause are
+    implicitly bound existentially innermost and flagged with a warning (one
+    in no clause cannot change the value); in strict mode an entirely
+    quantifier-free file is rejected."""
     tokens: list[tuple[str, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -446,10 +447,11 @@ def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
 
     if not blocks and strict:
         raise EmptyPrefixError("no quantifier lines in strict mode")
-    free = [x for x in range(1, num_vars + 1) if x not in bound]
+    free = sorted({abs(lit) for clause in raw_clauses for lit in clause} - bound)
     if free:
+        shown = ", ".join(map(_clip, free[:5])) + (", …" if len(free) > 5 else "")
         warnings.warn(
-            f"variables {free} are unbound; binding existentially innermost",
+            f"{len(free)} unbound variable(s) ({shown}); binding existentially innermost",
             QdimacsWarning,
             stacklevel=2,
         )

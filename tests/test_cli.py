@@ -206,6 +206,25 @@ def test_limit_error_exit_4(capsys, tmp_path):
     assert "rule 0 `p(Y) :- p(X), Y = X+1.`" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ground", "--max-ground-rules", "-1"),
+        ("solve", "--max-atoms", "-1"),
+        ("rewrite", "3col", "--max-tuple-width", "-1"),
+        ("ground", "--max-ground-rules", "abc"),
+    ],
+)
+def test_negative_or_malformed_limit_is_a_usage_error(capsys, tmp_path, argv):
+    src = tmp_path / "in.txt"
+    src.write_text("p(1).\n")
+    with pytest.raises(SystemExit) as info:
+        main([*argv, str(src)])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert f"argument {argv[-2]}: invalid count value: '{argv[-1]}'" in err
+
+
 SQUARING = "p(2).\np(Y) :- p(X), Y = X*X.\n"
 HUNDRED_FACTORS = "q(10).\nr(Y) :- q(X), Y = {}.\ns(Z) :- r(Y), Z = {}.\n".format(
     "*".join(["X"] * 100), "*".join(["Y"] * 100)

@@ -32,7 +32,7 @@ from bigrule.oracle import (
     has_answer_set,
     solve_coloring,
 )
-from bigrule.parse import make_graph, parse_program, parse_qdimacs
+from bigrule.parse import make_graph, parse_program, parse_qdimacs, print_ground_program
 from bigrule.rewriters import AbductionInstance
 from bigrule.syntax import (
     Aggregate,
@@ -176,6 +176,40 @@ def test_ground_negative_fact_literal_drops_instance():
     texts = {result.ground_program.rule_str(r) for r in result.ground_program.rules}
     assert "p(b) :- q(b)." in texts  # vacuous literal removed
     assert not any(t.startswith("p(a)") for t in texts)
+
+
+def test_ground_emission_dedup_and_atom_order():
+    # At e(a,a) the head, the positive body and the negative body each
+    # repeat an atom. At e(a,b) the instance of z is dropped by the negated
+    # fact f(b), so neither z(b) nor g(b) may be numbered there: g(b) is
+    # first used by the last rule.
+    program = parse_program(
+        "e(a,a). e(a,b). f(b).\n"
+        "p(X) | p(Y) :- e(X,Y).\n"
+        "r(X) :- e(X,Y), e(Y,X), e(X,X).\n"
+        "n(X) :- e(X,Y), not p(X), not p(Y).\n"
+        "z(Y) :- e(X,Y), not g(Y), not f(Y).\n"
+        "g(Y) :- e(X,Y).\n"
+    )
+    result = ground(program)
+    gp = result.ground_program
+    assert print_ground_program(gp) == (
+        "e(a,a).\n"
+        "e(a,b).\n"
+        "f(b).\n"
+        "p(a) :- e(a,a).\n"
+        "p(a) | p(b) :- e(a,b).\n"
+        "r(a) :- e(a,a).\n"
+        "n(a) :- e(a,a), not p(a).\n"
+        "n(a) :- e(a,b), not p(a), not p(b).\n"
+        "z(a) :- e(a,a), not g(a).\n"
+        "g(a) :- e(a,a).\n"
+        "g(b) :- e(a,b).\n"
+    )
+    assert [str(a) for a in gp.atoms] == [
+        "e(a,a)", "e(a,b)", "f(b)", "p(a)", "p(b)", "r(a)", "n(a)", "z(a)", "g(a)", "g(b)",
+    ]
+    assert result.source_rule_map == {3: 0, 4: 0, 5: 1, 6: 2, 7: 2, 8: 3, 9: 4, 10: 4}
 
 
 def test_ground_deterministic_order():

@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -168,6 +169,31 @@ def test_parse_qdimacs_free_vars_bound_innermost():
     with pytest.warns(QdimacsWarning):
         qbf = parse_qdimacs("p cnf 2 1\na 1 0\n1 2 0")
     assert qbf.prefix == (("a", (1,)), ("e", (2,)))
+
+
+@pytest.mark.parametrize("text", ["p cnf 1000000000 0", "p cnf 1000000000 1\n1000000000 0"])
+def test_parse_qdimacs_huge_header_costs_what_the_clauses_cost(text):
+    # Only variables of some clause are bound innermost: one that occurs
+    # nowhere cannot change the formula's value.
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qbf = parse_qdimacs(text)
+    assert time.perf_counter() - start < 1.0
+    assert qbf.num_vars == 10**9
+    if qbf.clauses:
+        assert qbf.prefix == (("e", (10**9,)),)
+        assert [str(w.message) for w in caught] == [
+            "1 unbound variable(s) (1000000000); binding existentially innermost"
+        ]
+    else:
+        assert qbf.prefix == () and caught == []
+
+
+def test_parse_qdimacs_unbound_warning_counts_and_clips():
+    with pytest.warns(QdimacsWarning, match=r"^7 unbound variable\(s\) \(2, 3, 4, 5, 6, …\);"):
+        qbf = parse_qdimacs("p cnf 9 1\na 1 0\n1 2 3 4 5 6 7 8 0")
+    assert qbf.prefix == (("a", (1,)), ("e", (2, 3, 4, 5, 6, 7, 8)))
 
 
 def test_parse_qdimacs_strict_empty_prefix():
