@@ -17,7 +17,7 @@ from .errors import (
     UncoveredAtomError,
     UnsecurableVariableError,
 )
-from .oracle import _comparison_vars, _components, _join_order
+from .oracle import _components, _join_order
 from .syntax import (
     Aggregate,
     Arith,
@@ -204,7 +204,7 @@ def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
             progress = False
             for item in pending[:]:
                 if isinstance(item, Comparison):
-                    if all(vn in values for vn in _comparison_vars(item)):
+                    if all(vn in values for vn in term_variables(item)):
                         if item.op == "=":
                             rows /= max(
                                 _distinct(item.left, values, rows),
@@ -470,30 +470,20 @@ def split_aggregate(rule: Rule, agg_index: int, namer: FreshNamer) -> tuple[Rule
     agg = rule.aggregates[agg_index]
     tuple_vars = set(agg.tuple_vars)
 
-    outside: set[str] = set()
-    for a in rule.head:
-        outside |= variables_of(a)
-    for lit in (*rule.pos_body, *rule.neg_body):
-        outside |= variables_of(lit)
-    for comp in rule.arith:
-        outside |= variables_of(comp)
-    for k, other in enumerate(rule.aggregates):
-        if k != agg_index:
-            outside |= variables_of(other)
-    outside |= set(term_variables(agg.guard))
+    others = rule.aggregates[:agg_index] + rule.aggregates[agg_index + 1:]
+    outside = variables_of(
+        (rule.head, rule.pos_body, rule.neg_body, rule.arith, others, agg.guard)
+    )
 
     marked = tuple_vars | outside
-    connected = [b for b in agg.condition if variables_of(b.atom) & marked]
-    rest = [b for b in agg.condition if not (variables_of(b.atom) & marked)]
+    connected = [b for b in agg.condition if variables_of(b) & marked]
+    rest = [b for b in agg.condition if not (variables_of(b) & marked)]
     if not rest:
         return rule, []
 
     part_namer = namer.aggregate_part(agg_index)
-    connected_vars = variables_of([b.atom for b in connected])
-    link_vars = [
-        name for name in variables_in_order([b.atom for b in rest])
-        if name in connected_vars
-    ]
+    connected_vars = variables_of(connected)
+    link_vars = [name for name in variables_in_order(rest) if name in connected_vars]
     link_pred = f"temp_{part_namer.tag}"
     link_atom = Atom(link_pred, tuple(Variable(x) for x in link_vars))
 
@@ -664,8 +654,7 @@ def _decompose_one(
                 max(len(b) for b in td.bags) < nvars
                 and (not work or work > RULE_COST * (len(td.bags) - 1))
             ):
-                head_vars = variables_of(list(part.head)) if part.head else set()
-                split = decompose_rule(part, root_at_head(td, head_vars), part_namer)
+                split = decompose_rule(part, root_at_head(td, variables_of(part.head)), part_namer)
                 split_work, split_rows = _pieces_estimate(split, sizes)
                 if (
                     not threshold

@@ -75,8 +75,8 @@ from .syntax import (
     Program,
     Rule,
     Variable,
-    _atom_vars,
     _scc_index,
+    arith,
     eval_term,
     ground_term,
     is_safe,
@@ -212,7 +212,7 @@ class _Plan:
                 progress = False
                 for item in pending[:]:
                     if isinstance(item, Comparison):
-                        if all(vn in slots for vn in _comparison_vars(item)):
+                        if all(vn in slots for vn in term_variables(item)):
                             ops.append(_check_op(item, slots))
                         elif (
                             item.is_binding_equation()
@@ -280,11 +280,6 @@ def _ground_value(arg):
     return arg.name if isinstance(arg, Constant) else arg.value
 
 
-def _comparison_vars(comp: Comparison):
-    yield from term_variables(comp.left)
-    yield from term_variables(comp.right)
-
-
 def _join_order(atoms, bound, fresh: list):
     """Indices of `atoms` in join order: next the atom with most bound
     arguments, ties to the earlier one. The caller adds to `bound` (names of
@@ -294,7 +289,7 @@ def _join_order(atoms, bound, fresh: list):
     score = [_bound_score(a, bound) for a in atoms]
     watch: dict[str, list[int]] = {}
     for i, a in enumerate(atoms):
-        for vn in _atom_vars(a):
+        for vn in term_variables(a):
             watch.setdefault(vn, []).append(i)
     remaining = list(range(len(atoms)))
     while remaining:
@@ -326,8 +321,8 @@ def _term_fn(term, slots):
     if isinstance(term, (Constant, Integer)):
         value = _ground_value(term)
         return lambda b: value
-    where = {vn: slots[vn] for vn in term_variables(term)}
-    return lambda b: eval_term(term, {vn: b[slot] for vn, slot in where.items()})
+    left, right = _term_fn(term.left, slots), _term_fn(term.right, slots)
+    return lambda b: arith(term, left(b), right(b))
 
 
 def _atom_key(a: Atom, plan: _Plan) -> tuple:

@@ -344,12 +344,8 @@ class Clause:
 
     @staticmethod
     def of(lits) -> "Clause":
-        seen: list[int] = []
-        for lit in lits:
-            if lit not in seen:
-                seen.append(lit)
-        taut = any(-lit in seen for lit in seen)
-        return Clause(tuple(seen), taut)
+        seen = dict.fromkeys(lits)
+        return Clause(tuple(seen), any(-lit in seen for lit in seen))
 
 
 @dataclass(frozen=True, slots=True)

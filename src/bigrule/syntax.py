@@ -87,35 +87,19 @@ def _prec(op: str) -> int:
     return 1 if op in ("+", "-") else 2
 
 
-def term_variables(term: Term) -> Iterator[str]:
-    """All variable names in a term, in occurrence order."""
-    if isinstance(term, Variable):
-        yield term.name
-    elif isinstance(term, Arith):
-        yield from term_variables(term.left)
-        yield from term_variables(term.right)
-
-
-def eval_term(term: Term, binding: dict[str, "str | int"]) -> "str | int":
-    """Evaluate a term to a raw ground value (str for symbols, int for
-    numbers) under a complete binding. Division truncates toward zero;
-    division by zero is an error, never a silent drop, and so is a value
-    outside the 64-bit range."""
-    if isinstance(term, Variable):
-        return binding[term.name]
-    if isinstance(term, Constant):
-        return term.name
-    if isinstance(term, Integer):
-        return term.value
-    left = eval_term(term.left, binding)
-    right = eval_term(term.right, binding)
+def arith(term: Arith, left, right) -> int:
+    """The one definition of arithmetic: `term`'s operator applied to its
+    operands' raw values. Division truncates toward zero; division by zero
+    is an error, never a silent drop, and so is a value outside the 64-bit
+    range."""
     if not isinstance(left, int) or not isinstance(right, int):
         raise NonIntegerArithmeticError(f"arithmetic over non-integer value in {term}")
-    if term.op == "+":
+    op = term.op
+    if op == "+":
         value = left + right
-    elif term.op == "-":
+    elif op == "-":
         value = left - right
-    elif term.op == "*":
+    elif op == "*":
         value = left * right
     elif right == 0:
         raise DivisionByZeroError(f"division by zero in {term}")
@@ -127,6 +111,19 @@ def eval_term(term: Term, binding: dict[str, "str | int"]) -> "str | int":
     if not INT_MIN <= value <= INT_MAX:
         raise IntegerRangeError(f"{term} evaluates to {value}, outside the 64-bit range")
     return value
+
+
+def eval_term(term: Term, binding: dict[str, "str | int"]) -> "str | int":
+    """Evaluate a term to a raw ground value (str for symbols, int for
+    numbers) under a complete binding, by dict. The grounder compiles terms
+    into closures over its binding tuples instead; both apply `arith`."""
+    if isinstance(term, Variable):
+        return binding[term.name]
+    if isinstance(term, Constant):
+        return term.name
+    if isinstance(term, Integer):
+        return term.value
+    return arith(term, eval_term(term.left, binding), eval_term(term.right, binding))
 
 
 def ground_term(value: "str | int") -> GroundTerm:
@@ -150,12 +147,7 @@ class Atom:
         return len(self.args)
 
     def is_ground(self) -> bool:
-        return not any(True for _ in _atom_vars(self))
-
-
-def _atom_vars(a: Atom) -> Iterator[str]:
-    for arg in a.args:
-        yield from term_variables(arg)
+        return next(term_variables(self), None) is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,10 +201,7 @@ class Aggregate:
             raise ValueError(f"unknown aggregate function {self.func!r}")
         if self.guard_op not in COMPARISON_OPS:
             raise ValueError(f"unknown guard operator {self.guard_op!r}")
-        cond_vars = set()
-        for lit in self.condition:
-            cond_vars.update(_atom_vars(lit.atom))
-        missing = set(self.tuple_vars) - cond_vars
+        missing = set(self.tuple_vars) - set(term_variables(self.condition))
         if missing:
             raise ValueError(
                 f"aggregate tuple variables {sorted(missing)} do not occur in the condition"
@@ -420,80 +409,57 @@ class Interpretation:
 
 # ------------------------------------------------------------- operations --
 
+def term_variables(element) -> Iterator[str]:
+    """Every variable occurrence in a term, atom, literal, comparison,
+    aggregate (tuple variables, then condition, then guard), rule (head,
+    then `body_elements()`), or list or tuple of these, in order."""
+    kind = type(element)
+    if kind is Variable:
+        yield element.name
+    elif kind is Literal or kind is Atom:
+        # The common case inline: arguments are mostly variables.
+        for arg in (element.atom if kind is Literal else element).args:
+            if type(arg) is Variable:
+                yield arg.name
+            elif type(arg) is Arith:
+                yield from term_variables(arg)
+    elif kind is Arith or kind is Comparison:
+        yield from term_variables(element.left)
+        yield from term_variables(element.right)
+    elif kind is Constant or kind is Integer:
+        return
+    elif kind is Aggregate:
+        yield from element.tuple_vars
+        yield from term_variables(element.condition)
+        yield from term_variables(element.guard)
+    elif kind is Rule:
+        yield from term_variables(element.head)
+        yield from term_variables(element.body_elements())
+    elif isinstance(element, (list, tuple)):
+        for item in element:
+            yield from term_variables(item)
+    else:
+        raise TypeError(f"cannot extract variables from {element!r}")
+
+
 def variables_of(element) -> set[str]:
     """Every variable occurring anywhere in the element, including inside
     arithmetic terms, comparisons, and aggregates."""
-    return set(variables_in_order(element))
+    return set(term_variables(element))
 
 
 def variables_in_order(element) -> list[str]:
     """Like variables_of but first-occurrence ordered (used for interface
     tuples whose argument order should mirror the source)."""
-    if isinstance(element, Literal):
-        element = element.atom
-    if isinstance(element, Atom):
-        out = []
-        for name in _atom_vars(element):
-            if name not in out:
-                out.append(name)
-        return out
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def add_term(t: Term):
-        for name in term_variables(t):
-            if name not in seen:
-                seen.add(name)
-                out.append(name)
-
-    def add_atom(a: Atom):
-        for arg in a.args:
-            add_term(arg)
-
-    def walk(e):
-        if isinstance(e, (Variable, Constant, Integer, Arith)):
-            add_term(e)
-        elif isinstance(e, Atom):
-            add_atom(e)
-        elif isinstance(e, Literal):
-            add_atom(e.atom)
-        elif isinstance(e, Comparison):
-            add_term(e.left)
-            add_term(e.right)
-        elif isinstance(e, Aggregate):
-            for name in e.tuple_vars:
-                if name not in seen:
-                    seen.add(name)
-                    out.append(name)
-            for lit in e.condition:
-                add_atom(lit.atom)
-            add_term(e.guard)
-        elif isinstance(e, Rule):
-            for a in e.head:
-                add_atom(a)
-            for unit in e.body_elements():
-                walk(unit)
-        elif isinstance(e, (list, tuple)):
-            for item in e:
-                walk(item)
-        else:
-            raise TypeError(f"cannot extract variables from {e!r}")
-
-    walk(element)
-    return out
+    return list(dict.fromkeys(term_variables(element)))
 
 
 def global_vars(r: Rule) -> set[str]:
     """Rule-level variables: everything except variables occurring only
     inside aggregate conditions or tuples (those are aggregate-local)."""
     out: set[str] = set()
-    for a in r.head:
-        out.update(_atom_vars(a))
-    for lit in (*r.pos_body, *r.neg_body):
-        out.update(_atom_vars(lit.atom))
-    for comp in r.arith:
-        out.update(term_variables(comp.left))
-        out.update(term_variables(comp.right))
+    for element in (*r.head, *r.pos_body, *r.neg_body, *r.arith):
+        out.update(term_variables(element))
     for agg in r.aggregates:
         out.update(term_variables(agg.guard))
     return out
@@ -510,8 +476,7 @@ def is_safe(r: Rule) -> tuple[bool, set[str]]:
     unsafe = global_vars(r) - safe
     for agg in r.aggregates:
         local = safe | _argument_vars(l for l in agg.condition if not l.negated)
-        for lit in agg.condition:
-            unsafe.update(name for name in _atom_vars(lit.atom) if name not in local)
+        unsafe |= variables_of(agg.condition) - local
     return (not unsafe, unsafe)
 
 

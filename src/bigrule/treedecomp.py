@@ -47,7 +47,7 @@ def gaifman(rule: Rule) -> GaifmanGraph:
     """Gaifman graph of a rule. Head variables form one clique; each body
     element contributes a clique over its own variables."""
     edges: set[tuple[str, str]] = set()
-    _clique(variables_of(list(rule.head)) if rule.head else (), edges)
+    _clique(variables_of(rule.head), edges)
     for element in rule.body_elements():
         _clique(variables_of(element), edges)
     return GaifmanGraph(frozenset(variables_of(rule)), frozenset(edges))

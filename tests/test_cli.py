@@ -1,12 +1,23 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import bigrule
 from bigrule.cli import main
+
+# Child interpreters import the same bigrule sources as the tests.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(bigrule.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
 
 EX1_GRAPH = "a b\nb c\nc d\na d\nb d\n"
 K4_GRAPH = "a b\na c\na d\nb c\nb d\nc d\n"
@@ -399,6 +410,7 @@ def test_non_utf8_input_exit_1(tmp_path, from_stdin):
         [sys.executable, "-m", "bigrule.cli", "solve", "-" if from_stdin else str(bad)],
         input=data,
         capture_output=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert proc.stderr == b"error: input is not UTF-8: byte 0xff at byte offset 8\n"
@@ -428,6 +440,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "bigrule.cli", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "decompose" in proc.stdout

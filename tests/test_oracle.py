@@ -46,6 +46,7 @@ from bigrule.syntax import (
     Literal,
     Rule,
     Variable,
+    eval_term,
     global_vars,
     is_safe,
     variables_of,
@@ -133,8 +134,40 @@ def test_ground_large_body_runs_without_recursion():
 
 def test_ground_division_by_zero_is_an_error():
     program = parse_program("p(0). p(1).\nq(X) :- p(Y), X = 1/Y.")
-    with pytest.raises(DivisionByZeroError):
+    with pytest.raises(DivisionByZeroError, match="division by zero in 1/Y"):
         ground(program)
+
+
+TERM_VARS = ("X", "Y", "Z")
+_values = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 2**62, 2**63 - 1, -(2**63), -(2**63) + 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_terms = st.recursive(
+    st.one_of(
+        _values.map(Integer),
+        st.sampled_from(["a", "b"]).map(Constant),
+        st.sampled_from(TERM_VARS).map(Variable),
+    ),
+    lambda inner: st.builds(Arith, st.sampled_from(["+", "-", "*", "/"]), inner, inner),
+    max_leaves=8,
+)
+
+
+def _outcome(evaluate):
+    try:
+        return ("value", evaluate())
+    except Exception as exc:  # the error must match too
+        return (type(exc), str(exc))
+
+
+@given(_terms, st.tuples(*[st.one_of(_values, st.just("a")) for _ in TERM_VARS]))
+def test_compiled_term_matches_eval_term(term, values):
+    slots = {name: i for i, name in enumerate(TERM_VARS)}
+    compiled = oracle._term_fn(term, slots)
+    assert _outcome(lambda: compiled(values)) == _outcome(
+        lambda: eval_term(term, dict(zip(TERM_VARS, values)))
+    )
 
 
 def test_ground_monotone_in_facts():

@@ -160,6 +160,25 @@ def test_parse_qdimacs_tautology_flagged():
     assert qbf.clauses[0].tautology
 
 
+def test_parse_qdimacs_wide_clause_is_linear():
+    width = 100_000
+    lits = " ".join(f"{v} {-v}" for v in range(1, width + 1))
+    text = f"p cnf {width} 1\n{lits} 0"
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        qbf = parse_qdimacs(text)
+    assert time.perf_counter() - start < 1.0
+    (clause,) = qbf.clauses
+    assert clause.tautology and len(clause.lits) == 2 * width
+    assert clause.lits[:4] == (1, -1, 2, -2)
+
+
+def test_clause_of_keeps_first_occurrence_order():
+    assert Clause.of([3, -1, 3, 2, -1]) == Clause((3, -1, 2), False)
+    assert Clause.of([2, 1, -2, 2]) == Clause((2, 1, -2), True)
+
+
 def test_parse_qdimacs_merges_adjacent_blocks():
     qbf = parse_qdimacs("p cnf 3 1\na 1 0\na 2 0\ne 3 0\n1 3 0")
     assert qbf.prefix == (("a", (1, 2)), ("e", (3,)))

@@ -20,6 +20,7 @@ from bigrule.syntax import (
     is_head_cycle_free,
     is_safe,
     shift,
+    variables_in_order,
     variables_of,
 )
 from bigrule.oracle import answer_sets
@@ -47,6 +48,32 @@ def test_variables_of_ground_fact():
 def test_variables_of_arith_and_aggregate():
     r = rule_of("p(X) :- q(Y), X = Y+1, #count{V : s(V,Z), t(Z)} >= N, n(N).")
     assert variables_of(r) == {"X", "Y", "V", "Z", "N"}
+
+
+ORDER_RULE = (
+    "h(X,Y,X) :- p(X,Z), r(Y), not q(Z,W), W = Z+Y, E = W*U,"
+    " #count{V,T : s(T,V), t(V,A)} >= B, u(U), b(B)."
+)
+
+
+def test_variables_in_order_of_rule():
+    # Head, then positive, negative, arithmetic and aggregate elements; an
+    # aggregate's tuple variables come before its condition's.
+    r = rule_of(ORDER_RULE)
+    assert variables_in_order(r) == ["X", "Y", "Z", "U", "B", "W", "E", "V", "T", "A"]
+
+
+def test_variables_in_order_of_parts():
+    r = rule_of(ORDER_RULE)
+    assert variables_in_order(r.aggregates[0]) == ["V", "T", "A", "B"]
+    assert variables_in_order([r.pos_body[0], *r.neg_body]) == ["X", "Z", "W"]
+    assert variables_in_order(r.neg_body[0]) == ["Z", "W"]
+    assert variables_in_order(r.arith[1]) == ["E", "W", "U"]
+    nested = Arith("-", Variable("B"), Arith("*", Variable("A"), Variable("B")))
+    assert variables_in_order(nested) == ["B", "A"]
+    assert variables_in_order(()) == []
+    with pytest.raises(TypeError):
+        variables_in_order("X")
 
 
 def test_is_safe_negative_only_variable():
