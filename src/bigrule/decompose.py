@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ReservedPrefixCollisionError,
-    SafetyError,
     UncoveredAtomError,
     UnsecurableVariableError,
 )
@@ -576,7 +575,9 @@ def decompose_program(
     predicate has facts or derivations, the part is split. Without the
     threshold every part is split. Rules are estimated in the grounder's
     component order, so derived predicates have sizes when they are read;
-    the output keeps the input order. Facts pass through."""
+    the output keeps the input order. Facts pass through. The input's
+    rules are safe, since `Program` admits no other; the reserved prefixes
+    are checked here."""
     clashing = sorted(
         p for p in program.predicates() if p.startswith(RESERVED_PREFIXES)
     )
@@ -584,10 +585,6 @@ def decompose_program(
         raise ReservedPrefixCollisionError(
             f"program uses reserved predicate prefixes: {', '.join(clashing)}"
         )
-    for r in program.rules:
-        ok, unsafe = is_safe(r)
-        if not ok:
-            raise SafetyError(unsafe, str(r))
 
     sizes = _fact_sizes(program.facts)
     decided: list = [None] * len(program.rules)

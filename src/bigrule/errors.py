@@ -36,10 +36,6 @@ class ArityError(BigruleError):
     """The same predicate is used with two different arities."""
 
 
-class EmptyPrefixError(ParseError):
-    """QDIMACS input has no quantifier lines (strict mode)."""
-
-
 class DanglingReferenceError(ParseError):
     """Reified fact references an undeclared atom or rule id."""
 
@@ -72,10 +68,6 @@ class MissingPartitionError(InputSemanticsError):
 
 class ReservedPrefixCollisionError(InputSemanticsError):
     """Program already uses a predicate prefix reserved for fresh symbols."""
-
-
-class HeadCycleError(InputSemanticsError):
-    """Shifting was asked to verify head-cycle freeness and it failed."""
 
 
 class UnsupportedAggregateError(InputSemanticsError):

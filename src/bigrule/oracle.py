@@ -55,7 +55,6 @@ from .errors import (
     GroundingLimitError,
     IntegerRangeError,
     InternalError,
-    SafetyError,
     TooManyAtomsError,
     TooManyVarsError,
     TooManyVerticesError,
@@ -79,7 +78,6 @@ from .syntax import (
     arith,
     eval_term,
     ground_term,
-    is_safe,
     term_variables,
 )
 
@@ -272,7 +270,7 @@ class _Plan:
                 (a.pred, tuple(positions), len(a.args), _key_getter(key_slots), ops)
             )
             self.atom_slots[idx] = tuple(own)
-        if pending:  # is_safe rejects every rule that leaves one
+        if pending:  # Program rejects every rule that leaves one
             raise InternalError(f"join plan leaves {pending} unbound")
 
 
@@ -499,12 +497,8 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     aggregates are expanded under the deterministic-fragment semantics,
     and instances whose positive body can never be derived are omitted.
     Facts plus join matches may not exceed `max_ground_rules`, nor may the
-    atoms of the closure."""
-    for r in program.rules:
-        ok, unsafe = is_safe(r)
-        if not ok:
-            raise SafetyError(unsafe, str(r))
-
+    atoms of the closure. Every rule binds all its variables, since
+    `Program` admits only safe rules."""
     store = _Store()
     fact_order: list[tuple] = []
     for f in program.facts:

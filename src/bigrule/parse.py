@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from .errors import (
     DanglingReferenceError,
     DuplicateIdError,
-    EmptyPrefixError,
     ParseError,
     PartitionError,
-    SafetyError,
 )
 from .syntax import (
     COMPARISON_OPS,
@@ -38,7 +36,6 @@ from .syntax import (
     Rule,
     Term,
     Variable,
-    is_safe,
 )
 
 
@@ -291,31 +288,21 @@ class _AspParser:
                 if not self.accept(","):
                     break
         self.expect(".")
-        if not has_body and len(head) == 1 and head[0].is_ground():
-            return head[0]
-        rule = Rule(tuple(head), tuple(pos_body), tuple(neg_body), tuple(arith), tuple(aggregates))
-        ok, unsafe = is_safe(rule)
-        if not ok:
-            raise SafetyError(unsafe, str(rule))
-        return rule
+        return Rule(tuple(head), tuple(pos_body), tuple(neg_body), tuple(arith), tuple(aggregates))
 
     def program(self) -> Program:
         rules: list[Rule] = []
-        facts: list[Atom] = []
         while self.peek().kind != "eof":
-            stmt = self.statement()
-            if isinstance(stmt, Atom):
-                facts.append(stmt)
-            else:
-                rules.append(stmt)
-        return Program(rules, facts)
+            rules.append(self.statement())
+        return Program(rules)
 
 
 def parse_program(text: str) -> Program:
-    """Parse ASP program text; comments run from `%` to end of line. Every
-    rule must pass `is_safe`, which is also the grounder's binding rule, so
-    `q(X+1)` alone does not make X safe. Terms nest at most MAX_TERM_DEPTH
-    deep."""
+    """Parse ASP program text; comments run from `%` to end of line. Terms
+    nest at most MAX_TERM_DEPTH deep. The whole text is parsed first;
+    `Program` then turns ground body-less single-atom rules into facts and
+    rejects an unsafe rule (by the grounder's binding rule, so `q(X+1)`
+    alone does not make X safe) or a clashing arity."""
     return _AspParser(text).program()
 
 
@@ -357,11 +344,10 @@ class Qbf:
     num_vars: int
 
 
-def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
+def parse_qdimacs(text: str) -> Qbf:
     """Parse standard QDIMACS. Unbound variables that occur in a clause are
     implicitly bound existentially innermost and flagged with a warning (one
-    in no clause cannot change the value); in strict mode an entirely
-    quantifier-free file is rejected."""
+    in no clause cannot change the value)."""
     tokens: list[tuple[str, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -441,8 +427,6 @@ def parse_qdimacs(text: str, strict: bool = False) -> Qbf:
             f"header announces {_clip(num_clauses)} clauses, found {len(raw_clauses)}"
         )
 
-    if not blocks and strict:
-        raise EmptyPrefixError("no quantifier lines in strict mode")
     free = sorted({abs(lit) for clause in raw_clauses for lit in clause} - bound)
     if free:
         shown = ", ".join(map(_clip, free[:5])) + (", …" if len(free) > 5 else "")

@@ -13,9 +13,9 @@ from typing import Iterable, Iterator, Union
 from .errors import (
     ArityError,
     DivisionByZeroError,
-    HeadCycleError,
     IntegerRangeError,
     NonIntegerArithmeticError,
+    SafetyError,
 )
 
 ARITH_OPS = ("+", "-", "*", "/")
@@ -249,9 +249,13 @@ class Rule:
 class Program:
     """A non-ground program: rules plus ground facts.
 
-    Ground, body-less, single-atom rules are normalized into facts so that
-    printing and re-parsing yields a structurally identical program. The
-    domain is exactly the set of constants syntactically present.
+    A Program is valid by construction: every rule passes `is_safe` (else
+    `SafetyError`), and each predicate has one arity (else `ArityError`).
+    Ground, body-less, single-atom rules become facts, appended after the
+    given facts in rule order, so that printing and re-parsing yields a
+    structurally identical program. The stages that take a Program rely on
+    this and do not check it again. The domain is exactly the set of
+    constants syntactically present.
     """
 
     __slots__ = ("rules", "facts", "_domain", "_arities")
@@ -270,13 +274,15 @@ class Program:
                 and r.head[0].is_ground()
             ):
                 all_facts.append(r.head[0])
-            else:
-                kept_rules.append(r)
+                continue
+            ok, unsafe = is_safe(r)
+            if not ok:
+                raise SafetyError(unsafe, str(r))
+            kept_rules.append(r)
         self.rules: tuple[Rule, ...] = tuple(kept_rules)
         self.facts: tuple[Atom, ...] = tuple(all_facts)
         self._domain: frozenset[GroundTerm] | None = None
-        self._arities: dict[str, int] | None = None
-        self._check_arities()
+        self._arities = self._check_arities()
 
     def __eq__(self, other):
         if not isinstance(other, Program):
@@ -309,11 +315,9 @@ class Program:
 
     def predicates(self) -> dict[str, int]:
         """Predicate name to arity, over facts and all rule atoms."""
-        if self._arities is None:
-            self._check_arities()
         return dict(self._arities)
 
-    def _check_arities(self):
+    def _check_arities(self) -> dict[str, int]:
         arities: dict[str, int] = {}
 
         def see(a: Atom):
@@ -333,7 +337,7 @@ class Program:
             for agg in r.aggregates:
                 for lit in agg.condition:
                     see(lit.atom)
-        self._arities = arities
+        return arities
 
 
 def _collect_constants_atom(a: Atom, out: set):
@@ -504,12 +508,10 @@ def _equation_closure(safe: set[str], equations) -> set[str]:
     return safe
 
 
-def shift(gp: GroundProgram, check_hcf: bool = False) -> GroundProgram:
+def shift(gp: GroundProgram) -> GroundProgram:
     """Rewrite each disjunctive rule into one rule per head atom, moving the
     other disjuncts negated into the body. Preserves answer sets on
-    head-cycle-free programs."""
-    if check_hcf and not is_head_cycle_free(gp):
-        raise HeadCycleError("program is not head-cycle free")
+    head-cycle-free programs (see `is_head_cycle_free`)."""
     out: list[GroundRule] = []
     for r in gp.rules:
         if len(r.head) <= 1:

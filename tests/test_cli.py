@@ -401,6 +401,14 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 10 and out == "p(a)\n"
 
 
+def test_syntax_error_reported_before_unsafe_rule(capsys, monkeypatch):
+    # The whole text parses before any rule is checked for safety.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("a(X) :- not b(X).\nc(.\n"))
+    code, out, err = run_cli(capsys, "solve", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2, col 3: ")
+
+
 @pytest.mark.parametrize("from_stdin", [False, True])
 def test_non_utf8_input_exit_1(tmp_path, from_stdin):
     data = b"p(a).\np(\xff).\n"

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from bigrule.errors import (
     DanglingReferenceError,
     DuplicateIdError,
-    EmptyPrefixError,
     ParseError,
     PartitionError,
     SafetyError,
@@ -64,6 +63,13 @@ def test_parse_unsafe_rule_rejected():
     with pytest.raises(SafetyError) as err:
         parse_program(":- not p(X).")
     assert err.value.unsafe_vars == {"X"}
+
+
+def test_parse_facts_keep_statement_order():
+    # `q :- .` is a fact too, and Program lists it where it was written.
+    program = parse_program("q :- .\np.\n")
+    assert program.facts == (Atom("q"), Atom("p"))
+    assert program.rules == ()
 
 
 def test_parse_syntax_error_carries_position():
@@ -213,11 +219,6 @@ def test_parse_qdimacs_unbound_warning_counts_and_clips():
     with pytest.warns(QdimacsWarning, match=r"^7 unbound variable\(s\) \(2, 3, 4, 5, 6, …\);"):
         qbf = parse_qdimacs("p cnf 9 1\na 1 0\n1 2 3 4 5 6 7 8 0")
     assert qbf.prefix == (("a", (1,)), ("e", (2, 3, 4, 5, 6, 7, 8)))
-
-
-def test_parse_qdimacs_strict_empty_prefix():
-    with pytest.raises(EmptyPrefixError):
-        parse_qdimacs("p cnf 1 1\n1 0", strict=True)
 
 
 def test_parse_qdimacs_duplicate_quantifier_rejected():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bigrule.errors import ArityError, HeadCycleError
+from bigrule.errors import ArityError, SafetyError
 from bigrule.parse import parse_program
 from bigrule.syntax import (
     Arith,
@@ -170,8 +170,6 @@ def test_shift_detects_head_cycle():
         ),
     )
     assert not is_head_cycle_free(gp)
-    with pytest.raises(HeadCycleError):
-        shift(gp, check_hcf=True)
 
 
 def test_shift_preserves_answer_sets_on_hcf_corpus():
@@ -189,6 +187,24 @@ def test_shift_preserves_answer_sets_on_hcf_corpus():
 def test_arity_clash_rejected():
     with pytest.raises(ArityError):
         Program([], [Atom("p", (Constant("a"),)), Atom("p", (Constant("a"), Constant("b")))])
+
+
+UNSAFE_RULE = Rule(
+    head=(Atom("a", (Variable("X"),)),),
+    neg_body=(Literal(Atom("b", (Variable("X"),)), True),),
+)
+
+
+def test_program_rejects_an_unsafe_rule():
+    with pytest.raises(SafetyError) as err:
+        Program([UNSAFE_RULE])
+    assert str(err.value) == "unsafe variables {X} in `a(X) :- not b(X).`"
+    assert err.value.unsafe_vars == {"X"}
+
+
+def test_program_safety_wins_over_arity_clash():
+    with pytest.raises(SafetyError):
+        Program([UNSAFE_RULE], [Atom("a", (Constant("c"), Constant("d")))])
 
 
 def test_program_normalizes_ground_unit_rules_to_facts():
