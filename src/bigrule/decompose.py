@@ -28,6 +28,7 @@ from .syntax import (
     Program,
     Rule,
     Variable,
+    binding_order,
     is_safe,
     term_variables,
     variables_in_order,
@@ -198,36 +199,21 @@ def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
 
     def settle():
         nonlocal rows
-        progress = True
-        while progress:
-            progress = False
-            for item in pending[:]:
-                if isinstance(item, Comparison):
-                    if all(vn in values for vn in term_variables(item)):
-                        if item.op == "=":
-                            rows /= max(
-                                _distinct(item.left, values, rows),
-                                _distinct(item.right, values, rows),
-                                1.0,
-                            )
-                        elif item.op != "!=":
-                            rows /= 3
-                    elif (
-                        item.is_binding_equation()
-                        and item.left.name not in values
-                        and all(vn in values for vn in term_variables(item.right))
-                    ):
-                        values[item.left.name] = max(_distinct(item.right, values, rows), 1.0)
-                        fresh.append(item.left.name)
-                    else:
-                        continue
-                else:
-                    term, spread = item
-                    if not all(vn in values for vn in term_variables(term)):
-                        continue
-                    rows /= max(_distinct(term, values, rows), spread, 1.0)
-                pending.remove(item)
-                progress = True
+        for item in binding_order(pending, values):
+            if type(item) is tuple:
+                term, spread = item
+                rows /= max(_distinct(term, values, rows), spread, 1.0)
+            elif item.is_binding_equation() and item.left.name not in values:
+                values[item.left.name] = max(_distinct(item.right, values, rows), 1.0)
+                fresh.append(item.left.name)
+            elif item.op == "=":
+                rows /= max(
+                    _distinct(item.left, values, rows),
+                    _distinct(item.right, values, rows),
+                    1.0,
+                )
+            elif item.op != "!=":
+                rows /= 3
 
     if pending:
         settle()
@@ -393,10 +379,16 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
 
     assigned: dict[int, list] = {node: [] for node in range(len(td.bags))}
     ordered_vars: dict[int, list[str]] = {}  # by id of the element
+    nodes_of: dict[str, list[int]] = {}  # variable -> its nodes, in postorder
+    for node in post:
+        for name in td.bags[node]:
+            nodes_of.setdefault(name, []).append(node)
     for element in rule.body_elements():
         names = ordered_vars[id(element)] = variables_in_order(element)
         element_vars = set(names)
-        for node in post:
+        # The first covering node in postorder holds each of the variables.
+        candidates = min((nodes_of.get(x, ()) for x in names), key=len, default=post)
+        for node in candidates:
             if element_vars <= td.bags[node]:
                 assigned[node].append(element)
                 break

@@ -76,6 +76,7 @@ from .syntax import (
     Variable,
     _scc_index,
     arith,
+    binding_order,
     eval_term,
     ground_term,
     term_variables,
@@ -203,35 +204,21 @@ class _Plan:
             return width - 1
 
         def propagate(ops):
-            # Same order as evaluating at match time: sweep until no
-            # comparison becomes decidable and no equation can bind.
-            progress = bool(pending)
-            while progress:
-                progress = False
-                for item in pending[:]:
-                    if isinstance(item, Comparison):
-                        if all(vn in slots for vn in term_variables(item)):
-                            ops.append(_check_op(item, slots))
-                        elif (
-                            item.is_binding_equation()
-                            and item.left.name not in slots
-                            and all(vn in slots for vn in term_variables(item.right))
-                        ):
-                            ops.append(_assign_op(_term_fn(item.right, slots)))
-                            fill(item.left.name)
-                        else:
-                            continue
-                    else:
-                        term, slot = item
-                        if not all(vn in slots for vn in term_variables(term)):
-                            continue
-                        ops.append(_equal_op(_term_fn(term, slots), slot))
-                    pending.remove(item)
-                    progress = True
+            # Same order as evaluating at match time.
+            for item in binding_order(pending, slots):
+                if type(item) is tuple:
+                    term, slot = item
+                    ops.append(_equal_op(_term_fn(term, slots), slot))
+                elif item.is_binding_equation() and item.left.name not in slots:
+                    ops.append(_assign_op(_term_fn(item.right, slots)))
+                    fill(item.left.name)
+                else:
+                    ops.append(_check_op(item, slots))
 
         ops: list = []
         self.start = ops
-        propagate(ops)
+        if pending:
+            propagate(ops)
         self.probes = []
         self.atom_slots: list = [None] * len(atoms)
         for idx in _join_order(atoms, slots, fresh):
@@ -265,7 +252,8 @@ class _Plan:
                 else:
                     own[pos] = fill()
                     pending.append((arg, own[pos]))
-            propagate(ops)
+            if pending:
+                propagate(ops)
             self.probes.append(
                 (a.pred, tuple(positions), len(a.args), _key_getter(key_slots), ops)
             )
@@ -1128,13 +1116,12 @@ def solve_coloring(g: InputGraph, n_colors: int = 3, max_vertices: int = 16):
 
 def abduce_bruteforce(
     inst,
-    require_consistent: bool = False,
     max_universe: int = 12,
     max_hypotheses: int = 8,
 ):
     """Smallest witness E <= H (by size, then lexicographic) such that every
     answer set of the program extended with E contains all manifestations.
-    With require_consistent the original extra condition AS != {} applies."""
+    An E whose extension has no answer set qualifies vacuously."""
     gp = inst.program
     if len(gp.atoms) > max_universe:
         raise TooManyAtomsError(f"{len(gp.atoms)} atoms exceeds cap {max_universe}")
@@ -1149,8 +1136,6 @@ def abduce_bruteforce(
                 tuple(gp.rules) + tuple(GroundRule((h,), (), ()) for h in combo),
             )
             sets = answer_sets(extended, max_atoms=max_universe)
-            if require_consistent and not sets:
-                continue
             if all(manifestations <= s.true_atoms for s in sets):
                 return frozenset(combo)
     return None

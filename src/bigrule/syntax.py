@@ -475,8 +475,13 @@ def is_safe(r: Rule) -> tuple[bool, set[str]]:
     inside an arithmetic argument: `q(X+1)` does not bind X), or the left
     side of an equation `X = phi` whose variables are all safe. Each
     aggregate condition variable must be safe or an argument of a positive
-    condition atom. Returns the unsafe set."""
-    safe = _equation_closure(_argument_vars(r.pos_body), r.arith)
+    condition atom. Returns the unsafe set. The equations are closed by
+    `binding_order`, the sweep the join plan and the join estimate use."""
+    safe = _argument_vars(r.pos_body)
+    if r.arith:
+        for comp in binding_order(list(r.arith), safe):
+            if comp.is_binding_equation():
+                safe.add(comp.left.name)
     unsafe = global_vars(r) - safe
     for agg in r.aggregates:
         local = safe | _argument_vars(l for l in agg.condition if not l.negated)
@@ -491,21 +496,34 @@ def _argument_vars(literals) -> set[str]:
     }
 
 
-def _equation_closure(safe: set[str], equations) -> set[str]:
-    safe = set(safe)
-    changed = True
-    while changed:
-        changed = False
-        for comp in equations:
-            if not comp.is_binding_equation():
+def binding_order(pending: list, bound) -> Iterator:
+    """The one binding sweep, shared by `is_safe`, the grounder's join plan
+    (`oracle._Plan`) and the decomposer's join estimate
+    (`decompose._join_estimate`). Sweeps `pending` until no item is ready,
+    removing and yielding each ready item in turn:
+    - a `Comparison` once all its variables are in `bound`;
+    - a binding equation `X = phi`, with X not in `bound`, once phi's
+      variables are; the caller adds X to `bound` before asking for the
+      next item;
+    - a deferred `(term, x)` pair once the term's variables are.
+    `bound` is anything that supports `in`. Items left in `pending` never
+    became ready."""
+    progress = bool(pending)
+    while progress:
+        progress = False
+        for item in pending[:]:
+            if type(item) is tuple:
+                if not all(vn in bound for vn in term_variables(item[0])):
+                    continue
+            elif not all(vn in bound for vn in term_variables(item)) and not (
+                item.is_binding_equation()
+                and item.left.name not in bound
+                and all(vn in bound for vn in term_variables(item.right))
+            ):
                 continue
-            name = comp.left.name
-            if name in safe:
-                continue
-            if set(term_variables(comp.right)) <= safe:
-                safe.add(name)
-                changed = True
-    return safe
+            pending.remove(item)
+            progress = True
+            yield item
 
 
 def shift(gp: GroundProgram) -> GroundProgram:

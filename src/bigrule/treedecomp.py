@@ -2,6 +2,13 @@
 
 Decompositions come from bucket elimination along a min-fill or min-degree
 ordering with lexicographic tie-breaking, so results are reproducible.
+Eliminating a vertex makes its bag: the vertex and its neighbours then. The
+bag's parent is the bag of its first-eliminated other vertex, and extra
+roots hang below the last root. A bag may contain its parent's bag but
+never the reverse, since its own vertex is in no later bag. Such comparable
+bags are merged in one pass in elimination order: each node absorbs its
+parent while the parent's bag is a subset of its own, which makes a tail of
+shrinking bags one node.
 Exact treewidth (brute force over elimination orderings via subset dynamic
 programming) is provided for small graphs as a test yardstick.
 """
@@ -186,67 +193,55 @@ def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecompo
                 current[u] = c
                 heapq.heappush(heap, (c, u))
 
-    edges: list[tuple[int, int]] = []
+    # Each bag hangs below the bag of its first-eliminated other vertex, and
+    # extra roots below the last root, so a parent comes later in `bags`.
+    parent: list[int] = []
     roots: list[int] = []
     for i, vtx in enumerate(eliminated):
         rest = bags[i] - {vtx}
         if rest:
-            parent_vertex = min(rest, key=lambda u: position[u])
-            edges.append((i, position[parent_vertex]))
+            parent.append(min(position[u] for u in rest))
         else:
+            parent.append(-1)
             roots.append(i)
-    main_root = roots[-1]
     for extra in roots[:-1]:
-        edges.append((extra, main_root))
-    td = TreeDecomposition(bags, edges, main_root)
-    return _merge_comparable_adjacent(td)
-
-
-def _merge_comparable_adjacent(td: TreeDecomposition) -> TreeDecomposition:
-    """Contract tree edges whose endpoint bags are comparable (one contains
-    the other), keeping the larger bag. Elimination produces a tail of
-    shrinking bags; without this a single edge would yield two nodes."""
-    while True:
-        contract = None
-        for a, b in td.edges:
-            if td.bags[a] <= td.bags[b]:
-                contract = (a, b)
-                break
-            if td.bags[b] <= td.bags[a]:
-                contract = (b, a)
-                break
-        if contract is None:
-            return td
-        gone, keep = contract
-        remap = {}
-        bags = []
-        for i, bag in enumerate(td.bags):
-            if i == gone:
-                continue
-            remap[i] = len(bags)
-            bags.append(bag)
-        remap[gone] = remap[keep]
-        edges = set()
-        for a, b in td.edges:
-            ra, rb = remap[a], remap[b]
-            if ra != rb:
-                edges.add((min(ra, rb), max(ra, rb)))
-        td = TreeDecomposition(bags, sorted(edges), remap[td.root])
+        parent[extra] = roots[-1]
+    # Merge comparable adjacent bags (see the module docstring): walking in
+    # elimination order, a node absorbs its parent while the parent's bag
+    # lies inside its own. A node absorbed by an earlier node stays kept by
+    # it, whose bag holds its own vertex and so is inside no later bag.
+    kept_by = list(range(len(bags)))
+    for i in range(len(bags)):
+        if kept_by[i] != i:
+            continue
+        up = parent[i]
+        while up >= 0 and kept_by[up] == up and bags[up] <= bags[i]:
+            kept_by[up] = i
+            up = parent[up]
+        parent[i] = up
+    index = {i: k for k, i in enumerate(i for i, keeper in enumerate(kept_by) if keeper == i)}
+    edges = sorted(
+        tuple(sorted((index[i], index[kept_by[parent[i]]]))) for i in index if parent[i] >= 0
+    )
+    return TreeDecomposition([bags[i] for i in index], edges, index[kept_by[roots[-1]]])
 
 
 def validate_td(g: GaifmanGraph, td: TreeDecomposition) -> tuple[bool, str | None]:
     """Check vertex coverage, edge coverage, and connectedness. Returns the
     first violated condition with a witness."""
-    union = frozenset().union(*td.bags) if td.bags else frozenset()
+    bags_of: dict[str, list[int]] = {}  # vertex -> the bags holding it
+    for i, bag in enumerate(td.bags):
+        for vtx in bag:
+            bags_of.setdefault(vtx, []).append(i)
     for vtx in sorted(g.vertices):
-        if vtx not in union:
+        if vtx not in bags_of:
             return False, f"condition (i): vertex {vtx} occurs in no bag"
     for u, w in sorted(g.edges):
-        if not any(u in bag and w in bag for bag in td.bags):
+        if not any(w in td.bags[i] for i in bags_of.get(u, ())):
             return False, f"condition (ii): edge ({u},{w}) covered by no bag"
     adj = td.neighbors()
     for vtx in sorted(g.vertices):
-        holding = [i for i, bag in enumerate(td.bags) if vtx in bag]
+        holding = bags_of[vtx]
         reached = {holding[0]}
         queue = [holding[0]]
         while queue:

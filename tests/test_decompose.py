@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -408,3 +409,19 @@ def test_estimates_reach_recursive_and_empty_rules():
     assert base.est_before == 3
     assert recursive.est_before > 0  # sees r's base atoms though listed first
     assert empty.est_before == empty.est_after == 0
+
+
+def test_validate_and_split_of_a_long_grid_rule_are_linear():
+    # 4,608 variables and 4,605 bags: scanning every bag per edge, per
+    # vertex or per body element takes seconds here.
+    cols = 1536
+    edges = [(f"v{r}_{c}", f"v{r}_{c + 1}") for r in range(3) for c in range(cols - 1)]
+    edges += [(f"v{r}_{c}", f"v{r + 1}_{c}") for r in range(2) for c in range(cols)]
+    (rule,) = threecol_single_rule(make_graph(edges)).rules
+    graph = gaifman(rule)
+    td = decompose_graph(graph)
+    start = time.perf_counter()
+    assert validate_td(graph, td) == (True, None)
+    pieces = decompose_rule(rule, td, FreshNamer("0"))
+    assert time.perf_counter() - start < 1.5
+    assert len(pieces) == len(td.bags)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bigrule import oracle
+from bigrule.decompose import _Size, _join_estimate
 from bigrule.errors import (
     DivisionByZeroError,
     GroundingLimitError,
@@ -524,13 +525,12 @@ def test_abduce_empty_manifestations_vacuous():
     assert abduce_bruteforce(inst) == frozenset()
 
 
-def test_abduce_require_consistent_changes_answer():
-    # Program {:- not a} over universe {a}: no answer set for E = {},
-    # so the vacuous for-all accepts only without the consistency demand.
+def test_abduce_inconsistent_extension_accepted_vacuously():
+    # Program {:- not a} over universe {a}: no answer set for E = {}, so
+    # the for-all over its answer sets holds vacuously.
     gp = gp_of(["a"], [((), (), ("a",))])
     inst = AbductionInstance(gp, frozenset(), frozenset())
     assert abduce_bruteforce(inst) == frozenset()
-    assert abduce_bruteforce(inst, require_consistent=True) is None
 
 
 # ----------------------------------------------------------------- safety --
@@ -596,6 +596,20 @@ def _plans_leave_a_variable_unbound(r: Rule) -> bool:
 @given(_rule)
 def test_is_safe_is_the_plan_binding_rule(r):
     assert is_safe(r)[0] == (not _plans_leave_a_variable_unbound(r))
+
+
+@given(_rule)
+def test_join_estimate_binds_what_the_plan_binds(r):
+    try:
+        plan = _Plan([l.atom for l in r.pos_body], r.arith)
+    except InternalError:
+        return
+    sizes = {}
+    for pred in "pq":
+        sizes[pred] = _Size(2)
+        sizes[pred].add(2.0, (Variable("X"), Variable("Y")), [2.0, 2.0])
+    _, _, values = _join_estimate(r, sizes)
+    assert values.keys() == plan.slots.keys()
 
 
 # ------------------------------------------------------------- aggregates --
