@@ -30,13 +30,15 @@ from .syntax import (
     Variable,
     binding_order,
     is_safe,
+    is_variable_free,
     term_variables,
     variables_in_order,
     variables_of,
 )
 from .treedecomp import (
     TreeDecomposition,
-    decompose_graph,
+    bag_tree,
+    eliminate,
     gaifman,
     root_at_head,
     validate_td,
@@ -266,6 +268,29 @@ def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
             settle()
         work += rows
     return min(work, _ESTIMATE_CAP), rows, values
+
+
+def _ground_estimate(rule: Rule, sizes) -> float:
+    """`_join_estimate`'s matches for a variable-free rule, reached
+    directly. A probe keys every argument and no score changes, so the
+    atoms go in descending arity, ties to the earlier one. A predicate
+    defined by facts alone keeps the rows, since its atoms over their
+    distinct key tuples is one; any other multiplies them by its atoms over
+    the distinct values of its arguments taken one at a time."""
+    rows = 1.0
+    for a in sorted((l.atom for l in rule.pos_body), key=lambda a: -len(a.args)):
+        size = sizes.get(a.pred)
+        if size is None or not size.atoms:
+            return 0.0
+        if size.rows is None:
+            divisor = 1.0
+            for spread in size.distinct:
+                if spread > 1.0:
+                    divisor *= spread
+            rows *= size.atoms / divisor
+            if rows > _ESTIMATE_CAP:
+                rows = _ESTIMATE_CAP
+    return rows
 
 
 def _add_heads(heads, rows: float, values: dict[str, float], sizes) -> None:
@@ -559,13 +584,17 @@ def decompose_program(
     heuristic: str = "min-fill",
     threshold: bool = True,
 ) -> tuple[Program, StatsReport]:
-    """Per rule: normalize aggregates, tree-decompose each part's Gaifman
-    graph, and split a part when its largest bag is smaller than the part
-    and the split is estimated cheaper: its join work plus RULE_COST for
-    each rule it adds is below the whole part's join work (see
-    `_join_estimate`). When both join works are zero, as when no body
-    predicate has facts or derivations, the part is split. Without the
-    threshold every part is split. Rules are estimated in the grounder's
+    """Per rule: normalize aggregates, eliminate each part's Gaifman graph
+    along the heuristic, which gives its width, and split a part when its
+    largest bag is smaller than the part and the split is estimated
+    cheaper: its join work plus RULE_COST for each rule it adds is below
+    the whole part's join work (see `_join_estimate`). When both join works
+    are zero, as when no body predicate has facts or derivations, the part
+    is split. Without the threshold every part is split. The bag tree is
+    built and validated only where a split may follow: without the
+    threshold, or when the largest bag is smaller than the part and its
+    join work is zero or above RULE_COST. A variable-free rule is kept
+    whole and estimated directly. Rules are estimated in the grounder's
     component order, so derived predicates have sizes when they are read;
     the output keeps the input order. Facts pass through. The input's
     rules are safe, since `Program` admits no other; the reserved prefixes
@@ -606,6 +635,12 @@ def _decompose_one(
     """The rules emitted for one source rule, and its statistics. With
     `add_heads`, adds the estimated sizes of its head predicates to
     `sizes`."""
+    if is_variable_free(original):
+        rows = _ground_estimate(original, sizes)
+        if add_heads:
+            _add_heads(original.head, rows, {}, sizes)
+        count = _count(rows)
+        return [original], RuleStats(index, 0, -1, 1, count, count, False)
     namer = FreshNamer(str(index))
     parts: list[tuple[Rule, FreshNamer]] = []
     current = original
@@ -632,26 +667,30 @@ def _decompose_one(
         piece_rows = rows
         if nvars > 1:  # one bag holds one variable: never split
             graph = gaifman(part)
-            td = decompose_graph(graph, heuristic=heuristic)
-            valid, why = validate_td(graph, td)
-            if not valid:
-                raise AssertionError(f"invalid decomposition produced: {why}")
-            width = max(width, td.width)
+            order, bags = eliminate(graph, heuristic)
+            largest = max(map(len, bags))
+            width = max(width, largest - 1)
             # A split adds a rule per extra bag at least, so it cannot pay
-            # while the whole part's work is below their cost.
-            if not threshold or (
-                max(len(b) for b in td.bags) < nvars
-                and (not work or work > RULE_COST * (len(td.bags) - 1))
-            ):
-                split = decompose_rule(part, root_at_head(td, variables_of(part.head)), part_namer)
-                split_work, split_rows = _pieces_estimate(split, sizes)
-                if (
-                    not threshold
-                    or split_work == work == 0
-                    or split_work + RULE_COST * (len(split) - 1) < work
-                ):
-                    pieces, piece_rows = split, split_rows
-                    decomposed = decomposed or len(split) > 1 or split[0] != part
+            # while the whole part's work is below their cost. A tree whose
+            # bags are all smaller than the part has two bags at least, so
+            # the tree is built only when the work is above one rule's cost.
+            if not threshold or (largest < nvars and (not work or work > RULE_COST)):
+                td = bag_tree(order, bags)
+                valid, why = validate_td(graph, td)
+                if not valid:
+                    raise AssertionError(f"invalid decomposition produced: {why}")
+                if not threshold or not work or work > RULE_COST * (len(td.bags) - 1):
+                    split = decompose_rule(
+                        part, root_at_head(td, variables_of(part.head)), part_namer
+                    )
+                    split_work, split_rows = _pieces_estimate(split, sizes)
+                    if (
+                        not threshold
+                        or split_work == work == 0
+                        or split_work + RULE_COST * (len(split) - 1) < work
+                    ):
+                        pieces, piece_rows = split, split_rows
+                        decomposed = decomposed or len(split) > 1 or split[0] != part
         else:
             width = max(width, nvars - 1)
         if add_heads:

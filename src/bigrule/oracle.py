@@ -45,6 +45,7 @@ semantics.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -79,6 +80,7 @@ from .syntax import (
     binding_order,
     eval_term,
     ground_term,
+    is_variable_free,
     term_variables,
 )
 
@@ -271,20 +273,29 @@ def _join_order(atoms, bound, fresh: list):
     arguments, ties to the earlier one. The caller adds to `bound` (names of
     bound variables) and to `fresh` (names bound since the last step) before
     asking for the next index; only atoms holding a fresh name are
-    rescored."""
+    rescored. Scores only grow, so a heap of (-score, index) with stale
+    entries skipped yields the same order as a scan for the maximum."""
     score = [_bound_score(a, bound) for a in atoms]
     watch: dict[str, list[int]] = {}
     for i, a in enumerate(atoms):
         for vn in term_variables(a):
             watch.setdefault(vn, []).append(i)
-    remaining = list(range(len(atoms)))
-    while remaining:
+    heap = [(-s, i) for i, s in enumerate(score)]
+    heapq.heapify(heap)
+    done = [False] * len(atoms)
+    for _ in atoms:
         for vn in fresh:
             for i in watch.get(vn, ()):
-                score[i] = _bound_score(atoms[i], bound)
+                if not done[i]:
+                    s = _bound_score(atoms[i], bound)
+                    if s != score[i]:
+                        score[i] = s
+                        heapq.heappush(heap, (-s, i))
         fresh.clear()
-        idx = max(remaining, key=score.__getitem__)
-        remaining.remove(idx)
+        s, idx = heapq.heappop(heap)
+        while done[idx] or -s != score[idx]:
+            s, idx = heapq.heappop(heap)
+        done[idx] = True
         yield idx
 
 
@@ -382,16 +393,34 @@ class _RulePlan:
     """A rule compiled for the closure and for emission: its body plan, and
     the keys (`_atom_key`) of its head, positive and negative atoms. `values`
     reads the variables in name order; `index` is the rule's position in its
-    program, which errors name."""
+    program, which errors name. A variable-free rule (`is_variable_free`)
+    gets no plan: its only binding, `entry`, holds the argument tuple of
+    each of its atoms once, and its keys read them back."""
 
-    __slots__ = ("rule", "index", "plan", "heads", "pos", "neg", "names", "values")
+    __slots__ = ("rule", "index", "plan", "entry", "heads", "pos", "neg", "names", "values")
 
     def __init__(self, rule: Rule, index: int):
-        atoms = [l.atom for l in rule.pos_body]
-        negated = [l.atom for l in rule.neg_body]
         self.rule = rule
         self.index = index
+        if is_variable_free(rule):
+            args: dict[tuple, int] = {}
+
+            def key(a: Atom) -> tuple:
+                own = tuple(map(_ground_value, a.args))
+                return a.pred, itemgetter(args.setdefault(own, len(args)))
+
+            self.plan = None
+            self.heads = tuple(map(key, rule.head))
+            self.pos = tuple(key(l.atom) for l in rule.pos_body)
+            self.neg = tuple(key(l.atom) for l in rule.neg_body)
+            self.entry = tuple(args)
+            self.names = ()
+            self.values = _no_key
+            return
+        atoms = [l.atom for l in rule.pos_body]
+        negated = [l.atom for l in rule.neg_body]
         self.plan = plan = _Plan(atoms, rule.arith, also=(*rule.head, *negated))
+        self.entry = plan.entry
         self.names = tuple(sorted(plan.slots))
         self.values = _getter([plan.slots[name] for name in self.names])
         self.pos = tuple(
@@ -399,6 +428,14 @@ class _RulePlan:
         )
         self.heads = tuple(_atom_key(a, plan) for a in rule.head)
         self.neg = tuple(_atom_key(a, plan) for a in negated)
+
+    def matches(self, store: _Store):
+        """The body's matches against the store. A variable-free rule's
+        only instance matches when each positive body atom is in it."""
+        if self.plan is not None:
+            return _matches(self.plan, store, self.entry)
+        b, keys = self.entry, store.keys
+        return (b,) if all((pred, args_of(b)) in keys for pred, args_of in self.pos) else ()
 
 
 def _components(rules) -> list[tuple[list[int], bool]]:
@@ -441,7 +478,7 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                 kept = records[i] = []
                 own = spent
                 try:
-                    for b in _matches(unit.plan, store, unit.plan.entry):
+                    for b in unit.matches(store):
                         spent += 1
                         if limit is not None and spent > limit:
                             raise GroundingLimitError(

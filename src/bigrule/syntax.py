@@ -81,6 +81,7 @@ class Arith:
 
 Term = Union[Variable, Constant, Integer, Arith]
 GroundTerm = Union[Constant, Integer]
+_GROUND_TERMS = (Constant, Integer)
 
 
 def _prec(op: str) -> int:
@@ -467,6 +468,16 @@ def global_vars(r: Rule) -> set[str]:
     for agg in r.aggregates:
         out.update(term_variables(agg.guard))
     return out
+
+
+def is_variable_free(r: Rule) -> bool:
+    """Whether the rule is its own only instance: no comparisons, no
+    aggregates, and only constants and integers as atom arguments (no
+    variables, no arithmetic)."""
+    if r.arith or r.aggregates:
+        return False
+    atoms = (*r.head, *(l.atom for l in r.pos_body), *(l.atom for l in r.neg_body))
+    return all(type(arg) in _GROUND_TERMS for a in atoms for arg in a.args)
 
 
 def is_safe(r: Rule) -> tuple[bool, set[str]]:

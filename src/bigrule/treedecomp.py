@@ -8,7 +8,9 @@ roots hang below the last root. A bag may contain its parent's bag but
 never the reverse, since its own vertex is in no later bag. Such comparable
 bags are merged in one pass in elimination order: each node absorbs its
 parent while the parent's bag is a subset of its own, which makes a tail of
-shrinking bags one node.
+shrinking bags one node. `eliminate` makes the order and the bags and
+`bag_tree` joins them, so a caller that needs only the width stops after
+the elimination.
 Exact treewidth (brute force over elimination orderings via subset dynamic
 programming) is provided for small graphs as a test yardstick.
 """
@@ -142,16 +144,26 @@ class TreeDecomposition:
 
 
 def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecomposition:
-    """Bucket elimination along the chosen heuristic ordering. Ties are
-    broken by the lexicographically smallest vertex name, which makes the
-    result deterministic."""
+    """Bucket elimination along the chosen heuristic ordering (`eliminate`),
+    then the bags joined into a tree (`bag_tree`). Ties are broken by the
+    lexicographically smallest vertex name, which makes the result
+    deterministic."""
+    order, bags = eliminate(g, heuristic)
+    if not bags:
+        return TreeDecomposition([frozenset()], [], 0)
+    return bag_tree(order, bags)
+
+
+def eliminate(
+    g: GaifmanGraph, heuristic: str = "min-fill"
+) -> tuple[list[str], list[frozenset[str]]]:
+    """The elimination order along the heuristic, ties to the smallest
+    name, and the bag each eliminated vertex makes. Every tree `bag_tree`
+    builds from them keeps the largest bag, so its width is the largest
+    bag's size less one."""
     if heuristic not in ("min-fill", "min-degree"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    if not g.vertices:
-        return TreeDecomposition([frozenset()], [], 0)
-
     adj = {vtx: set(nb) for vtx, nb in g.adjacency().items()}
-    position: dict[str, int] = {}
     bags: list[frozenset[str]] = []
     eliminated: list[str] = []
 
@@ -178,8 +190,18 @@ def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecompo
         nbs = adj.pop(best)
         del current[best]
         bags.append(frozenset(nbs | {best}))
-        position[best] = len(eliminated)
         eliminated.append(best)
+        if cost is fill_in and not c:
+            # No fill edge: a neighbour u loses only the missing pairs of
+            # best with N(u) \ N[best], and no other fill-in changes.
+            for u in nbs:
+                around = adj[u]
+                around.discard(best)
+                drop = len(around - nbs)
+                if drop:
+                    current[u] -= drop
+                    heapq.heappush(heap, (current[u], u))
+            continue
         for u in nbs:
             adj[u].discard(best)
             adj[u].update(nbs - {u})
@@ -192,12 +214,18 @@ def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecompo
             if c != current[u]:
                 current[u] = c
                 heapq.heappush(heap, (c, u))
+    return eliminated, bags
 
+
+def bag_tree(order: list[str], bags: list[frozenset[str]]) -> TreeDecomposition:
+    """The tree decomposition of an elimination (`eliminate`): bags joined
+    and comparable neighbours merged, as the module docstring says."""
+    position = {vtx: i for i, vtx in enumerate(order)}
     # Each bag hangs below the bag of its first-eliminated other vertex, and
     # extra roots below the last root, so a parent comes later in `bags`.
     parent: list[int] = []
     roots: list[int] = []
-    for i, vtx in enumerate(eliminated):
+    for i, vtx in enumerate(order):
         rest = bags[i] - {vtx}
         if rest:
             parent.append(min(position[u] for u in rest))

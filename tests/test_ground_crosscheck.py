@@ -1,8 +1,10 @@
 """Dual-route grounding check: a deliberately naive grounder instantiates
 every rule over the full domain cross-product and keeps underivable
 instances. Answer sets (as named atom sets) must coincide with the
-join-based grounder's. The naive route shares no matching or comparison
-code with the grounder it checks."""
+join-based grounder's; on programs with variable-free rules, so must the
+ground rules, once the naive ones are cut down the way the grounder emits.
+The naive route shares no matching or comparison code with the grounder it
+checks."""
 
 import random
 from itertools import product
@@ -120,10 +122,41 @@ def named_answer_sets(gp, max_atoms=4000):
     }
 
 
-def tiny_program(rng: random.Random) -> Program:
+def named_rules(gp: GroundProgram) -> set:
+    """The rules as (head, positive, negated) sets of atom names."""
+    name = lambda ids: frozenset(str(gp.atoms[i]) for i in ids)
+    return {(name(r.head), name(r.pos), name(r.neg)) for r in gp.rules}
+
+
+def derivable_rules(gp: GroundProgram, facts) -> set:
+    """`named_rules` of the naive grounding cut down the way the grounder
+    emits: only instances whose positive body the possibly-true closure
+    (negation ignored) derives; an instance with a negated fact dropped; a
+    negated atom outside the closure dropped from its body."""
+    closure: set[int] = set()
+    grown = True
+    while grown:
+        grown = False
+        for r in gp.rules:
+            if closure.issuperset(r.pos) and not closure.issuperset(r.head):
+                closure.update(r.head)
+                grown = True
+    facts = set(facts)
+    fact_ids = {i for i, a in enumerate(gp.atoms) if a in facts}
+    kept = [
+        GroundRule(r.head, r.pos, tuple(i for i in r.neg if i in closure))
+        for r in gp.rules
+        if closure.issuperset(r.pos) and not fact_ids.intersection(r.neg)
+    ]
+    return named_rules(GroundProgram(gp.atoms, kept))
+
+
+def tiny_program(rng: random.Random, variable_free: bool = False) -> Program:
     """One or two random rules with heads over g/1; bodies may read g, and
     the rule g(X) :- g(Y), q(X,Y) is added at random, with its body in
-    either order, so positive recursion gets checked too."""
+    either order, so positive recursion gets checked too. With
+    `variable_free`, `variable_free_rules` adds some rules without
+    variables."""
     consts = [Constant(c) for c in ("k1", "k2", "k3")]
     preds = [("p", 1), ("q", 2), ("r", 1)]
     rules = []
@@ -162,12 +195,34 @@ def tiny_program(rng: random.Random) -> Program:
                 )
             )
         rules.append(Rule(head, tuple(pos), tuple(neg)))
+    if variable_free:
+        rules += variable_free_rules(rng, consts)
     facts = []
     for pred, arity in preds:
         for combo in product(consts, repeat=arity):
             if rng.random() < 0.5:
                 facts.append(Atom(pred, combo))
     return Program(rules, facts)
+
+
+def variable_free_rules(rng: random.Random, consts) -> list[Rule]:
+    """One to three rules without variables: heads over g/1, which the
+    other rules read and derive, h/1 and w/0, or none (a constraint);
+    positive and negated bodies over the fact predicates, the derived ones,
+    and s/1, which nothing derives."""
+    heads = [("g", 1), ("h", 1), ("w", 0)]
+    bodies = [("p", 1), ("q", 2), ("r", 1), ("g", 1), ("h", 1), ("w", 0), ("s", 1)]
+
+    def atom(pred, arity):
+        return Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
+
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        head = tuple(atom(*rng.choice(heads)) for _ in range(rng.choice((0, 1, 1, 2))))
+        pos = tuple(Literal(atom(*rng.choice(bodies))) for _ in range(rng.randint(0, 3)))
+        neg = tuple(Literal(atom(*rng.choice(bodies)), True) for _ in range(rng.randint(0, 1)))
+        rules.append(Rule(head, pos, neg))
+    return rules
 
 
 def test_join_grounder_agrees_with_naive_cross_product():
@@ -177,6 +232,16 @@ def test_join_grounder_agrees_with_naive_cross_product():
         smart = ground(program).ground_program
         naive = ground_naive(program)
         assert named_answer_sets(smart) == named_answer_sets(naive)
+
+
+def test_variable_free_rules_agree_with_naive_cross_product():
+    rng = random.Random(0xF00D)
+    for _ in range(300):
+        program = tiny_program(rng, variable_free=True)
+        smart = ground(program).ground_program
+        naive = ground_naive(program)
+        assert named_answer_sets(smart) == named_answer_sets(naive)
+        assert named_rules(smart) == derivable_rules(naive, program.facts)
 
 
 def test_join_grounder_agrees_on_arithmetic_chains():

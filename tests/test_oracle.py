@@ -18,8 +18,10 @@ from bigrule.errors import (
 )
 from bigrule.oracle import (
     _Plan,
+    _bound_score,
     _enumerate_answer_sets,
     _is_ordered,
+    _join_order,
     _minimal_below,
     _root_residual,
     _rule_masks,
@@ -610,6 +612,41 @@ def test_join_estimate_binds_what_the_plan_binds(r):
         sizes[pred].add(2.0, (Variable("X"), Variable("Y")), [2.0, 2.0])
     _, _, values = _join_estimate(r, sizes)
     assert values.keys() == plan.slots.keys()
+
+
+
+def test_join_order_is_a_scan_for_the_best_score():
+    """The heap yields what a scan of the atoms left for the most bound
+    arguments, ties to the earlier atom, yields."""
+    rng = random.Random(5)
+    names = [f"X{i}" for i in range(8)]
+    for _ in range(500):
+        atoms = [
+            Atom(
+                rng.choice("pqr"),
+                tuple(
+                    Variable(rng.choice(names)) if rng.random() < 0.8 else Constant("a")
+                    for _ in range(rng.randint(0, 3))
+                ),
+            )
+            for _ in range(rng.randint(0, 12))
+        ]
+        bound = set(rng.sample(names, rng.randint(0, 2)))
+        scanned, left, seen = [], list(range(len(atoms))), set(bound)
+        while left:
+            idx = max(left, key=lambda i: _bound_score(atoms[i], seen))
+            left.remove(idx)
+            scanned.append(idx)
+            seen.update(arg.name for arg in atoms[idx].args if isinstance(arg, Variable))
+        fresh: list[str] = []
+        heaped = []
+        for idx in _join_order(atoms, bound, fresh):
+            heaped.append(idx)
+            for arg in atoms[idx].args:
+                if isinstance(arg, Variable) and arg.name not in bound:
+                    bound.add(arg.name)
+                    fresh.append(arg.name)
+        assert heaped == scanned
 
 
 # ------------------------------------------------------------- aggregates --

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,9 @@ from bigrule.parse import parse_program
 from bigrule.treedecomp import (
     GaifmanGraph,
     TreeDecomposition,
+    bag_tree,
     decompose_graph,
+    eliminate,
     exact_treewidth,
     gaifman,
     root_at_head,
@@ -223,3 +226,67 @@ def test_decomposition_deterministic():
         td1 = decompose_graph(g, "min-fill")
         td2 = decompose_graph(g, "min-fill")
         assert td1.bags == td2.bags and td1.edges == td2.edges and td1.root == td2.root
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
+def test_elimination_width_is_the_tree_width(heuristic):
+    rng = random.Random(3000)
+    for _ in range(3000):
+        g = random_gaifman(rng, max_vertices=14, edge_prob=rng.random())
+        order, bags = eliminate(g, heuristic)
+        td = decompose_graph(g, heuristic)
+        assert max(map(len, bags), default=0) - 1 == td.width
+        if bags:
+            tree = bag_tree(order, bags)
+            assert (tree.bags, tree.edges, tree.root) == (td.bags, td.edges, td.root)
+
+
+def _eliminate_by_recount(g, heuristic):
+    """Elimination that recounts every remaining vertex's cost each step."""
+    adj = g.adjacency()
+    order = []
+    while adj:
+        def cost(vtx):
+            nbs = adj[vtx]
+            if heuristic == "min-degree":
+                return len(nbs)
+            return sum(1 for u in nbs for w in nbs if u < w and w not in adj[u])
+
+        best = min(adj, key=lambda vtx: (cost(vtx), vtx))
+        nbs = adj.pop(best)
+        for u in nbs:
+            adj[u] |= nbs - {u}
+            adj[u].discard(best)
+        order.append((best, frozenset(nbs | {best})))
+    return [vtx for vtx, _ in order], [bag for _, bag in order]
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
+def test_elimination_matches_a_recount_from_scratch(heuristic):
+    rng = random.Random(4242)
+    for _ in range(400):
+        g = random_gaifman(rng, max_vertices=12, edge_prob=rng.random())
+        assert eliminate(g, heuristic) == _eliminate_by_recount(g, heuristic)
+
+
+def test_unknown_heuristic_is_rejected_before_elimination():
+    empty = GaifmanGraph(frozenset(), frozenset())
+    # An edge to a vertex outside the graph breaks the adjacency, which the
+    # elimination reads first.
+    broken = GaifmanGraph(frozenset({"A"}), frozenset({("A", "B")}))
+    for g in (empty, broken):
+        with pytest.raises(ValueError, match="unknown heuristic"):
+            eliminate(g, "max-fill")
+        with pytest.raises(ValueError, match="unknown heuristic"):
+            decompose_graph(g, "max-fill")
+
+
+def test_min_fill_on_a_wide_clique_is_fast():
+    # Every elimination in a clique adds no fill edge; recounting each
+    # neighbour's fill-in over its neighbours takes seconds here.
+    args = ",".join(f"X{i}" for i in range(200))
+    g = gaifman(rule_of(f"p({args}) :- q({args})."))
+    start = time.perf_counter()
+    td = decompose_graph(g)
+    assert time.perf_counter() - start < 1.0
+    assert td.bags == (g.vertices,)
