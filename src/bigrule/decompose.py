@@ -270,29 +270,6 @@ def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
     return min(work, _ESTIMATE_CAP), rows, values
 
 
-def _ground_estimate(rule: Rule, sizes) -> float:
-    """`_join_estimate`'s matches for a variable-free rule, reached
-    directly. A probe keys every argument and no score changes, so the
-    atoms go in descending arity, ties to the earlier one. A predicate
-    defined by facts alone keeps the rows, since its atoms over their
-    distinct key tuples is one; any other multiplies them by its atoms over
-    the distinct values of its arguments taken one at a time."""
-    rows = 1.0
-    for a in sorted((l.atom for l in rule.pos_body), key=lambda a: -len(a.args)):
-        size = sizes.get(a.pred)
-        if size is None or not size.atoms:
-            return 0.0
-        if size.rows is None:
-            divisor = 1.0
-            for spread in size.distinct:
-                if spread > 1.0:
-                    divisor *= spread
-            rows *= size.atoms / divisor
-            if rows > _ESTIMATE_CAP:
-                rows = _ESTIMATE_CAP
-    return rows
-
-
 def _add_heads(heads, rows: float, values: dict[str, float], sizes) -> None:
     """Add the head atoms of `rows` estimated matches to `sizes`."""
     if not rows:
@@ -636,7 +613,7 @@ def _decompose_one(
     `add_heads`, adds the estimated sizes of its head predicates to
     `sizes`."""
     if is_variable_free(original):
-        rows = _ground_estimate(original, sizes)
+        rows = _join_estimate(original, sizes)[1]
         if add_heads:
             _add_heads(original.head, rows, {}, sizes)
         count = _count(rows)

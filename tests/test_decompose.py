@@ -8,9 +8,7 @@ from bigrule.decompose import (
     ESTIMATE_SATURATED,
     RULE_COST,
     FreshNamer,
-    _add_heads,
     _fact_sizes,
-    _ground_estimate,
     _join_estimate,
     decompose_program,
     decompose_rule,
@@ -25,7 +23,6 @@ from bigrule.parse import make_graph, parse_program, parse_qdimacs, print_progra
 from bigrule.rewriters import qbf2_classic, threecol_single_rule
 from bigrule.syntax import (
     Atom,
-    Constant,
     Integer,
     Literal,
     Program,
@@ -418,13 +415,16 @@ def test_estimates_reach_recursive_and_empty_rules():
     assert empty.est_before == empty.est_after == 0
 
 
+def _long_grid_program(cols):
+    edges = [(f"v{r}_{c}", f"v{r}_{c + 1}") for r in range(3) for c in range(cols - 1)]
+    edges += [(f"v{r}_{c}", f"v{r + 1}_{c}") for r in range(2) for c in range(cols)]
+    return threecol_single_rule(make_graph(edges))
+
+
 def test_validate_and_split_of_a_long_grid_rule_are_linear():
     # 4,608 variables and 4,605 bags: scanning every bag per edge, per
     # vertex or per body element takes seconds here.
-    cols = 1536
-    edges = [(f"v{r}_{c}", f"v{r}_{c + 1}") for r in range(3) for c in range(cols - 1)]
-    edges += [(f"v{r}_{c}", f"v{r + 1}_{c}") for r in range(2) for c in range(cols)]
-    (rule,) = threecol_single_rule(make_graph(edges)).rules
+    (rule,) = _long_grid_program(1536).rules
     graph = gaifman(rule)
     td = decompose_graph(graph)
     start = time.perf_counter()
@@ -448,41 +448,6 @@ def test_a_part_too_cheap_to_split_builds_no_tree(monkeypatch):
     assert report.rules[0].width == decompose_graph(gaifman(rule)).width == 2
     with pytest.raises(AssertionError, match="bag tree built"):
         decompose_program(program, threshold=False)
-
-
-def test_variable_free_estimate_is_the_join_estimate():
-    rng = random.Random(1713)
-    consts = [Constant("a"), Constant("b"), Integer(1)]
-    facts_of = [("p", 1), ("q", 2), ("w", 0)]
-    derived = [("d", 2), ("e", 1), ("f", 1), ("g", 2), ("z", 3)]
-    for _ in range(300):
-        facts = [
-            Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
-            for pred, arity in facts_of
-            for _ in range(rng.randint(0, 4))
-        ]
-        sizes = _fact_sizes(facts)
-        # Sizes from below one to past the cap, so that the order of the
-        # probes shows in the rounding and the saturation.
-        for pred, arity in derived:
-            names = [f"X{i}" for i in range(arity)]
-            spreads = {name: 10 ** rng.uniform(0, 6) for name in names}
-            head = Atom(pred, tuple(map(Variable, names)))
-            _add_heads([head], 10 ** rng.uniform(-1, 19), spreads, sizes)
-        # u has neither facts nor rules.
-        preds = facts_of + derived + [("u", 1)] * (rng.random() < 0.2)
-        body = [
-            Literal(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
-            for pred, arity in rng.choices(preds, k=rng.randint(0, 5))
-        ]
-        rule = Rule((Atom("h", (Constant("a"),)),), tuple(body))
-        assert _ground_estimate(rule, sizes) == _join_estimate(rule, sizes)[1]
-
-
-def _long_grid_program(cols):
-    edges = [(f"v{r}_{c}", f"v{r}_{c + 1}") for r in range(3) for c in range(cols - 1)]
-    edges += [(f"v{r}_{c}", f"v{r + 1}_{c}") for r in range(2) for c in range(cols)]
-    return threecol_single_rule(make_graph(edges))
 
 
 def test_join_order_of_a_long_grid_rule_is_linear():
