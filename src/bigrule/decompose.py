@@ -373,11 +373,17 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
     if len(td.bags) == 1:
         return [rule]
 
-    parent = td.parents()
-    children = td.children()
-    post = td.postorder()
-    pre = td.preorder()
+    parent, children, pre = td.walk()
     position = {node: i for i, node in enumerate(pre)}
+    # The postorder, children in index order: the preorder that visits
+    # children in reverse, reversed.
+    post: list[int] = []
+    stack = [td.root]
+    while stack:
+        node = stack.pop()
+        post.append(node)
+        stack.extend(children[node])
+    post.reverse()
 
     assigned: dict[int, list] = {node: [] for node in range(len(td.bags))}
     ordered_vars: dict[int, list[str]] = {}  # by id of the element
@@ -413,19 +419,17 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
 
         if parent[node] >= 0:
             shared = td.bags[node] & td.bags[parent[node]]
-            order: list[str] = []
-            for element in assigned[node]:
-                for name in ordered_vars[id(element)]:
-                    if name in shared and name not in order:
-                        order.append(name)
-            for m in children[node]:
-                for name in interface[m]:
-                    if name in shared and name not in order:
-                        order.append(name)
-            for name in sorted(shared):
-                if name not in order:
-                    order.append(name)
-            interface[node] = tuple(order)
+            # The shared variables in the order the element variables, the
+            # children's interfaces and then the sorted rest name them.
+            order = interface[node] = tuple(
+                name
+                for name in dict.fromkeys(
+                    [x for element in assigned[node] for x in ordered_vars[id(element)]]
+                    + [x for m in children[node] for x in interface[m]]
+                    + sorted(shared)
+                )
+                if name in shared
+            )
             head = (Atom(namer.temp(position[node]), tuple(Variable(x) for x in order)),)
         else:
             head = rule.head
@@ -561,17 +565,18 @@ def decompose_program(
     heuristic: str = "min-fill",
     threshold: bool = True,
 ) -> tuple[Program, StatsReport]:
-    """Per rule: normalize aggregates, eliminate each part's Gaifman graph
-    along the heuristic, which gives its width, and split a part when its
-    largest bag is smaller than the part and the split is estimated
-    cheaper: its join work plus RULE_COST for each rule it adds is below
-    the whole part's join work (see `_join_estimate`). When both join works
-    are zero, as when no body predicate has facts or derivations, the part
-    is split. Without the threshold every part is split. The bag tree is
-    built and validated only where a split may follow: without the
-    threshold, or when the largest bag is smaller than the part and its
-    join work is zero or above RULE_COST. A variable-free rule is kept
-    whole and estimated directly. Rules are estimated in the grounder's
+    """Per rule: normalize aggregates and eliminate each part's Gaifman
+    graph along the heuristic, which gives its width. A bag tree is built,
+    and validated, only when the largest bag is smaller than the part: a
+    one-bag tree cannot split. One cost test decides a split: it replaces
+    the part when its join work plus RULE_COST for each rule it adds is
+    below the whole part's join work (see `_join_estimate`), or when both
+    join works are zero, as when no body predicate has facts or
+    derivations; without the threshold it always does. The same test runs
+    first on lower bounds, no work and one added rule before the tree is
+    built and a rule per extra bag before the split is, so neither is built
+    where it cannot pay. A variable-free rule is kept whole and estimated
+    directly. Rules are estimated in the grounder's
     component order, so derived predicates have sizes when they are read;
     the output keeps the input order. Facts pass through. The input's
     rules are safe, since `Program` admits no other; the reserved prefixes
@@ -632,6 +637,16 @@ def _decompose_one(
     parts.append((current, namer))
     parts.extend(helper_parts)
 
+    def pays(split_work: float, added_rules: int) -> bool:
+        """The one cost test: a split replaces the part when its join work
+        plus RULE_COST per added rule is below the part's join work, or
+        both works are zero, and always without the threshold."""
+        return (
+            not threshold
+            or split_work == work == 0
+            or split_work + RULE_COST * added_rules < work
+        )
+
     emitted: list[Rule] = []
     width = -1
     decomposed = False
@@ -647,27 +662,22 @@ def _decompose_one(
             order, bags = eliminate(graph, heuristic)
             largest = max(map(len, bags))
             width = max(width, largest - 1)
-            # A split adds a rule per extra bag at least, so it cannot pay
-            # while the whole part's work is below their cost. A tree whose
-            # bags are all smaller than the part has two bags at least, so
-            # the tree is built only when the work is above one rule's cost.
-            if not threshold or (largest < nvars and (not work or work > RULE_COST)):
+            # A tree splits only if it has two bags, so a bag smaller than
+            # the part, and a split adds a rule per extra bag at least: the
+            # cost test on these lower bounds skips what cannot pay.
+            if largest < nvars and pays(0, 1):
                 td = bag_tree(order, bags)
                 valid, why = validate_td(graph, td)
                 if not valid:
                     raise AssertionError(f"invalid decomposition produced: {why}")
-                if not threshold or not work or work > RULE_COST * (len(td.bags) - 1):
+                if pays(0, len(td.bags) - 1):
                     split = decompose_rule(
                         part, root_at_head(td, variables_of(part.head)), part_namer
                     )
                     split_work, split_rows = _pieces_estimate(split, sizes)
-                    if (
-                        not threshold
-                        or split_work == work == 0
-                        or split_work + RULE_COST * (len(split) - 1) < work
-                    ):
+                    if pays(split_work, len(split) - 1):
                         pieces, piece_rows = split, split_rows
-                        decomposed = decomposed or len(split) > 1 or split[0] != part
+                        decomposed = True
         else:
             width = max(width, nvars - 1)
         if add_heads:

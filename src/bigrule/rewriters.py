@@ -71,16 +71,21 @@ def _vertex_var(vertex: str) -> Variable:
     return Variable(f"X_{vertex}")
 
 
-def threecol_single_rule(g: InputGraph) -> Program:
-    """One big guess-and-check constraint: a variable per vertex mapped to
-    a color, edges mapped to valid color pairs. The program has an answer
-    set exactly when no proper 3-coloring exists."""
+def _coloring_body(g: InputGraph) -> list[Literal]:
+    """A color per vertex variable and a valid color pair per edge."""
     body = [pos(Atom("col", (_vertex_var(v),))) for v in sorted(g.vertices)]
     body += [
         pos(Atom("e", (_vertex_var(u), _vertex_var(w))))
         for u, w in sorted(g.edges)
     ]
-    constraint = Rule(head=(), pos_body=tuple(body))
+    return body
+
+
+def threecol_single_rule(g: InputGraph) -> Program:
+    """One big guess-and-check constraint: a variable per vertex mapped to
+    a color, edges mapped to valid color pairs. The program has an answer
+    set exactly when no proper 3-coloring exists."""
+    constraint = Rule(head=(), pos_body=tuple(_coloring_body(g)))
     return Program([constraint], _color_facts())
 
 
@@ -108,11 +113,7 @@ def threecol_second_level(g: InputGraph) -> Program:
             pos(Atom("c", (Variable("X2"), Variable("C")))),
         ),
     )
-    body = [pos(Atom("col", (_vertex_var(v),))) for v in sorted(g.vertices)]
-    body += [
-        pos(Atom("e", (_vertex_var(u), _vertex_var(w))))
-        for u, w in sorted(g.edges)
-    ]
+    body = _coloring_body(g)
     body += [pos(Atom("c", (Constant(v), _vertex_var(v)))) for v in sorted(v1)]
     r_col = Rule(head=(), pos_body=tuple(body))
     return Program([guess, proper, r_col], facts)

@@ -63,19 +63,24 @@ def gaifman(rule: Rule) -> GaifmanGraph:
 
 
 class TreeDecomposition:
-    """Rooted tree of bags. Nodes are indices into `bags`."""
+    """Rooted tree of bags. Nodes are indices into `bags`, and `edges` are
+    len(bags) - 1 pairs of distinct nodes, which form a tree exactly when
+    `walk` reaches every node."""
 
-    __slots__ = ("bags", "edges", "root", "_parent")
+    __slots__ = ("bags", "edges", "root", "_walk")
 
     def __init__(self, bags, edges, root: int):
         self.bags: tuple[frozenset[str], ...] = tuple(frozenset(b) for b in bags)
         self.edges: tuple[tuple[int, int], ...] = tuple(tuple(sorted(e)) for e in edges)
         self.root = root
-        self._parent: list[int] | None = None
-        if not self.bags:
+        self._walk: tuple[list[int], list[list[int]], list[int]] | None = None
+        count = len(self.bags)
+        if not count:
             raise ValueError("a tree decomposition needs at least one node")
-        if not 0 <= root < len(self.bags):
+        if not 0 <= root < count:
             raise ValueError("root out of range")
+        if len(self.edges) != count - 1 or any(not 0 <= a < b < count for a, b in self.edges):
+            raise ValueError(f"{count} bags need {count - 1} edges, each between two of them")
 
     def __repr__(self):
         shown = ", ".join("{" + ",".join(sorted(b)) + "}" for b in self.bags)
@@ -85,62 +90,34 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
-    def parents(self) -> list[int]:
-        """Parent index per node, -1 for the root, via BFS from the root."""
-        if self._parent is None:
-            adj = self.neighbors()
+    def walk(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """Each node's parent (-1 at the root), its children in index order,
+        and the preorder that visits them in that order: one depth-first
+        pass from the root, cached. Raises ValueError naming a bag the pass
+        does not reach, which happens exactly when the edges form no tree."""
+        if self._walk is None:
+            adj: list[list[int]] = [[] for _ in self.bags]
+            for a, b in self.edges:
+                adj[a].append(b)
+                adj[b].append(a)
             parent = [-2] * len(self.bags)
             parent[self.root] = -1
-            queue = [self.root]
-            for node in queue:
-                for nxt in sorted(adj[node]):
-                    if parent[nxt] == -2:
-                        parent[nxt] = node
-                        queue.append(nxt)
-            if -2 in parent:
-                raise ValueError("tree decomposition is not connected")
-            self._parent = parent
-        return list(self._parent)
-
-    def children(self) -> list[list[int]]:
-        parent = self.parents()
-        out: list[list[int]] = [[] for _ in self.bags]
-        for node, par in enumerate(parent):
-            if par >= 0:
-                out[par].append(node)
-        return out
-
-    def postorder(self) -> list[int]:
-        children = self.children()
-        order: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for child in reversed(children[node]):
-                    stack.append((child, False))
-        return order
-
-    def preorder(self) -> list[int]:
-        children = self.children()
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for child in reversed(children[node]):
-                stack.append(child)
-        return order
+            children: list[list[int]] = [[] for _ in self.bags]
+            pre: list[int] = []
+            stack = [self.root]
+            while stack:
+                node = stack.pop()
+                pre.append(node)
+                kids = children[node] = sorted({m for m in adj[node] if parent[m] == -2})
+                for m in kids:
+                    parent[m] = node
+                stack.extend(reversed(kids))
+            if len(pre) < len(self.bags):
+                raise ValueError(
+                    f"not a tree: bag {parent.index(-2)} is not reached from the root {self.root}"
+                )
+            self._walk = parent, children, pre
+        return self._walk
 
 
 def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecomposition:
@@ -163,7 +140,7 @@ def eliminate(
     bag's size less one."""
     if heuristic not in ("min-fill", "min-degree"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    adj = {vtx: set(nb) for vtx, nb in g.adjacency().items()}
+    adj = g.adjacency()
     bags: list[frozenset[str]] = []
     eliminated: list[str] = []
 
@@ -255,8 +232,13 @@ def bag_tree(order: list[str], bags: list[frozenset[str]]) -> TreeDecomposition:
 
 
 def validate_td(g: GaifmanGraph, td: TreeDecomposition) -> tuple[bool, str | None]:
-    """Check vertex coverage, edge coverage, and connectedness. Returns the
-    first violated condition with a witness."""
+    """Check that the bags form a tree, then vertex coverage, edge coverage,
+    and connectedness. Returns the first violated condition with a
+    witness."""
+    try:
+        parent = td.walk()[0]
+    except ValueError as err:
+        return False, str(err)
     bags_of: dict[str, list[int]] = {}  # vertex -> the bags holding it
     for i, bag in enumerate(td.bags):
         for vtx in bag:
@@ -267,21 +249,13 @@ def validate_td(g: GaifmanGraph, td: TreeDecomposition) -> tuple[bool, str | Non
     for u, w in sorted(g.edges):
         if not any(w in td.bags[i] for i in bags_of.get(u, ())):
             return False, f"condition (ii): edge ({u},{w}) covered by no bag"
-    adj = td.neighbors()
+    # The bags holding a vertex are connected exactly when one of them has
+    # no parent holding it too.
     for vtx in sorted(g.vertices):
-        holding = bags_of[vtx]
-        reached = {holding[0]}
-        queue = [holding[0]]
-        while queue:
-            node = queue.pop()
-            for nxt in adj[node]:
-                if nxt not in reached and vtx in td.bags[nxt]:
-                    reached.add(nxt)
-                    queue.append(nxt)
-        missing = [i for i in holding if i not in reached]
-        if missing:
+        tops = [i for i in bags_of[vtx] if parent[i] < 0 or vtx not in td.bags[parent[i]]]
+        if len(tops) > 1:
             return False, (
-                f"condition (iii): bags {holding[0]} and {missing[0]} both hold "
+                f"condition (iii): bags {tops[0]} and {tops[1]} both hold "
                 f"{vtx} but are separated by {vtx}-free bags"
             )
     return True, None
@@ -294,7 +268,7 @@ def root_at_head(td: TreeDecomposition, head_vars) -> TreeDecomposition:
     head_vars = frozenset(head_vars)
     if head_vars <= td.bags[td.root]:
         return td
-    for node in td.preorder():
+    for node in td.walk()[2]:
         if head_vars <= td.bags[node]:
             return TreeDecomposition(td.bags, td.edges, node)
     raise NoCoveringBagError(

@@ -31,7 +31,13 @@ from bigrule.syntax import (
     is_safe,
     variables_of,
 )
-from bigrule.treedecomp import TreeDecomposition, decompose_graph, gaifman, validate_td
+from bigrule.treedecomp import (
+    TreeDecomposition,
+    decompose_graph,
+    gaifman,
+    root_at_head,
+    validate_td,
+)
 
 from corpus import random_safe_rule_program
 
@@ -100,6 +106,39 @@ def test_worked_example_width_two_via_driver():
     _, report = decompose_program(program, threshold=False)
     assert report.rules[0].width == 2
     assert report.rules[0].decomposed
+
+
+def test_split_of_a_rerooted_branching_tree():
+    # Six bags, edges listed out of index order, rooted at bag 3 and
+    # re-rooted at bag 4, the first bag in preorder holding the head. The
+    # root's children are 0, 2 and 5 in index order; the preorder is
+    # 4 0 2 1 5 3, which numbers the temp predicates, and the rules come in
+    # postorder 0 1 2 3 5 4.
+    rule = rule_of("h(A,B) :- s(E,B,A), q(B,C), r(C,D), t(E,F), u(A,G), p(A,B).")
+    td = TreeDecomposition(
+        [
+            frozenset({"A", "G"}),
+            frozenset({"E", "F"}),
+            frozenset({"A", "B", "E"}),
+            frozenset({"C", "D"}),
+            frozenset({"A", "B"}),
+            frozenset({"B", "C"}),
+        ],
+        [(3, 5), (1, 2), (4, 0), (5, 4), (2, 4)],
+        3,
+    )
+    rooted = root_at_head(td, {"A", "B"})
+    assert rooted.root == 4
+    assert validate_td(gaifman(rule), rooted) == (True, None)
+    pieces = decompose_rule(rule, rooted, FreshNamer("0"))
+    assert pieces == [
+        rule_of("temp_0_1(A) :- u(A,G)."),
+        rule_of("temp_0_3(E) :- t(E,F)."),
+        rule_of("temp_0_2(B,A) :- s(E,B,A), p(A,B), temp_0_3(E)."),
+        rule_of("temp_0_5(C) :- r(C,D)."),
+        rule_of("temp_0_4(B) :- q(B,C), temp_0_5(C)."),
+        rule_of("h(A,B) :- temp_0_1(A), temp_0_2(B,A), temp_0_4(B)."),
+    ]
 
 
 def test_single_bag_identity():

@@ -121,6 +121,41 @@ def test_validate_catches_missing_vertex():
     assert not ok and "condition (i)" in report
 
 
+TRIANGLE_BAGS = [frozenset({"X", "Y"}), frozenset({"Y", "Z"}), frozenset({"X", "Z"})]
+
+
+def test_bags_joined_in_a_cycle_are_rejected():
+    # Every vertex's bags are adjacent, but a split along these bags of
+    # ":- p(X,Y), q(Y,Z), r(X,Z)." loses the join on Z: with the facts
+    # p(a,b). q(b,c). r(a,d). the rule does not fire and the pieces would.
+    with pytest.raises(ValueError, match="edges"):
+        TreeDecomposition(TRIANGLE_BAGS, [(0, 1), (1, 2), (0, 2)], 0)
+
+
+def test_a_forest_is_rejected():
+    with pytest.raises(ValueError, match="edges"):
+        TreeDecomposition(TRIANGLE_BAGS, [(0, 1)], 0)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 3)], [(0, 1), (2, 2)], [(0, 1), (-1, 2)]])
+def test_an_edge_to_a_missing_bag_or_to_itself_is_rejected(edges):
+    with pytest.raises(ValueError, match="edges"):
+        TreeDecomposition(TRIANGLE_BAGS, edges, 0)
+
+
+def test_validate_catches_bags_that_form_no_tree():
+    # Four bags and three edges, but the edges close a cycle and leave bag 3
+    # out.
+    rule = rule_of(":- p(X,Y), q(Y,Z), r(X,Z), s(W).")
+    td = TreeDecomposition(TRIANGLE_BAGS + [frozenset({"W"})], [(0, 1), (1, 2), (0, 2)], 0)
+    assert validate_td(gaifman(rule), td) == (
+        False,
+        "not a tree: bag 3 is not reached from the root 0",
+    )
+    with pytest.raises(ValueError, match="not a tree"):
+        root_at_head(td, {"W"})
+
+
 def test_root_at_head_worked_example():
     td = TreeDecomposition(
         [frozenset({"X", "W", "Y"}), frozenset({"Y", "Z", "W"})], [(0, 1)], 1
