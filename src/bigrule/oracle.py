@@ -13,8 +13,10 @@ one until it adds nothing. Every match is recorded, and emission reads
 the records once the closure is complete. It numbers atoms in order of first
 use: facts, then rule by rule the instances sorted by binding, each with its
 head, positive and negative atoms in turn, once none of its negated atoms is
-a fact. Aggregate conditions run on the same plans, over the deterministic
-sub-program's least model.
+a fact. One table per predicate maps argument tuples to numbers, all counting
+in that one order; as each atom is numbered once, the output `GroundProgram`
+skips its checks. Aggregate conditions run on the same plans, over the
+deterministic sub-program's least model.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads). Rules, truth assignments and atom
@@ -550,38 +552,47 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
 
     # Emission, with negative-literal simplification against the closure. A
     # list of atoms can repeat one only if two of them share a predicate.
-    number = _Numbering()
-    num = number.__getitem__
-    ground_rules = [GroundRule((num(key),), (), ()) for key in fact_order]
+    order: list[tuple] = []
+    tables: dict = {}
+
+    def table(pred: str):  # `__getitem__` of pred's numbering, made once
+        num = tables.get(pred)
+        if num is None:
+            num = tables[pred] = _Numbering(pred, order).__getitem__
+        return num
+
+    ground_rules = [GroundRule((table(pred)(args),)) for pred, args in fact_order]
     append = ground_rules.append
     source_map: dict[int, int] = {}
     for src_index, (unit, matches) in enumerate(zip(units, records)):
         _sort_by_binding(matches, unit.values)
         first = len(ground_rules)
-        heads, pos, neg = unit.heads, unit.pos, unit.neg
-        pos_repeats = _may_repeat(pos)
-        if not neg and len(heads) <= 1:
-            head_pred, head_of = heads[0] if heads else (None, None)
+        heads = [(table(pred), args_of) for pred, args_of in unit.heads]
+        pos = [(table(pred), args_of) for pred, args_of in unit.pos]
+        pos_repeats = _may_repeat(unit.pos)
+        if not unit.neg and len(heads) <= 1:
+            head_num, head_of = heads[0] if heads else (None, None)
             for b in matches:
-                head = (num((head_pred, head_of(b))),) if heads else ()
-                body = [num((pred, args_of(b))) for pred, args_of in pos]
+                head = (head_num(head_of(b)),) if heads else ()
+                body = [num(args_of(b)) for num, args_of in pos]
                 append(GroundRule(head, tuple(dict.fromkeys(body) if pos_repeats else body), ()))
         else:
-            head_repeats, neg_repeats = _may_repeat(heads), _may_repeat(neg)
+            head_repeats, neg_repeats = _may_repeat(unit.heads), _may_repeat(unit.neg)
+            neg = [(pred, table(pred), args_of) for pred, args_of in unit.neg]
             try:
                 for b in matches:
-                    neg_keys = []
-                    for pred, args_of in neg:
+                    neg_args = []
+                    for pred, num, args_of in neg:
                         key = (pred, args_of(b))
                         if key in fact_keys:
                             break  # negated fact: instance can never fire
                         if key in store.keys:
-                            neg_keys.append(key)
+                            neg_args.append((num, key[1]))
                         # else: atom can never be true, the literal is vacuous
                     else:
-                        head = [num((pred, args_of(b))) for pred, args_of in heads]
-                        body = [num((pred, args_of(b))) for pred, args_of in pos]
-                        negs = [num(key) for key in neg_keys]
+                        head = [num(args_of(b)) for num, args_of in heads]
+                        body = [num(args_of(b)) for num, args_of in pos]
+                        negs = [num(args) for num, args in neg_args]
                         append(GroundRule(
                             tuple(dict.fromkeys(head) if head_repeats else head),
                             tuple(dict.fromkeys(body) if pos_repeats else body),
@@ -591,19 +602,26 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
                 raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
         source_map.update(dict.fromkeys(range(first, len(ground_rules)), src_index))
 
-    terms = {v: ground_term(v) for v in {v for _, args in number for v in args}}
-    atoms = [Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in number]
-    gp = GroundProgram(atoms, ground_rules)
+    terms = {v: ground_term(v) for v in {v for _, args in order for v in args}}
+    atoms = tuple([Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in order])
+    # Each key was numbered once, by a rule that uses it: atoms distinct, indices in range.
+    gp = GroundProgram._trusted(atoms, tuple(ground_rules))
     return GroundingResult(gp, len(source_map), len(atoms), source_map)
 
 
 class _Numbering(dict):
-    """Numbers keys in order of first use."""
+    """One predicate's atom numbers, by argument tuple. All predicates'
+    tables count up in one shared order of first use, `order`, the list of
+    `(pred, args)` keys that the atom table is read from."""
 
-    __slots__ = ()
+    __slots__ = ("pred", "order")
 
-    def __missing__(self, key) -> int:
-        self[key] = n = len(self)
+    def __init__(self, pred: str, order: list):
+        self.pred, self.order = pred, order
+
+    def __missing__(self, args) -> int:
+        self[args] = n = len(self.order)
+        self.order.append((self.pred, args))
         return n
 
 

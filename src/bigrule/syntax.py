@@ -8,7 +8,7 @@ lowercase one; this is what guarantees a printable round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     ArityError,
@@ -356,8 +356,7 @@ def _collect_constants_term(t: Term, out: set):
 
 # --------------------------------------------------------- ground program --
 
-@dataclass(frozen=True, slots=True)
-class GroundRule:
+class GroundRule(NamedTuple):
     """Rule over atom indices of the owning GroundProgram."""
 
     head: tuple[int, ...] = ()
@@ -380,6 +379,14 @@ class GroundProgram:
             for i in (*r.head, *r.pos, *r.neg):
                 if not 0 <= i < bound:
                     raise ValueError(f"rule references unregistered atom index {i}")
+
+    @classmethod
+    def _trusted(cls, atoms: tuple[Atom, ...], rules: tuple[GroundRule, ...]) -> GroundProgram:
+        """Without `__init__`'s checks, for a builder that guarantees them:
+        no atom twice in `atoms`, and every index of `rules` in range."""
+        gp = cls.__new__(cls)
+        gp.atoms, gp.rules = atoms, rules
+        return gp
 
     def __eq__(self, other):
         if not isinstance(other, GroundProgram):

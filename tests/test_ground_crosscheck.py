@@ -11,7 +11,9 @@ from itertools import product
 
 import pytest
 
+from bigrule.errors import BigruleError
 from bigrule.oracle import answer_sets, ground
+from bigrule.parse import parse_program
 from bigrule.syntax import (
     Atom,
     Constant,
@@ -24,6 +26,8 @@ from bigrule.syntax import (
     eval_term,
     variables_of,
 )
+
+from test_ground_golden import GOLDEN
 
 
 def ground_naive(program: Program) -> GroundProgram:
@@ -244,16 +248,42 @@ def test_variable_free_rules_agree_with_naive_cross_product():
         assert named_rules(smart) == derivable_rules(naive, program.facts)
 
 
-def test_join_grounder_agrees_on_arithmetic_chains():
-    program_texts = [
-        "p(1). p(2). p(3).\nq(X) :- p(Y), X = Y+1, not p(X).",
-        "p(1). p(2).\n:- p(X), p(Y), X = Y+1.",
-        "n(0). n(1).\nv(Z) :- n(X), n(Y), Z = X*2+Y, Z >= 1.",
-    ]
-    from bigrule.parse import parse_program
+ARITHMETIC_TEXTS = (
+    "p(1). p(2). p(3).\nq(X) :- p(Y), X = Y+1, not p(X).",
+    "p(1). p(2).\n:- p(X), p(Y), X = Y+1.",
+    "n(0). n(1).\nv(Z) :- n(X), n(Y), Z = X*2+Y, Z >= 1.",
+)
 
-    for text in program_texts:
+
+def test_join_grounder_agrees_on_arithmetic_chains():
+    for text in ARITHMETIC_TEXTS:
         program = parse_program(text)
         smart = ground(program).ground_program
         naive = ground_naive(program)
         assert named_answer_sets(smart) == named_answer_sets(naive), text
+
+
+def _generated():
+    """The programs the tests above generate."""
+    rng = random.Random(0xD1CE)
+    yield from (tiny_program(rng) for _ in range(250))
+    rng = random.Random(0xF00D)
+    yield from (tiny_program(rng, variable_free=True) for _ in range(300))
+    yield from map(parse_program, ARITHMETIC_TEXTS)
+
+
+@pytest.mark.filterwarnings("ignore::bigrule.parse.QdimacsWarning")
+@pytest.mark.parametrize("section", sorted(GOLDEN) + ["generated"])
+def test_grounder_output_passes_ground_program_checks(section):
+    # `ground` builds its GroundProgram without the constructor's checks,
+    # on the strength of its atom numbering. Run them here; the numbering
+    # also numbers only atoms that some rule uses, so every index is used.
+    programs = _generated() if section == "generated" else GOLDEN[section][0]()
+    for program in programs:
+        try:
+            gp = ground(program).ground_program
+        except BigruleError:
+            continue
+        assert GroundProgram(gp.atoms, gp.rules) == gp
+        used = {i for r in gp.rules for i in (*r.head, *r.pos, *r.neg)}
+        assert used == set(range(len(gp.atoms)))

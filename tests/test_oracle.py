@@ -248,6 +248,31 @@ def test_ground_emission_dedup_and_atom_order():
     assert result.source_rule_map == {3: 0, 4: 0, 5: 1, 6: 2, 7: 2, 8: 3, 9: 4, 10: 4}
 
 
+def test_ground_atom_order_interleaves_predicates():
+    # First uses alternate between p and q: in the facts, then a head
+    # (q(3)), a negated atom (p(3)) and a positive body atom (q(2)). The
+    # instance at X=1 is dropped by the negated fact p(2), so q(2) is first
+    # used by the last rule. Numbering all p atoms before all q atoms, or in
+    # any order other than first use across predicates, changes the table.
+    program = parse_program(
+        "p(1). q(1). p(2).\n"
+        "q(Y) :- p(X), Y = X+1, Y < 4, not p(Y).\n"
+        "p(X) :- q(X), X > 1.\n"
+    )
+    result = ground(program)
+    gp = result.ground_program
+    assert [str(a) for a in gp.atoms] == ["p(1)", "q(1)", "p(2)", "q(3)", "p(3)", "q(2)"]
+    assert print_ground_program(gp) == (
+        "p(1).\n"
+        "q(1).\n"
+        "p(2).\n"
+        "q(3) :- p(2), not p(3).\n"
+        "p(2) :- q(2).\n"
+        "p(3) :- q(3).\n"
+    )
+    assert result.source_rule_map == {3: 0, 4: 1, 5: 1}
+
+
 def test_ground_deterministic_order():
     program = parse_program("q(b). q(a).\np(X) :- q(X).")
     r1 = ground(program)

@@ -221,6 +221,17 @@ def test_interpretation_atom_strings():
     assert Interpretation(frozenset({0, 1})).atom_strs(gp) == ["a", "b"]
 
 
+def test_ground_rule_fields_defaults_and_immutability():
+    rule = GroundRule((0,), (1,))
+    assert GroundRule((0,)).pos == GroundRule((0,)).neg == ()
+    assert repr(rule) == "GroundRule(head=(0,), pos=(1,), neg=())"
+    with pytest.raises(AttributeError):
+        rule.head = (1,)
+    twin = GroundRule(head=(0,), pos=(1,), neg=())
+    assert twin == rule and hash(twin) == hash(rule)
+    assert GroundRule((0,), (2,)) != rule
+
+
 @pytest.mark.parametrize(
     "atoms, rule, message",
     [
