@@ -304,64 +304,68 @@ def _count(estimate: float) -> int:
 
 
 def synthesize_dom_rules(rule: Rule, needed_vars, namer: FreshNamer) -> dict[str, Rule]:
-    """Domain-definition rules for the given variables. Prefers the
-    syntactically first positive atom holding the variable in a plain
-    argument position (so the projection is computable); otherwise follows
-    the arithmetic closure, picking the smallest equation `X = phi` (fewest
-    right-hand-side variables, then first occurrence) and securing phi's
-    variables recursively."""
-    rule_vars = variables_of(rule)
+    """Domain-definition rules for the given variables, read off one
+    `binding_order` sweep over the rule: the derivation `is_safe` proves.
+    A variable that is a whole argument of a positive atom takes the first
+    such atom. Any other takes one of its binding equations `X = phi`:
+    among those whose phi is bound when the sweep binds X, the one with the
+    fewest variables, ties to the first. A worklist secures what the chosen
+    elements read: phi's variables, and the variables that occur only
+    inside the chosen atom's arithmetic arguments. Each body keeps the
+    rule's order."""
+    elements = rule.body_elements()
+    # Variable -> index in `elements` of what binds it, and what that reads.
+    binder: dict[str, tuple[int, set[str]]] = {}
+    for index, lit in enumerate(rule.pos_body):
+        whole = {arg.name for arg in lit.atom.args if type(arg) is Variable}
+        reads = variables_of(lit) - whole
+        for name in whole:
+            binder.setdefault(name, (index, reads))
+    equations: dict[str, list] = {}  # X -> (count, index, variables) of each phi
+    for index, comp in enumerate(elements):
+        if type(comp) is Comparison and comp.is_binding_equation():
+            reads = variables_of(comp.right)
+            equations.setdefault(comp.left.name, []).append((len(reads), index, reads))
+    for comp in binding_order(list(rule.arith), binder):
+        if comp.is_binding_equation() and comp.left.name not in binder:
+            ready = (e for e in equations[comp.left.name] if e[2] <= binder.keys())
+            binder[comp.left.name] = min(ready)[1:]
+
     out: dict[str, Rule] = {}
     for target in sorted(needed_vars):
-        if target not in rule_vars:
-            raise UnsecurableVariableError(f"{target} does not occur in the rule")
-        atoms: list[Literal] = []
-        equations: list[Comparison] = []
-        selected_eq_ids: set[int] = set()
-        secured: set[str] = set()
-
-        def secure(name: str):
-            if name in secured:
-                return
-            secured.add(name)
-            for lit in rule.pos_body:
-                if any(
-                    isinstance(arg, Variable) and arg.name == name
-                    for arg in lit.atom.args
-                ):
-                    if lit not in atoms:
-                        atoms.append(lit)
-                    return
-            candidates = [
-                (len(set(term_variables(comp.right))), idx, comp)
-                for idx, comp in enumerate(rule.arith)
-                if comp.is_binding_equation()
-                and comp.left.name == name
-                and idx not in selected_eq_ids
-            ]
-            if not candidates:
+        chosen: set[int] = set()
+        seen = {target}
+        todo = [target]
+        while todo:
+            name = todo.pop()
+            if name not in binder:
                 raise UnsecurableVariableError(
                     f"no positive atom or arithmetic chain grounds {name}"
                 )
-            _, idx, comp = min(candidates)
-            selected_eq_ids.add(idx)
-            equations.append(comp)
-            for inner in set(term_variables(comp.right)):
-                secure(inner)
-
-        secure(target)
-        dom_rule = Rule(
+            index, reads = binder[name]
+            chosen.add(index)
+            todo.extend(reads - seen)
+            seen |= reads
+        body = [elements[index] for index in sorted(chosen)]
+        out[target] = Rule(
             head=(Atom(namer.dom(target), (Variable(target),)),),
-            pos_body=tuple(atoms),
-            arith=tuple(equations),
+            pos_body=tuple(e for e in body if type(e) is Literal),
+            arith=tuple(e for e in body if type(e) is Comparison),
         )
-        ok, missing = is_safe(dom_rule)
-        if not ok:
-            raise UnsecurableVariableError(
-                f"domain rule for {target} is unsafe on {sorted(missing)}"
-            )
-        out[target] = dom_rule
     return out
+
+
+def _with_dom_atoms(rule: Rule, namer: FreshNamer) -> tuple[Rule, set[str]]:
+    """`rule` with `dom_x(x)` appended to its positive body for each
+    variable x that `is_safe` reports unsafe, and those variables."""
+    _, unsafe = is_safe(rule)
+    if not unsafe:
+        return rule, unsafe
+    dom_lits = tuple(Literal(Atom(namer.dom(x), (Variable(x),))) for x in sorted(unsafe))
+    return (
+        Rule(rule.head, rule.pos_body + dom_lits, rule.neg_body, rule.arith, rule.aggregates),
+        unsafe,
+    )
 
 
 def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list[Rule]:
@@ -435,28 +439,17 @@ def decompose_rule(rule: Rule, td: TreeDecomposition, namer: FreshNamer) -> list
             head = rule.head
 
         body_pos = tuple(pos_lits) + tuple(Literal(a) for a in child_atoms)
-        draft = Rule(head, body_pos, tuple(neg_lits), tuple(ariths), tuple(aggs))
         # Dom atoms for every variable the grounder could not bind here:
         # negative-literal variables, arithmetic inputs, and variables that
         # only occur inside arithmetic arguments of positive atoms.
-        ok, loose = is_safe(draft)
-        if not ok:
-            dom_lits = tuple(
-                Literal(Atom(namer.dom(x), (Variable(x),))) for x in sorted(loose)
-            )
-            dom_vars.update(loose)
-            draft = Rule(head, body_pos + dom_lits, tuple(neg_lits), tuple(ariths), tuple(aggs))
-            ok, still = is_safe(draft)
-            if not ok:
-                raise UnsecurableVariableError(
-                    f"node rule stays unsafe on {sorted(still)}"
-                )
+        draft, loose = _with_dom_atoms(
+            Rule(head, body_pos, tuple(neg_lits), tuple(ariths), tuple(aggs)), namer
+        )
+        dom_vars.update(loose)
         node_rules[node] = draft
 
-    dom_defs = synthesize_dom_rules(rule, dom_vars, namer)
-    emitted = [dom_defs[x] for x in sorted(dom_defs)]
-    emitted += [node_rules[node] for node in post]
-    return emitted
+    emitted = list(synthesize_dom_rules(rule, dom_vars, namer).values())
+    return emitted + [node_rules[node] for node in post]
 
 
 def split_aggregate(rule: Rule, agg_index: int, namer: FreshNamer) -> tuple[Rule, list[Rule]]:
@@ -494,14 +487,16 @@ def split_aggregate(rule: Rule, agg_index: int, namer: FreshNamer) -> tuple[Rule
     new_aggs = rule.aggregates[:agg_index] + (new_agg,) + rule.aggregates[agg_index + 1:]
     new_rule = Rule(rule.head, rule.pos_body, rule.neg_body, rule.arith, new_aggs)
 
-    helper = Rule(
-        head=(link_atom,),
-        pos_body=tuple(b for b in rest if not b.negated),
-        neg_body=tuple(b for b in rest if b.negated),
+    helper, unsafe = _with_dom_atoms(
+        Rule(
+            head=(link_atom,),
+            pos_body=tuple(b for b in rest if not b.negated),
+            neg_body=tuple(b for b in rest if b.negated),
+        ),
+        part_namer,
     )
-    ok, unsafe = is_safe(helper)
     extras: list[Rule] = []
-    if not ok:
+    if unsafe:
         # Secure from the aggregate's own positive condition first, then the
         # rule's positive body.
         securing = Rule(
@@ -509,16 +504,7 @@ def split_aggregate(rule: Rule, agg_index: int, namer: FreshNamer) -> tuple[Rule
             pos_body=tuple(b for b in agg.condition if not b.negated) + rule.pos_body,
             arith=rule.arith,
         )
-        dom_defs = synthesize_dom_rules(securing, unsafe, part_namer)
-        dom_lits = tuple(
-            Literal(Atom(part_namer.dom(x), (Variable(x),))) for x in sorted(unsafe)
-        )
-        helper = Rule(
-            helper.head,
-            helper.pos_body + dom_lits,
-            helper.neg_body,
-        )
-        extras = [dom_defs[x] for x in sorted(dom_defs)]
+        extras = list(synthesize_dom_rules(securing, unsafe, part_namer).values())
     return new_rule, [helper] + extras
 
 
@@ -576,11 +562,11 @@ def decompose_program(
     first on lower bounds, no work and one added rule before the tree is
     built and a rule per extra bag before the split is, so neither is built
     where it cannot pay. A variable-free rule is kept whole and estimated
-    directly. Rules are estimated in the grounder's
-    component order, so derived predicates have sizes when they are read;
-    the output keeps the input order. Facts pass through. The input's
-    rules are safe, since `Program` admits no other; the reserved prefixes
-    are checked here."""
+    directly. Rules are estimated in the grounder's component order, so
+    derived predicates have sizes when they are read; the output keeps the
+    input order. Facts pass through. The input's rules are safe,
+    since `Program` admits no other; the reserved prefixes are checked
+    here. When every rule comes back as itself, the input is returned."""
     clashing = sorted(
         p for p in program.predicates() if p.startswith(RESERVED_PREFIXES)
     )
@@ -608,6 +594,10 @@ def decompose_program(
     for emitted, stats in decided:
         out_rules.extend(emitted)
         report.rules.append(stats)
+    if len(out_rules) == len(program.rules) and all(
+        new is old for new, old in zip(out_rules, program.rules)
+    ):
+        return program, report
     return Program(out_rules, program.facts), report
 
 

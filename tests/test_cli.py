@@ -393,6 +393,25 @@ def test_decompose_deterministic_and_min_degree(capsys, tmp_path):
     assert all(len(v) == 1 for v in by_heuristic.values())
 
 
+def test_decompose_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # The dom rule for X reads U and V; securing them in the iteration
+    # order of a set of names put b(V) first under one of these seeds.
+    src = tmp_path / "r.lp"
+    src.write_text("h :- a(U), b(V), X = U+V, not s(X,W), g(W,A), e(A,B), f(B,C).\n")
+    outputs = []
+    for seed in ("1", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigrule.cli", "decompose", "--no-threshold", str(src)],
+            capture_output=True,
+            text=True,
+            env={**CHILD_ENV, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "dom_0_X(X) :- a(U), b(V), X = U+V.\n" in outputs[0]
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

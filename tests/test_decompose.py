@@ -205,6 +205,94 @@ def test_dom_chain_equivalence_with_oracle():
         assert safe, unsafe
 
 
+def test_dom_prefers_the_equation_with_fewest_variables():
+    rule = rule_of(":- p(Y), q(Z), X = Y+Z, X = Z, not r(X).")
+    rules = synthesize_dom_rules(rule, {"X"}, FreshNamer("0"))
+    assert rules["X"] == rule_of("dom_0_X(X) :- q(Z), X = Z.")
+
+
+def test_dom_body_keeps_the_rule_order():
+    # Atoms and equations come in the rule's order: not in the order they
+    # are secured, and not in the iteration order of a set of names.
+    rule = rule_of(":- p(A), Y = A*2, X = Y+1, not q(X).")
+    rules = synthesize_dom_rules(rule, {"X"}, FreshNamer("0"))
+    assert rules["X"] == rule_of("dom_0_X(X) :- p(A), Y = A*2, X = Y+1.")
+    rule = rule_of(":- a(U), b(V), X = U+V, not s(X).")
+    rules = synthesize_dom_rules(rule, {"X"}, FreshNamer("0"))
+    assert rules["X"] == rule_of("dom_0_X(X) :- a(U), b(V), X = U+V.")
+
+
+ARITH_ARGUMENT_RULE = "h :- p(X,Y+Z), q(Y), r(Z), X < W, a(W,A), b(A,B), c(B,C), d(C,D).\n"
+
+
+def test_dom_secures_the_arithmetic_arguments_of_its_atom():
+    # X is bound by p(X,Y+Z), which reads Y and Z: its dom rule needs q(Y)
+    # and r(Z) too. The facts make the split pay under the threshold.
+    facts = ["q(1). r(2)."] + [f"p({i},3)." for i in range(20)]
+    facts += [f"{p}({i},{j})." for p in "abcd" for i in range(12) for j in range(12)]
+    program = parse_program(" ".join(facts) + "\n" + ARITH_ARGUMENT_RULE)
+    decomposed, report = decompose_program(program)
+    assert report.rules[0].decomposed
+    assert rule_of("dom_0_X(X) :- p(X,Y+Z), q(Y), r(Z).") in decomposed.rules
+    # The source's one answer set is its facts and h: p(0,3), q(1), r(2),
+    # 0 < 1 and a chain a(1,0), b(0,0), c(0,0), d(0,0) match the body.
+    expected = {frozenset(str(f) for f in program.facts) | {"h"}}
+    assert project_answer_sets(ground(decomposed).ground_program) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q(1). r(2). p(0,3). p(1,3). p(5,4). a(1,0). a(0,2). b(0,1). b(2,2). c(1,1). d(1,0).\n"
+        + ARITH_ARGUMENT_RULE,
+        "z(1). z(2). s(2,1). g(1,1). g(3,1). e(1,2). f(2,0).\n"
+        "h(X) :- z(Z), X = Y+1, Y = X-1, Y = Z, not s(X,W), g(W,A), e(A,B), f(B,C).",
+        "a(1). a(2). b(1). s(2,1). g(1,1). g(3,1). e(1,2). f(2,0).\n"
+        "h(X) :- a(U), b(V), X = U+V, not s(X,W), g(W,A), e(A,B), f(B,C).",
+    ],
+    ids=["arithmetic-argument", "cyclic-equations", "two-atom-equation"],
+)
+def test_dom_rules_of_earlier_failures_keep_answer_sets(text):
+    ok, decomposed, report = equivalent_after_decomposition(
+        parse_program(text), threshold=False
+    )
+    assert ok
+    assert report.rules[0].decomposed
+    assert any(r.head[0].pred.startswith("dom_") for r in decomposed.rules)
+
+
+def _equation_chain(length):
+    """`h(X0) :- p(X0), X1 = X0+1, ..., Xn = Xn-1+1, not q(Xn).`"""
+    equations = ", ".join(f"X{i} = X{i - 1}+1" for i in range(1, length + 1))
+    return f"h(X0) :- p(X0), {equations}, not q(X{length})."
+
+
+def test_dom_rule_of_a_long_equation_chain():
+    # Securing one variable per call frame exceeds the recursion limit here.
+    rule = rule_of(_equation_chain(1200))
+    dom = synthesize_dom_rules(rule, {"X1200"}, FreshNamer("0"))["X1200"]
+    assert dom.pos_body == rule.pos_body and dom.arith == rule.arith
+    facts = parse_program("p(1). p(5).").facts
+    (answer,) = answer_sets(ground(Program([dom], facts)).ground_program)
+    assert len(answer) == 4  # p(1), p(5), dom_0_X1200(1201), dom_0_X1200(1205)
+
+
+def test_decompose_of_an_equation_chain_is_fast():
+    # Rooted at the head's X0, the split needs a dom rule for each chain
+    # variable, each holding the chain below it: 300 rules, 11,926 body
+    # elements. Equations listed target-first made each safety sweep over
+    # a dom rule quadratic.
+    program = parse_program("p(1). p(5). q(151).\n" + _equation_chain(150))
+    start = time.perf_counter()
+    decomposed, report = decompose_program(program, threshold=False)
+    assert time.perf_counter() - start < 2.0
+    assert report.rules[0].decomposed
+    original = ground(program).ground_program
+    assert project_answer_sets(original) == project_answer_sets(
+        ground(decomposed).ground_program
+    )
+
+
 # ------------------------------------------------------------- aggregates ---
 
 def test_split_aggregate_disconnected_chain():
@@ -271,6 +359,13 @@ def test_driver_threshold_skips_cliques():
     decomposed, report = decompose_program(program)
     # Gaifman graph is a 2-clique: decomposition cannot shrink it.
     assert decomposed.rules == program.rules
+
+
+def test_driver_hands_back_an_unchanged_program():
+    program = Program([WORKED_RULE], parse_program("e(a,b). e(b,c).").facts)
+    assert decompose_program(program)[0] is program
+    split, report = decompose_program(program, threshold=False)
+    assert report.rules[0].decomposed and split is not program
 
 
 def test_driver_reserved_prefix_rejected():

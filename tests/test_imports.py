@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports, and every
+"""Every module of the package uses each name it imports, every
 module-level private function or class is referenced by package code other
-than its own definition (stdlib `ast` scans). `__init__.py` is exempt from
-the first: its imports are the public API."""
+than its own definition, and every function that calls itself has a cap on
+its depth (stdlib `ast` scans). `__init__.py` is exempt from the first:
+its imports are the public API."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,77 @@ def test_scan_finds_an_unreferenced_private_definition():
 def test_package_references_every_private_definition():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert unreferenced_private_definitions(sources) == []
+
+
+def self_recursive_functions(source: str) -> list[str]:
+    """Qualified names (`outer.inner`, `Class.method`) of the functions,
+    nested ones included, that call themselves by name or as `self.name`.
+    Mutual recursion, such as the parser's term rules calling each other,
+    is not caught."""
+    found = []
+    stack = [(node, "") for node in ast.parse(source).body]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qualname = prefix + node.name
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and _refers_to(call.func, node.name)
+                for call in ast.walk(node)
+            ):
+                found.append(qualname)
+            stack.extend((child, qualname + ".") for child in node.body)
+        else:
+            stack.extend((child, prefix) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def _refers_to(func: ast.expr, name: str) -> bool:
+    if isinstance(func, ast.Attribute):
+        return func.attr == name and isinstance(func.value, ast.Name) and func.value.id == "self"
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def test_scan_finds_self_recursive_functions():
+    source = (
+        "def walk(t):\n    return [walk(c) for c in t]\n"
+        "def outer(n):\n    def inner(k):\n        return inner(k - 1) if k else 0\n"
+        "    return inner(n)\n"
+        "class Tree:\n    def depth(self):\n        return self.depth()\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n"
+    )
+    # even and odd recurse through each other, which the scan does not see.
+    assert self_recursive_functions(source) == ["Tree.depth", "outer.inner", "walk"]
+
+
+# Each self-recursive function of the package and what caps its depth: a
+# module constant, or a parameter of the function it is nested in.
+RECURSION_CAPS = {
+    "syntax.term_variables": "MAX_TERM_DEPTH",
+    "syntax.eval_term": "MAX_TERM_DEPTH",
+    "syntax._collect_constants_term": "MAX_TERM_DEPTH",
+    "oracle._term_fn": "MAX_TERM_DEPTH",
+    "oracle.eval_qbf.rec": "max_vars",
+    "oracle.eval_qbf_expansion.build": "max_vars",
+    "oracle.eval_qbf_expansion.fold": "max_vars",
+    "oracle.solve_coloring.assign": "max_vertices",
+    "treedecomp.exact_treewidth.solve": "max_vertices",
+}
+
+
+def test_every_self_recursive_function_is_capped():
+    found = []
+    constants: set[str] = set()
+    parameters: dict[str, list[str]] = {}
+    for path in PACKAGE:
+        source = path.read_text(encoding="utf-8")
+        found += [f"{path.stem}.{name}" for name in self_recursive_functions(source)]
+        for statement in ast.parse(source).body:
+            if isinstance(statement, ast.Assign):
+                constants.update(t.id for t in statement.targets if isinstance(t, ast.Name))
+            elif isinstance(statement, ast.FunctionDef):
+                parameters[f"{path.stem}.{statement.name}"] = [a.arg for a in statement.args.args]
+    assert sorted(found) == sorted(RECURSION_CAPS)
+    for name, cap in RECURSION_CAPS.items():
+        outer = name.rsplit(".", 1)[0]
+        assert cap in parameters.get(outer, constants), name
