@@ -21,6 +21,7 @@ from .errors import (
     SafetyError,
 )
 from .syntax import GroundProgram, Program
+from .treedecomp import HEURISTICS
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common_decomp = argparse.ArgumentParser(add_help=False)
-    common_decomp.add_argument("--heuristic", choices=("min-fill", "min-degree"), default="min-fill")
+    common_decomp.add_argument("--heuristic", choices=HEURISTICS, default=HEURISTICS[0])
     common_decomp.add_argument(
         "--no-threshold",
         dest="threshold",
@@ -189,7 +190,7 @@ def _run_rewrite(args) -> int:
         out = set()
         for token in _read(path).split():
             if token not in ids:
-                raise InputSemanticsError(f"unknown atom id {parse._clip(token)!r}")
+                raise InputSemanticsError(f"unknown atom id {parse.clip(token)!r}")
             out.add(ids[token])
         return frozenset(out)
 

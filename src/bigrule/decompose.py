@@ -16,7 +16,6 @@ from .errors import (
     UncoveredAtomError,
     UnsecurableVariableError,
 )
-from .oracle import _components, _join_order
 from .syntax import (
     Aggregate,
     Arith,
@@ -31,11 +30,13 @@ from .syntax import (
     binding_order,
     is_safe,
     is_variable_free,
+    join_order,
     term_variables,
     variables_in_order,
     variables_of,
 )
 from .treedecomp import (
+    HEURISTICS,
     TreeDecomposition,
     bag_tree,
     eliminate,
@@ -183,7 +184,7 @@ def _distinct(term, values: dict[str, float], rows: float) -> float:
 def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
     """Estimated join work of grounding `rule`, its matches, and the
     distinct values of each variable. Body atoms are probed in the
-    grounder's join order (`oracle._join_order`), each comparison applied
+    grounder's join order (`syntax.join_order`), each comparison applied
     once its variables are bound. A probe of a predicate defined by facts
     alone multiplies the bindings by its atoms over the distinct values of
     its bound arguments taken together. Otherwise each bound argument
@@ -219,7 +220,7 @@ def _join_estimate(rule: Rule, sizes) -> tuple[float, float, dict[str, float]]:
 
     if pending:
         settle()
-    for idx in _join_order(atoms, values, fresh):
+    for idx in join_order(atoms, values, fresh):
         a = atoms[idx]
         size = sizes.get(a.pred)
         if size is None or not size.atoms:
@@ -562,11 +563,14 @@ def decompose_program(
     first on lower bounds, no work and one added rule before the tree is
     built and a rule per extra bag before the split is, so neither is built
     where it cannot pay. A variable-free rule is kept whole and estimated
-    directly. Rules are estimated in the grounder's component order, so
-    derived predicates have sizes when they are read; the output keeps the
-    input order. Facts pass through. The input's rules are safe,
-    since `Program` admits no other; the reserved prefixes are checked
-    here. When every rule comes back as itself, the input is returned."""
+    directly. Rules are estimated in `Program.components`, the grounder's
+    order, so derived predicates have sizes when they are read; the output
+    keeps the input order. Facts pass through. The input's rules are safe,
+    since `Program` admits no other; the heuristic and the reserved
+    prefixes are checked here. When every rule comes back as itself, the
+    input is returned."""
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}")
     clashing = sorted(
         p for p in program.predicates() if p.startswith(RESERVED_PREFIXES)
     )
@@ -577,7 +581,7 @@ def decompose_program(
 
     sizes = _fact_sizes(program.facts)
     decided: list = [None] * len(program.rules)
-    for members, recursive in _components(program.rules):
+    for members, recursive in program.components:
         if recursive:
             # One round over the component first, so that its rules see
             # sizes for the predicates they derive for each other.

@@ -7,15 +7,15 @@ arithmetic argument placed where its variables are first bound. Plans
 probe hash indexes on the bound argument positions, built on first use
 and kept current as atoms arrive, and run on an explicit stack, so body
 length is not limited by recursion depth. The possibly-true closure visits
-the strongly connected components of the positive dependency graph in
-topological order: a non-recursive component is joined once, a recursive
-one until it adds nothing. Every match is recorded, and emission reads
-the records once the closure is complete. It numbers atoms in order of first
-use: facts, then rule by rule the instances sorted by binding, each with its
-head, positive and negative atoms in turn, once none of its negated atoms is
-a fact. One table per predicate maps argument tuples to numbers, all counting
-in that one order; as each atom is numbered once, the output `GroundProgram`
-skips its checks. Aggregate conditions run on the same plans, over the
+the program's components (`Program.components`) in topological order: a
+non-recursive component is joined once, a recursive one until it adds
+nothing. Every match is recorded, and emission reads the records once the
+closure is complete. It numbers atoms in order of first use: facts, then
+rule by rule the instances sorted by binding, each with its head, positive
+and negative atoms in turn, once none of its negated atoms is a fact. One
+table per predicate maps argument tuples to numbers, all counting in that
+one order; as each atom is numbered once, the output `GroundProgram` skips
+its checks. Aggregate conditions run on the same plans, over the
 deterministic sub-program's least model.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
@@ -47,9 +47,7 @@ semantics.
 
 from __future__ import annotations
 
-import heapq
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -77,12 +75,12 @@ from .syntax import (
     Program,
     Rule,
     Variable,
-    _scc_index,
     arith,
     binding_order,
     eval_term,
     ground_term,
     is_variable_free,
+    join_order,
     term_variables,
 )
 
@@ -225,7 +223,7 @@ class _Plan:
             propagate(ops)
         self.probes = []
         self.atom_slots: list = [None] * len(atoms)
-        for idx in _join_order(atoms, slots, fresh):
+        for idx in join_order(atoms, slots, fresh):
             a = atoms[idx]
             own = [None] * len(a.args)
             positions = []
@@ -268,49 +266,6 @@ class _Plan:
 
 def _ground_value(arg):
     return arg.name if isinstance(arg, Constant) else arg.value
-
-
-def _join_order(atoms, bound, fresh: list):
-    """Indices of `atoms` in join order: next the atom with most bound
-    arguments, ties to the earlier one. The caller adds to `bound` (names of
-    bound variables) and to `fresh` (names bound since the last step) before
-    asking for the next index; only atoms holding a fresh name are
-    rescored. Scores only grow, so a heap of (-score, index) with stale
-    entries skipped yields the same order as a scan for the maximum."""
-    score = [_bound_score(a, bound) for a in atoms]
-    watch: dict[str, list[int]] = {}
-    for i, a in enumerate(atoms):
-        for vn in term_variables(a):
-            watch.setdefault(vn, []).append(i)
-    heap = [(-s, i) for i, s in enumerate(score)]
-    heapq.heapify(heap)
-    done = [False] * len(atoms)
-    for _ in atoms:
-        for vn in fresh:
-            for i in watch.get(vn, ()):
-                if not done[i]:
-                    s = _bound_score(atoms[i], bound)
-                    if s != score[i]:
-                        score[i] = s
-                        heapq.heappush(heap, (-s, i))
-        fresh.clear()
-        s, idx = heapq.heappop(heap)
-        while done[idx] or -s != score[idx]:
-            s, idx = heapq.heappop(heap)
-        done[idx] = True
-        yield idx
-
-
-def _bound_score(a: Atom, slots) -> int:
-    score = 0
-    for arg in a.args:
-        if isinstance(arg, Variable):
-            score += arg.name in slots
-        elif isinstance(arg, Arith):
-            score += all(vn in slots for vn in term_variables(arg))
-        else:
-            score += 1
-    return score
 
 
 def _term_fn(term, slots):
@@ -440,37 +395,16 @@ class _RulePlan:
         return (b,) if all((pred, args_of(b)) in keys for pred, args_of in self.pos) else ()
 
 
-def _components(rules) -> list[tuple[list[int], bool]]:
-    """Rule indices grouped by the strongly connected components of the
-    positive dependency graph (body predicate -> rule -> head predicate),
-    in topological order, each flagged if it is recursive."""
-    n = len(rules)
-    node: dict[str, int] = {}
-    succ: dict[int, set[int]] = {}
-    # Edges point from a rule to what it depends on, so Tarjan numbers
-    # every component after all those it depends on.
-    for i, r in enumerate(rules):
-        succ[i] = {node.setdefault(l.atom.pred, n + len(node)) for l in r.pos_body}
-        for a in r.head:
-            succ.setdefault(node.setdefault(a.pred, n + len(node)), set()).add(i)
-    comp = _scc_index(succ, n + len(node))
-    sizes = Counter(comp)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(comp[i], []).append(i)
-    return [(groups[c], sizes[c] > 1) for c in sorted(groups)]
-
-
-def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]:
+def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> list[list]:
     """Join every rule against the store and add the heads of its matches,
-    component by component in topological order. A non-recursive
-    component is joined once; a recursive one is joined until its round
-    adds no atom, and its last round's matches are the complete ones.
-    Returns each rule's matches that `keep` accepts (all without `keep`).
-    With `limit`, `spent` plus the matches so far, and the atoms, may not
-    exceed it."""
+    group by group of `schedule`, a topological order of (unit indices,
+    recursive) groups such as `Program.components`. A non-recursive group
+    is joined once; a recursive one is joined until its round adds no
+    atom, and its last round's matches are the complete ones. Returns each
+    rule's matches that `keep` accepts (all if `keep` is None). `spent`
+    plus the matches so far, and the atoms, may not exceed `limit`."""
     records: list[list] = [[] for _ in units]
-    for members, recursive in _components([u.rule for u in units]):
+    for members, recursive in schedule:
         before = spent
         while True:
             size = len(store.keys)
@@ -482,7 +416,7 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                 try:
                     for b in unit.matches(store):
                         spent += 1
-                        if limit is not None and spent > limit:
+                        if spent > limit:
                             raise GroundingLimitError(
                                 f"grounding exceeds {limit} rule instances: facts and join"
                                 f" matches reached {spent} at rule {unit.index} `{unit.rule}`"
@@ -496,7 +430,7 @@ def _closure(units, store: _Store, keep=None, limit=None, spent=0) -> list[list]
                     raise IntegerRangeError(
                         f"{exc} at rule {unit.index} `{unit.rule}`"
                     ) from None
-                if limit is not None and len(store.keys) > limit:
+                if len(store.keys) > limit:
                     raise GroundingLimitError(
                         f"possibly-true closure exceeds {limit} atoms: {len(store.keys)}"
                         f" after rule {unit.index} `{unit.rule}`"
@@ -538,17 +472,15 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     fact_keys = set(fact_order)
 
     units = [_RulePlan(r, i) for i, r in enumerate(program.rules)]
-    agg_eval = None
+    keep = None
     if any(r.aggregates for r in program.rules):
         agg_eval = _AggregateContext(program, units, fact_order, max_ground_rules)
 
-    def keep(unit: _RulePlan, b: tuple) -> bool:
-        aggregates = unit.rule.aggregates
-        return not aggregates or agg_eval.all_true(aggregates, unit.names, unit.values(b))
+        def keep(unit: _RulePlan, b: tuple) -> bool:
+            aggregates = unit.rule.aggregates
+            return not aggregates or agg_eval.all_true(aggregates, unit.names, unit.values(b))
 
-    records = _closure(
-        units, store, keep if agg_eval else None, max_ground_rules, len(fact_order)
-    )
+    records = _closure(units, program.components, store, keep, max_ground_rules, len(fact_order))
 
     # Emission, with negative-literal simplification against the closure. A
     # list of atoms can repeat one only if two of them share a predicate.
@@ -653,7 +585,7 @@ class _AggregateContext:
         # positively comes after all rules defining it.
         self.outside: set[str] = set()
         fragment = []
-        for members, recursive in _components(program.rules):
+        for members, recursive in program.components:
             for i in members:
                 r = program.rules[i]
                 if (
@@ -682,13 +614,14 @@ class _AggregateContext:
 
         # Least model of those rules: an instance whose negated atom is a
         # fact never fires. Its matches count against the same limit as the
-        # main closure's, on their own.
+        # main closure's, on their own. Each is a component of its own.
         self.store = _Store()
         for key in fact_order:
             self.store.add(key)
         fact_keys = set(fact_order)
         _closure(
             needed[::-1],
+            [([i], False) for i in range(len(needed))],
             self.store,
             lambda unit, b: not any((pred, args_of(b)) in fact_keys for pred, args_of in unit.neg),
             limit,

@@ -42,7 +42,7 @@ from .syntax import (
 _CLIP_CHARS = 32
 
 
-def _clip(text) -> str:
+def clip(text) -> str:
     """The text of an input token or fact for an error message, cut after
     _CLIP_CHARS characters with `…`, so the line stays short however long
     the input."""
@@ -134,7 +134,7 @@ class _AspParser:
     def expect(self, text: str) -> _Tok:
         tok = self.peek()
         if tok.kind == "eof" or tok.text != text:
-            found = _clip(tok.text) or "end of input"
+            found = clip(tok.text) or "end of input"
             raise ParseError(f"expected {text!r}, found {found!r}", tok.line, tok.col)
         return self.next()
 
@@ -194,14 +194,14 @@ class _AspParser:
             inner = self.term_sum(parens + 1)
             self.expect(")")
             return inner
-        self.fail(f"expected a term, found {_clip(tok.text)!r}")
+        self.fail(f"expected a term, found {clip(tok.text)!r}")
 
     # atoms and body elements -------------------------------------------
 
     def atom(self) -> Atom:
         tok = self.peek()
         if tok.kind != "ident":
-            self.fail(f"expected a predicate name, found {_clip(tok.text)!r}")
+            self.fail(f"expected a predicate name, found {clip(tok.text)!r}")
         self.next()
         args: list[Term] = []
         if self.accept("("):
@@ -393,11 +393,11 @@ def parse_qdimacs(text: str) -> Qbf:
             try:
                 var = int(tok)
             except ValueError as exc:
-                raise ParseError(f"bad quantifier token {_clip(tok)!r}", line) from exc
+                raise ParseError(f"bad quantifier token {clip(tok)!r}", line) from exc
             if var <= 0 or var > num_vars:
-                raise ParseError(f"quantified variable {_clip(var)} out of range", line)
+                raise ParseError(f"quantified variable {clip(var)} out of range", line)
             if var in bound:
-                raise ParseError(f"variable {_clip(var)} quantified twice", line)
+                raise ParseError(f"variable {clip(var)} quantified twice", line)
             bound.add(var)
             block.append(var)
         if blocks and blocks[-1][0] == q:
@@ -412,24 +412,24 @@ def parse_qdimacs(text: str) -> Qbf:
         try:
             lit = int(tok)
         except ValueError as exc:
-            raise ParseError(f"bad clause token {_clip(tok)!r}", line) from exc
+            raise ParseError(f"bad clause token {clip(tok)!r}", line) from exc
         if lit == 0:
             raw_clauses.append(current)
             current = []
             continue
         if abs(lit) > num_vars:
-            raise ParseError(f"literal {_clip(lit)} out of range", line)
+            raise ParseError(f"literal {clip(lit)} out of range", line)
         current.append(lit)
     if current:
         raise ParseError("clause not terminated by 0", tokens[-1][1])
     if len(raw_clauses) != num_clauses:
         raise ParseError(
-            f"header announces {_clip(num_clauses)} clauses, found {len(raw_clauses)}"
+            f"header announces {clip(num_clauses)} clauses, found {len(raw_clauses)}"
         )
 
     free = sorted({abs(lit) for clause in raw_clauses for lit in clause} - bound)
     if free:
-        shown = ", ".join(map(_clip, free[:5])) + (", …" if len(free) > 5 else "")
+        shown = ", ".join(map(clip, free[:5])) + (", …" if len(free) > 5 else "")
         warnings.warn(
             f"{len(free)} unbound variable(s) ({shown}); binding existentially innermost",
             QdimacsWarning,
@@ -486,10 +486,10 @@ def make_graph(edges, partition_v1=None) -> InputGraph:
     norm: set[tuple[str, str]] = set()
     for u, w in edges:
         if u == w:
-            raise ParseError(f"self-loop on {_clip(u)!r}")
+            raise ParseError(f"self-loop on {clip(u)!r}")
         for name in (u, w):
             if not _VERTEX_RE.match(name):
-                raise ParseError(f"vertex name {_clip(name)!r} is not a valid constant")
+                raise ParseError(f"vertex name {clip(name)!r} is not a valid constant")
         vertices.update((u, w))
         norm.add((min(u, w), max(u, w)))
     partition = None
@@ -497,7 +497,7 @@ def make_graph(edges, partition_v1=None) -> InputGraph:
         v1 = frozenset(partition_v1)
         unknown = v1 - vertices
         if unknown:
-            raise PartitionError(f"partition references unknown vertices {_clip(sorted(unknown))}")
+            raise PartitionError(f"partition references unknown vertices {clip(sorted(unknown))}")
         partition = (v1, frozenset(vertices) - v1)
     return InputGraph(frozenset(vertices), frozenset(norm), partition)
 
@@ -527,10 +527,10 @@ def parse_graph(text: str) -> InputGraph:
             raise ParseError("expected `u v` edge line", lineno)
         u, w = fields
         if u == w:
-            raise ParseError(f"self-loop on {_clip(u)!r}", lineno)
+            raise ParseError(f"self-loop on {clip(u)!r}", lineno)
         for name in (u, w):
             if not _VERTEX_RE.match(name):
-                raise ParseError(f"vertex name {_clip(name)!r} is not a valid constant", lineno)
+                raise ParseError(f"vertex name {clip(name)!r} is not a valid constant", lineno)
         edges.append((u, w))
     return make_graph(edges, v1 if in_partition else None)
 
@@ -554,24 +554,24 @@ def parse_reified(text: str) -> GroundProgram:
 
     def symbol(term, what, fact):
         if not isinstance(term, Constant):
-            raise ParseError(f"{what} id in {_clip(fact)} must be a symbol")
+            raise ParseError(f"{what} id in {clip(fact)} must be a symbol")
         return term.name
 
     for fact in program.facts:
         if fact.pred not in _REIFIED_PREDS:
-            raise ParseError(f"unexpected predicate {_clip(fact.pred)!r} in reified input")
+            raise ParseError(f"unexpected predicate {clip(fact.pred)!r} in reified input")
         if fact.arity != _REIFIED_PREDS[fact.pred]:
             raise ParseError(f"{fact.pred} must have arity {_REIFIED_PREDS[fact.pred]}")
         if fact.pred == "atom":
             name = symbol(fact.args[0], "atom", fact)
             if name in atom_idx:
-                raise DuplicateIdError(f"atom id {_clip(name)!r} declared twice")
+                raise DuplicateIdError(f"atom id {clip(name)!r} declared twice")
             atom_idx[name] = len(atoms)
             atoms.append(name)
         elif fact.pred == "rule":
             name = symbol(fact.args[0], "rule", fact)
             if name in rule_idx:
-                raise DuplicateIdError(f"rule id {_clip(name)!r} declared twice")
+                raise DuplicateIdError(f"rule id {clip(name)!r} declared twice")
             rule_idx[name] = len(rule_ids)
             rule_ids.append(name)
             parts[name] = [[], [], []]
@@ -584,11 +584,11 @@ def parse_reified(text: str) -> GroundProgram:
         aid = symbol(fact.args[1], "atom", fact)
         if rid not in rule_idx:
             raise DanglingReferenceError(
-                f"{_clip(fact)} references undeclared rule {_clip(rid)!r}"
+                f"{clip(fact)} references undeclared rule {clip(rid)!r}"
             )
         if aid not in atom_idx:
             raise DanglingReferenceError(
-                f"{_clip(fact)} references undeclared atom {_clip(aid)!r}"
+                f"{clip(fact)} references undeclared atom {clip(aid)!r}"
             )
         parts[rid][slot[fact.pred]].append(atom_idx[aid])
 

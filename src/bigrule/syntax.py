@@ -7,6 +7,8 @@ lowercase one; this is what guarantees a printable round trip.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -229,15 +231,7 @@ class Rule:
             raise ValueError("non-negated literal in negative body")
 
     def __str__(self):
-        parts = [str(l) for l in self.pos_body]
-        parts += [str(l) for l in self.neg_body]
-        parts += [str(a) for a in self.arith]
-        parts += [str(a) for a in self.aggregates]
-        head = " | ".join(str(a) for a in self.head)
-        if not parts:
-            return f"{head}." if head else ":- ."
-        body = ", ".join(parts)
-        return f"{head} :- {body}." if head else f":- {body}."
+        return _rule_text(map(str, self.head), map(str, self.body_elements()))
 
     def body_elements(self):
         """Body units in canonical order: positive, negative, arithmetic,
@@ -255,11 +249,12 @@ class Program:
     Ground, body-less, single-atom rules become facts, appended after the
     given facts in rule order, so that printing and re-parsing yields a
     structurally identical program. The stages that take a Program rely on
-    this and do not check it again. The domain is exactly the set of
-    constants syntactically present.
+    this and do not check it again; `components`, the rules' component
+    order (`_components`), is computed once here for them too. The domain
+    is exactly the set of constants syntactically present.
     """
 
-    __slots__ = ("rules", "facts", "_domain", "_arities")
+    __slots__ = ("rules", "facts", "components", "_domain", "_arities")
 
     def __init__(self, rules: Iterable[Rule] = (), facts: Iterable[Atom] = ()):
         kept_rules: list[Rule] = []
@@ -284,6 +279,7 @@ class Program:
         self.facts: tuple[Atom, ...] = tuple(all_facts)
         self._domain: frozenset[GroundTerm] | None = None
         self._arities = self._check_arities()
+        self.components: list[tuple[list[int], bool]] = _components(self.rules)
 
     def __eq__(self, other):
         if not isinstance(other, Program):
@@ -397,13 +393,17 @@ class GroundProgram:
         return f"GroundProgram({len(self.atoms)} atoms, {len(self.rules)} rules)"
 
     def rule_str(self, r: GroundRule) -> str:
-        head = " | ".join(str(self.atoms[i]) for i in r.head)
-        body = [str(self.atoms[i]) for i in r.pos]
-        body += [f"not {self.atoms[i]}" for i in r.neg]
-        if not body:
-            return f"{head}." if head else ":- ."
-        joined = ", ".join(body)
-        return f"{head} :- {joined}." if head else f":- {joined}."
+        body = [*(str(self.atoms[i]) for i in r.pos), *(f"not {self.atoms[i]}" for i in r.neg)]
+        return _rule_text((str(self.atoms[i]) for i in r.head), body)
+
+
+def _rule_text(head, body) -> str:
+    """The one rule layout, of `Rule` and `GroundProgram.rule_str`: `head :-
+    body.`, `head.`, `:- body.` or `:- .`, atoms joined by ` | `."""
+    head, body = " | ".join(head), ", ".join(body)
+    if not body:
+        return f"{head}." if head else ":- ."
+    return f"{head} :- {body}." if head else f":- {body}."
 
 
 @dataclass(frozen=True, slots=True)
@@ -544,6 +544,50 @@ def binding_order(pending: list, bound) -> Iterator:
             yield item
 
 
+def join_order(atoms, bound, fresh: list):
+    """The join order of the grounder's plan and the decomposer's estimate:
+    indices of `atoms`, next the atom with most bound arguments, ties to the
+    earlier one. The caller adds to `bound` (names of bound variables) and
+    to `fresh` (names bound since the last step) before asking for the next
+    index; only atoms holding a fresh name are rescored. Scores only grow,
+    so a heap of (-score, index) with stale entries skipped yields the same
+    order as a scan for the maximum."""
+    score = [_bound_score(a, bound) for a in atoms]
+    watch: dict[str, list[int]] = {}
+    for i, a in enumerate(atoms):
+        for vn in term_variables(a):
+            watch.setdefault(vn, []).append(i)
+    heap = [(-s, i) for i, s in enumerate(score)]
+    heapq.heapify(heap)
+    done = [False] * len(atoms)
+    for _ in atoms:
+        for vn in fresh:
+            for i in watch.get(vn, ()):
+                if not done[i]:
+                    s = _bound_score(atoms[i], bound)
+                    if s != score[i]:
+                        score[i] = s
+                        heapq.heappush(heap, (-s, i))
+        fresh.clear()
+        s, idx = heapq.heappop(heap)
+        while done[idx] or -s != score[idx]:
+            s, idx = heapq.heappop(heap)
+        done[idx] = True
+        yield idx
+
+
+def _bound_score(a: Atom, slots) -> int:
+    score = 0
+    for arg in a.args:
+        if isinstance(arg, Variable):
+            score += arg.name in slots
+        elif isinstance(arg, Arith):
+            score += all(vn in slots for vn in term_variables(arg))
+        else:
+            score += 1
+    return score
+
+
 def shift(gp: GroundProgram) -> GroundProgram:
     """Rewrite each disjunctive rule into one rule per head atom, moving the
     other disjuncts negated into the body. Preserves answer sets on
@@ -567,16 +611,29 @@ def is_head_cycle_free(gp: GroundProgram) -> bool:
         for h in r.head:
             succ.setdefault(h, set()).update(r.pos)
     scc_of = _scc_index(succ, len(gp.atoms))
-    for r in gp.rules:
-        if len(r.head) < 2:
-            continue
-        seen: set[int] = set()
-        for h in r.head:
-            comp = scc_of[h]
-            if comp in seen:
-                return False
-            seen.add(comp)
-    return True
+    return all(len({scc_of[h] for h in r.head}) == len(r.head) for r in gp.rules)
+
+
+def _components(rules) -> list[tuple[list[int], bool]]:
+    """Rule indices grouped by the strongly connected components of the
+    positive dependency graph (body predicate -> rule -> head predicate),
+    in topological order, each flagged if it is recursive (Lifschitz &
+    Turner, "Splitting a logic program", ICLP 1994)."""
+    n = len(rules)
+    node: dict[str, int] = {}
+    succ: dict[int, set[int]] = {}
+    # Edges point from a rule to what it depends on, so Tarjan numbers
+    # every component after all those it depends on.
+    for i, r in enumerate(rules):
+        succ[i] = {node.setdefault(l.atom.pred, n + len(node)) for l in r.pos_body}
+        for a in r.head:
+            succ.setdefault(node.setdefault(a.pred, n + len(node)), set()).add(i)
+    comp = _scc_index(succ, n + len(node))
+    sizes = Counter(comp)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(comp[i], []).append(i)
+    return [(groups[c], sizes[c] > 1) for c in sorted(groups)]
 
 
 def _scc_index(succ: dict[int, set[int]], count: int) -> list[int]:

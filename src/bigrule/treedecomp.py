@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from .errors import NoCoveringBagError, TooManyVerticesError
 from .syntax import Rule, variables_of
 
+# The elimination heuristics of `eliminate`, the default first.
+HEURISTICS = ("min-fill", "min-degree")
+
 
 @dataclass(frozen=True, slots=True)
 class GaifmanGraph:
@@ -138,7 +141,7 @@ def eliminate(
     name, and the bag each eliminated vertex makes. Every tree `bag_tree`
     builds from them keeps the largest bag, so its width is the largest
     bag's size less one."""
-    if heuristic not in ("min-fill", "min-degree"):
+    if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     adj = g.adjacency()
     bags: list[frozenset[str]] = []

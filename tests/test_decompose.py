@@ -4,6 +4,7 @@ import time
 import pytest
 
 import bigrule.decompose
+import bigrule.syntax
 from bigrule.decompose import (
     ESTIMATE_SATURATED,
     RULE_COST,
@@ -366,6 +367,43 @@ def test_driver_hands_back_an_unchanged_program():
     assert decompose_program(program)[0] is program
     split, report = decompose_program(program, threshold=False)
     assert report.rules[0].decomposed and split is not program
+
+
+@pytest.mark.parametrize(
+    "text", ["p(a). q(X) :- p(X).", "p(a,b). q(X) :- p(X,Y)."], ids=["one-var", "two-vars"]
+)
+def test_driver_rejects_an_unknown_heuristic(text):
+    # Whether or not a part has two variables, and so reaches `eliminate`.
+    with pytest.raises(ValueError, match="unknown heuristic 'bogus'"):
+        decompose_program(parse_program(text), heuristic="bogus")
+
+
+@pytest.mark.parametrize(
+    "text, threshold, split, analyses",
+    [
+        ("e(a,b). e(b,c).\nh(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X).", True, False, 1),
+        ("e(a,b). e(b,c).\nh(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X).", False, True, 2),
+        ("e(a,b). e(b,c).\nl(X,Y) :- e(X,Y).\nok :- #count{X,Y : l(X,Y)} = 2.", True, False, 1),
+        ("n(1). n(2). m(a).\nok :- #count{X : n(X), m(Y)} >= 1.", True, True, 2),
+    ],
+    ids=["unsplit", "split", "aggregate", "split-aggregate"],
+)
+def test_each_program_is_analysed_once(monkeypatch, text, threshold, split, analyses):
+    """Parse, decompose and ground compute the component order once per
+    `Program`: for the parsed one, and for the decomposed one if it is
+    new."""
+    calls = []
+    scc_index = bigrule.syntax._scc_index
+
+    def counted(succ, count):
+        calls.append(count)
+        return scc_index(succ, count)
+
+    monkeypatch.setattr(bigrule.syntax, "_scc_index", counted)
+    program = parse_program(text)
+    decomposed, _ = decompose_program(program, threshold=threshold)
+    ground(decomposed)
+    assert (decomposed is not program, len(calls)) == (split, analyses)
 
 
 def test_driver_reserved_prefix_rejected():

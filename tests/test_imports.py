@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports, every
-module-level private function or class is referenced by package code other
-than its own definition, and every function that calls itself has a cap on
-its depth (stdlib `ast` scans). `__init__.py` is exempt from the first:
-its imports are the public API."""
+"""Every module of the package uses each name it imports, reads no private
+name of another package module, every module-level private function or
+class is referenced by package code other than its own definition, and
+every function that calls itself has a cap on its depth (stdlib `ast`
+scans). `__init__.py` is exempt from the first: its imports are the public
+API."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,57 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_names_of_other_modules(source: str) -> list[str]:
+    """Private names the module reads from other package modules: `from .m
+    import _x`, and `m._x` with `m` bound by `from . import m`. A private
+    attribute of a class, such as `GroundProgram._trusted`, is not one."""
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    found: list[tuple[int, int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                found += [
+                    (node.lineno, node.col_offset, f"from .{node.module} import {alias.name}")
+                    for alias in node.names
+                    if _private(alias.name)
+                ]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append((node.lineno, node.col_offset, f"{node.value.id}.{node.attr}"))
+    return [f"{text} (line {line})" for line, _, text in sorted(found)]
+
+
+def test_scan_finds_private_names_of_other_modules():
+    source = (
+        "from . import parse as p, oracle\n"
+        "from .syntax import Rule, _scc_index, __doc__\n"
+        "def _own(): pass\n"
+        "p._clip(oracle.ground, oracle._Plan.__init__, Rule._trusted, _own())\n"
+    )
+    assert private_names_of_other_modules(source) == [
+        "from .syntax import _scc_index (line 2)",
+        "p._clip (line 4)",
+        "oracle._Plan (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_reads_no_private_name_of_another_module(path):
+    assert private_names_of_other_modules(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_private_definitions(sources: list[str]) -> list[str]:

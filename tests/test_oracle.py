@@ -18,10 +18,8 @@ from bigrule.errors import (
 )
 from bigrule.oracle import (
     _Plan,
-    _bound_score,
     _enumerate_answer_sets,
     _is_ordered,
-    _join_order,
     _minimal_below,
     _root_residual,
     _rule_masks,
@@ -49,9 +47,11 @@ from bigrule.syntax import (
     Literal,
     Rule,
     Variable,
+    _bound_score,
     eval_term,
     global_vars,
     is_safe,
+    join_order,
     variables_of,
 )
 
@@ -665,7 +665,7 @@ def test_join_order_is_a_scan_for_the_best_score():
             seen.update(arg.name for arg in atoms[idx].args if isinstance(arg, Variable))
         fresh: list[str] = []
         heaped = []
-        for idx in _join_order(atoms, bound, fresh):
+        for idx in join_order(atoms, bound, fresh):
             heaped.append(idx)
             for arg in atoms[idx].args:
                 if isinstance(arg, Variable) and arg.name not in bound:
@@ -754,9 +754,9 @@ def test_aggregate_fragment_closure_carries_the_budget(monkeypatch):
     limits = []
     closure = oracle._closure
 
-    def spy(units, store, keep=None, limit=None, spent=0):
+    def spy(units, schedule, store, keep, limit, spent):
         limits.append(limit)
-        return closure(units, store, keep, limit, spent)
+        return closure(units, schedule, store, keep, limit, spent)
 
     monkeypatch.setattr(oracle, "_closure", spy)
     program = parse_program(
