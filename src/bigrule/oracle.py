@@ -34,12 +34,12 @@ computed again only when a round could shrink it. The root, before the first
 decision, propagates forward only: the search counts the atoms it made true
 as supported by the rules it settles, which holds only for atoms the forward
 step derives. The search covers only the rules the root leaves open,
-starting every closure from the atoms the root made true. Each leaf is
-checked for modelhood and support in one pass over the rules, then for
-subset-minimality against the reduct. Propagation prunes only branches
-without answer sets, so answer sets come out in lexicographic order of the
-decision atoms, true first. The decision search and the minimality search
-run depth first on explicit stacks, so search depth is not limited by
+starting every closure from the atoms the root made true. Propagation
+leaves each leaf a supported model (see `_propagate`), so a leaf is checked
+only for subset-minimality against the reduct. Propagation prunes only
+branches without answer sets, so answer sets come out in lexicographic order
+of the decision atoms, true first. The decision search and the minimality
+search run depth first on explicit stacks, so search depth is not limited by
 recursion depth. A literal subset-enumeration variant is kept for
 cross-checking; both return exactly the answer sets of the textbook reduct
 semantics.
@@ -738,21 +738,6 @@ def _horn_closure(mask_rules, ordered: bool, lo: int = 0, t: int = 0, f: int = 0
             return hi
 
 
-def _supported_model(mask_rules, m: int, supported: int = 0) -> bool:
-    """One pass over the rules: m is a model, and each atom of m is the only
-    true head atom of some rule whose body m satisfies, or is in
-    `supported` already."""
-    missing = ~m
-    for h, p, g in mask_rules:
-        if not (g & m) and not (p & missing):
-            live = h & m
-            if not live:
-                return False
-            if not (live & (live - 1)):
-                supported |= live
-    return not (m & ~supported)
-
-
 def _minimal_below(mask_rules, m: int, ordered: bool, lo: int = 0) -> bool:
     """True iff no proper subset of m models the reduct w.r.t. m. Branches
     over disjunctive heads restricted below m, depth first on an explicit
@@ -799,7 +784,16 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
     atom no rule can support is a conflict. The bound's closure runs when
     `close` is set and after a round that makes an atom false (it lies
     inside the bound) or makes true an atom of `negs`, the atoms of the
-    rules' negative bodies; no other change can shrink the bound."""
+    rules' negative bodies; no other change can shrink the bound.
+
+    A leaf's fixpoint is a supported model, so a leaf needs only the
+    minimality check. The search assigns the atoms of negative bodies and
+    disjunctive heads; the forward step makes true each other atom of the
+    bound, the only head atom of a rule whose negative body is false and
+    positive body in the bound; the rest is false. The last round finds a
+    true head atom for each rule whose body holds (else None), and makes
+    each atom of t outside `lo` the only true head atom of one (else
+    `need & ~once` fails). The rules the root dropped support `lo`, its t0."""
     while True:
         if close:
             hi = _horn_closure(mask_rules, ordered, lo, t, f)
@@ -820,7 +814,7 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
             h, p, g = rule
             if p & f or g & t:
                 continue
-            body = p & open_t | g & open_f  # the undecided body literals
+            body = p & open_t | g & open_f  # undecided; none in both (_root_residual)
             live = h & open_f
             if not body:
                 if not live:
@@ -867,12 +861,12 @@ def _root_residual(mask_rules, ordered: bool, universe: int):
     """Propagate once at the root, with no decision made and forward only.
     None on a conflict, else (t0, f0, rest): the root assignment and, in
     their order, the rules it leaves open. A rule is dropped when its body
-    can never hold (a positive atom in f0 or a negative one in t0) or when
-    all its atoms are assigned, so that its body holds and a head atom is in
-    t0. Each atom of t0 is the only true head atom, at every leaf, of the
-    rule that derived it, which is dropped: t0 is supported. That holds
-    only for atoms the forward step derives, which is why the backward and
-    support steps wait for the search."""
+    can never hold (a positive atom in f0, a negative one in t0, an atom in
+    both) or when all its atoms are assigned, so that its body holds and a
+    head atom is in t0. Each atom of t0 is the only true head atom, at every
+    leaf, of the rule that derived it, which is dropped: t0 is supported.
+    That holds only for atoms the forward step derives, which is why the
+    backward and support steps wait for the search."""
     negs = 0
     for _, _, g in mask_rules:
         negs |= g
@@ -884,7 +878,7 @@ def _root_residual(mask_rules, ordered: bool, universe: int):
     rest = [
         (h, p, g)
         for h, p, g in mask_rules
-        if (h | p | g) & unassigned and not (p & f0 or g & t0)
+        if (h | p | g) & unassigned and not (p & f0 or g & t0 or p & g)
     ]
     return t0, f0, rest
 
@@ -925,7 +919,7 @@ def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
             bit = open_bits & -open_bits
             stack.append((t, f | bit, True))
             stack.append((t | bit, f, bit & negs != 0))
-        elif _supported_model(rest, t, t0) and _minimal_below(rest, t, ordered, t0):
+        elif _minimal_below(rest, t, ordered, t0):
             results.append(t)
             if first_only:
                 break

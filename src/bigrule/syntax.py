@@ -525,23 +525,28 @@ def binding_order(pending: list, bound) -> Iterator:
       next item;
     - a deferred `(term, x)` pair once the term's variables are.
     `bound` is anything that supports `in`. Items left in `pending` never
-    became ready."""
-    progress = bool(pending)
-    while progress:
-        progress = False
-        for item in pending[:]:
-            if type(item) is tuple:
-                if not all(vn in bound for vn in term_variables(item[0])):
-                    continue
-            elif not all(vn in bound for vn in term_variables(item)) and not (
-                item.is_binding_equation()
-                and item.left.name not in bound
-                and all(vn in bound for vn in term_variables(item.right))
-            ):
-                continue
-            pending.remove(item)
-            progress = True
-            yield item
+    became ready. An item not ready waits on its first unbound input, and
+    once an equation binds that, a heap of (sweep, position) visits it again:
+    in the same sweep if it comes later in the list, else in the next."""
+    items = pending[:]
+    heap = [(0, i) for i in range(len(items))]
+    waiting: dict[str, list[int]] = {}
+    while heap:
+        sweep, i = heapq.heappop(heap)
+        item = items[i]
+        equation = type(item) is not tuple and item.is_binding_equation()
+        # X = phi is ready once phi is bound, whether X is bound or not.
+        inputs = item.right if equation else item[0] if type(item) is tuple else item
+        name = next((vn for vn in term_variables(inputs) if vn not in bound), None)
+        if name is not None:
+            waiting.setdefault(name, []).append(i)
+            continue
+        items[i] = None
+        binds = item.left.name if equation and item.left.name not in bound else None
+        yield item
+        for j in waiting.pop(binds, ()):
+            heapq.heappush(heap, (sweep if j > i else sweep + 1, j))
+    pending[:] = [item for item in items if item is not None]
 
 
 def join_order(atoms, bound, fresh: list):

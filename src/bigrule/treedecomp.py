@@ -304,8 +304,6 @@ def exact_treewidth(g: GaifmanGraph, max_vertices: int = 8) -> int:
             low = frontier & -frontier
             i = low.bit_length() - 1
             frontier &= frontier - 1
-            if seen & low:
-                continue
             seen |= low
             if done & low:
                 frontier |= adj_mask[i] & ~seen

@@ -8,9 +8,11 @@ from bigrule.parse import Clause, InputGraph, Qbf, make_graph
 from bigrule.rewriters import AbductionInstance
 from bigrule.syntax import (
     Atom,
+    Comparison,
     Constant,
     GroundProgram,
     GroundRule,
+    Integer,
     Literal,
     Program,
     Rule,
@@ -87,6 +89,72 @@ def random_ground_program(rng: random.Random, max_atoms=6, max_rules=8) -> Groun
             continue
         rules.append(GroundRule(head, pos, neg))
     return GroundProgram(atoms, rules)
+
+
+def random_overlapping_ground_program(rng: random.Random, max_atoms=9,
+                                     max_rules=14) -> GroundProgram:
+    """Like `random_ground_program`, but the head (0-3 atoms), positive body
+    (0-3) and negative body (0-2) of a rule are drawn independently, so one
+    atom can sit in two or three of them, as in `a :- a.` or `:- a, not a.`.
+    Half the time the rules are sorted, which groups them by head."""
+    n_atoms = rng.randint(1, max_atoms)
+    atoms = tuple(Atom(f"a{i}") for i in range(n_atoms))
+
+    def part(most):
+        return tuple(sorted(rng.sample(range(n_atoms), min(n_atoms, rng.randint(0, most)))))
+
+    rules = []
+    for _ in range(rng.randint(0, max_rules)):
+        rule = GroundRule(part(3), part(3), part(2))
+        if rule.head or rule.pos or rule.neg:
+            rules.append(rule)
+    if rng.random() < 0.5:
+        rules.sort()
+    return GroundProgram(atoms, rules)
+
+
+FACT_PREDS = (("e", 2), ("d", 1))
+DERIVED_PREDS = (("p", 1), ("q", 1), ("r", 1))
+
+
+def random_pipeline_program(rng: random.Random, max_rules=4, max_vars=4) -> Program:
+    """Two or more random safe rules over the derived predicates p, q and
+    r, which rules also read positively and under negation, so recursion,
+    disjunctive heads and negated derived atoms all occur; now and then a
+    comparison between two rule variables. Facts over e/2 and d/1 on the
+    domain {1, 2}. Every ground atom is one of those 12, which keeps a
+    naive grounding within `answer_sets_naive`'s cap."""
+    domain = (Integer(1), Integer(2))
+    rules = []
+    for _ in range(rng.randint(2, max_rules)):
+        names = [f"V{i}" for i in range(rng.randint(1, max_vars))]
+
+        def atom(pred, arity):
+            return Atom(pred, tuple(Variable(rng.choice(names)) for _ in range(arity)))
+
+        pos = [
+            Literal(atom(*rng.choice(FACT_PREDS + DERIVED_PREDS)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        covered = {arg.name for lit in pos for arg in lit.atom.args}
+        pos += [Literal(Atom("d", (Variable(n),))) for n in names if n not in covered]
+        head = tuple(atom(*rng.choice(DERIVED_PREDS)) for _ in range(rng.choice((0, 1, 1, 2))))
+        neg = tuple(
+            Literal(atom(*rng.choice(FACT_PREDS + DERIVED_PREDS)), True)
+            for _ in range(rng.choice((0, 1, 1, 2)))
+        )
+        arith = ()
+        if len(names) > 1 and rng.random() < 0.3:
+            left, right = rng.sample(names, 2)
+            arith = (Comparison(rng.choice(("=", "!=", "<")), Variable(left), Variable(right)),)
+        rules.append(Rule(head, tuple(pos), neg, arith))
+    facts = [
+        Atom(pred, args)
+        for pred, arity in FACT_PREDS
+        for args in product(domain, repeat=arity)
+        if rng.random() < 0.5
+    ]
+    return Program(rules, facts)
 
 
 def random_qbf2(rng: random.Random, max_universal=4, max_exist=4, max_clauses=8) -> Qbf:

@@ -116,6 +116,14 @@ def test_prefix_shape_error_exit_2(capsys, tmp_path):
     assert "prefix" in err
 
 
+def test_sum_over_a_symbol_exit_2(capsys, tmp_path):
+    src = tmp_path / "sum.lp"
+    src.write_text("p(a).\nh :- #sum{X : p(X)} >= 1.\n")
+    code, out, err = run_cli(capsys, "solve", str(src))
+    assert code == 2 and out == ""
+    assert err == "error: #sum needs integer first components, got ('a',)\n"
+
+
 @pytest.mark.parametrize(
     "text",
     ["q(a). p(Y) :- q(X), Y = X+1.\n", "q(a). p :- q(X), r(X+1).\n"],
@@ -373,6 +381,19 @@ def test_solve_deterministic_output(capsys, tmp_path):
         runs.append(out)
     assert runs[0] == runs[1]
     assert runs[0].splitlines() == ["a c", "b c"]
+
+
+def test_solve_keeps_answer_sets_of_a_contradictory_ground_body(capsys, tmp_path):
+    # At X = Y = 1 the constraint grounds to a body that can never hold; it
+    # once made p(1) false and lost {d(1), p(1)}.
+    src = tmp_path / "c.lp"
+    src.write_text("d(1).\np(X) | q(X) :- d(X).\n:- p(X), d(Y), not p(Y), X = Y.\n")
+    code, out, _ = run_cli(capsys, "ground", str(src))
+    assert code == 0
+    assert out.splitlines() == ["d(1).", "p(1) | q(1) :- d(1).", ":- p(1), d(1), not p(1)."]
+    code, out, _ = run_cli(capsys, "solve", str(src))
+    assert code == 10
+    assert out.splitlines() == ["d(1) p(1)", "d(1) q(1)"]
 
 
 def test_decompose_deterministic_and_min_degree(capsys, tmp_path):

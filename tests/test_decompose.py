@@ -294,6 +294,18 @@ def test_decompose_of_an_equation_chain_is_fast():
     )
 
 
+def test_decompose_of_a_reversed_equation_chain_is_fast():
+    # Listed last equation first, a binding order that sweeps `pending`
+    # again until nothing is ready readies one equation per sweep: 17 s on
+    # 2 vCPUs, against 0.6 s when an item waits on its unbound input.
+    equations = ", ".join(f"X{i} = X{i - 1}+1" for i in range(300, 0, -1))
+    program = parse_program(f"p(1). p(5). q(301).\nh(X0) :- p(X0), {equations}, not q(X300).")
+    start = time.perf_counter()
+    decomposed, report = decompose_program(program, threshold=False)
+    assert time.perf_counter() - start < 5.0
+    assert report.rules[0].decomposed and len(decomposed.rules) == 600
+
+
 # ------------------------------------------------------------- aggregates ---
 
 def test_split_aggregate_disconnected_chain():
@@ -334,6 +346,23 @@ def test_split_aggregate_negative_local_literal_gets_dom():
     assert any(l.negated for l in helper.neg_body)
     ok, unsafe = is_safe(helper)
     assert ok, unsafe
+
+
+def test_split_aggregate_secures_a_negative_part_from_the_condition():
+    # The part `not q(W)` binds nothing, so W's domain comes from the
+    # aggregate's positive condition.
+    program = parse_program(
+        "p(1,a). p(2,b). p(3,c). q(b).\nh :- #count{X : p(X,W), not q(W)} >= 2."
+    )
+    decomposed, _ = decompose_program(program)
+    assert print_program(decomposed).splitlines()[4:] == [
+        "h :- #count{X : p(X,W), temp_0_agg0(W)} >= 2.",
+        "temp_0_agg0(W) :- dom_0_agg0_W(W), not q(W).",
+        "dom_0_agg0_W(W) :- p(X,W).",
+    ]
+    expected = {frozenset({"h", "p(1,a)", "p(2,b)", "p(3,c)", "q(b)"})}
+    assert project_answer_sets(ground(program).ground_program) == expected
+    assert project_answer_sets(ground(decomposed).ground_program) == expected
 
 
 def test_aggregate_program_equivalence():

@@ -23,7 +23,6 @@ from bigrule.oracle import (
     _minimal_below,
     _root_residual,
     _rule_masks,
-    _supported_model,
     abduce_bruteforce,
     answer_sets,
     answer_sets_naive,
@@ -55,7 +54,7 @@ from bigrule.syntax import (
     variables_of,
 )
 
-from corpus import random_ground_program, random_qbf2
+from corpus import random_ground_program, random_overlapping_ground_program, random_qbf2
 
 
 def gp_of(atom_names, rules):
@@ -282,6 +281,18 @@ def test_ground_deterministic_order():
     ]
 
 
+def test_ground_sorts_integer_and_symbol_bindings_apart():
+    # X takes integers and symbols, which plain tuple order cannot compare;
+    # the instances come integers first, then symbols.
+    gp = ground(parse_program("p(1). p(a). p(2). p(b).\nq(X) :- p(X).")).ground_program
+    assert print_ground_program(gp).splitlines()[4:] == [
+        "q(1) :- p(1).",
+        "q(2) :- p(2).",
+        "q(a) :- p(a).",
+        "q(b) :- p(b).",
+    ]
+
+
 # ------------------------------------------------------------ answer sets --
 
 def test_answer_sets_disjunctive_fact():
@@ -423,16 +434,47 @@ def test_rules_fixed_at_the_root_keep_their_support():
     assert as_names(gp, answer_sets_naive(gp)) == expected
 
 
-def test_supported_model_needs_a_unique_true_head():
-    # `a | b.` supports a when b is false, but neither atom when both are
-    # true; `c :- a.` then supports c only while a is true.
-    gp = gp_of(["a", "b", "c"], [(("a", "b"), (), ()), (("c",), ("a",), ())])
+def test_contradictory_body_makes_nothing_false():
+    # `:- a, not a.` can never fire. Read as one undecided body literal, it
+    # made a false by the backward step, losing {a}; the root drops it.
+    gp = gp_of(["a", "b"], [(("a", "b"), (), ()), ((), ("a",), ("a",))])
     masks = _rule_masks(gp)
-    assert _supported_model(masks, 0b101)
-    assert _supported_model(masks, 0b010)
-    assert not _supported_model(masks, 0b111)
-    assert not _supported_model(masks, 0b110)  # c unsupported
-    assert not _supported_model(masks, 0b001)  # c :- a violated
+    assert _root_residual(masks, True, 0b11) == (0, 0, [masks[0]])
+    assert as_names(gp, answer_sets(gp)) == [["a"], ["b"]]
+    assert as_names(gp, answer_sets_naive(gp)) == [["a"], ["b"]]
+
+
+def test_contradictory_body_supports_nothing():
+    # `a1 :- a3, not a3.` never fires, so a1 stays false and a3 is derived.
+    gp = gp_of(["a1", "a3"], [(("a1",), ("a3",), ("a3",)), (("a3",), (), ("a1",))])
+    assert as_names(gp, answer_sets(gp)) == [["a3"]]
+    assert as_names(gp, answer_sets_naive(gp)) == [["a3"]]
+    assert has_answer_set(gp)
+
+
+def test_answer_sets_agree_with_naive_when_rule_parts_share_atoms():
+    # One atom may sit in a rule's head and both bodies; `answer_sets` once
+    # lost answer sets to rules like `:- a, not a.`.
+    rng = random.Random(1)
+    shared = ordered = 0
+    for _ in range(2000):
+        gp = random_overlapping_ground_program(rng)
+        naive = answer_sets_naive(gp)
+        assert answer_sets(gp) == naive
+        assert has_answer_set(gp) == bool(naive)
+        shared += any(set(r.pos) & set(r.neg) for r in gp.rules)
+        ordered += _is_ordered(_rule_masks(gp))
+    assert shared > 1000 and 200 < ordered < 1800
+
+
+def test_answer_sets_need_a_unique_true_head():
+    # `a | b.` supports a when b is false, but neither atom when both are
+    # true; `c :- a.` then supports c only while a is true. So {a, b, c} and
+    # {b, c} are not answer sets, nor is {a}, which violates `c :- a.`.
+    gp = gp_of(["a", "b", "c"], [(("a", "b"), (), ()), (("c",), ("a",), ())])
+    expected = [["a", "c"], ["b"]]
+    assert as_names(gp, answer_sets(gp)) == expected
+    assert as_names(gp, answer_sets_naive(gp)) == expected
 
 
 def _stack_depth() -> int:
@@ -708,6 +750,11 @@ def test_ground_aggregate_min_max():
     }
     assert any(t.startswith("lo") for t in texts)
     assert any(t.startswith("hi") for t in texts)
+
+
+def test_empty_min_meets_no_guard():
+    gp = ground(parse_program("r(1).\nh :- r(1), #min{X : p(X)} < 5.")).ground_program
+    assert as_names(gp, answer_sets(gp)) == [["r(1)"]]
 
 
 def test_ground_aggregate_over_derived_deterministic_predicate():

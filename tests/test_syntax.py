@@ -16,6 +16,7 @@ from bigrule.syntax import (
     Program,
     Rule,
     Variable,
+    binding_order,
     eval_term,
     is_head_cycle_free,
     is_safe,
@@ -126,6 +127,39 @@ def test_is_safe_monotone_under_positive_atoms(data):
     _, unsafe_base = is_safe(base)
     _, unsafe_ext = is_safe(extended)
     assert unsafe_ext <= unsafe_base
+
+
+def sweep(text, bound):
+    """The comparisons of `:- p(T,U,W), <text>.` in `binding_order`'s
+    order from `bound`, each binding equation adding its variable; and what
+    stays pending."""
+    pending = list(rule_of(f":- p(T,U,W), {text}.").arith)
+    out = []
+    for comp in binding_order(pending, bound):
+        out.append(str(comp))
+        if comp.is_binding_equation():
+            bound.add(comp.left.name)
+    return out, [str(comp) for comp in pending]
+
+
+def test_binding_order_visits_readied_items_in_list_order():
+    # X = W readies Y = X+1, which comes earlier in the list, so it waits
+    # for the next sweep; V = Y+X, readied by that, comes later and follows
+    # in the same sweep, before Z = Y+1. U < T never becomes ready.
+    assert sweep("Z = Y+1, Y = X+1, X = W, U < T, V = Y+X", {"W"}) == (
+        ["X = W", "Y = X+1", "V = Y+X", "Z = Y+1"],
+        ["U < T"],
+    )
+
+
+def test_binding_order_of_a_repeated_comparison():
+    # Each copy of Y = X+1 keeps its own place: the later copy binds Y in the
+    # first sweep, the earlier one is checked at the start of the next,
+    # before Z = Y+1.
+    assert sweep("Y = X+1, Z = Y+1, X = W, Y = X+1", {"W"}) == (
+        ["X = W", "Y = X+1", "Y = X+1", "Z = Y+1"],
+        [],
+    )
 
 
 def test_bindable_vars_excludes_embedded_arith():
