@@ -9,14 +9,15 @@ and kept current as atoms arrive, and run on an explicit stack, so body
 length is not limited by recursion depth. The possibly-true closure visits
 the program's components (`Program.components`) in topological order: a
 non-recursive component is joined once, a recursive one until it adds
-nothing. Every match is recorded, and emission reads the records once the
-closure is complete. It numbers atoms in order of first use: facts, then
-rule by rule the instances sorted by binding, each with its head, positive
-and negative atoms in turn, once none of its negated atoms is a fact. One
-table per predicate maps argument tuples to numbers, all counting in that
-one order; as each atom is numbered once, the output `GroundProgram` skips
-its checks. Aggregate conditions run on the same plans, over the
-deterministic sub-program's least model.
+nothing. Where a match is joined, the closure drops it if its instance can
+never fire (`_fires`). The rest add their heads and are recorded, and
+emission reads the records once the closure is complete. It numbers atoms
+in order of first use: facts, then rule by rule the instances sorted by
+binding, each with its head, positive and negative atoms in turn. One table
+per predicate maps argument tuples to numbers, all counting in that one
+order; as each atom is numbered once, the output `GroundProgram` skips its
+checks. Aggregate conditions run on the same plans over the same closure,
+whose component order completes them before an aggregate reads them.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads). Rules, truth assignments and atom
@@ -396,13 +397,14 @@ class _RulePlan:
 
 
 def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> list[list]:
-    """Join every rule against the store and add the heads of its matches,
-    group by group of `schedule`, a topological order of (unit indices,
-    recursive) groups such as `Program.components`. A non-recursive group
-    is joined once; a recursive one is joined until its round adds no
-    atom, and its last round's matches are the complete ones. Returns each
-    rule's matches that `keep` accepts (all if `keep` is None). `spent`
-    plus the matches so far, and the atoms, may not exceed `limit`."""
+    """Join every rule against the store and add the heads of its matches
+    that `keep[i]`, unit i's test (None: all pass), lets fire, group by
+    group of `schedule`, a topological order of (unit indices, recursive)
+    groups such as `Program.components`. A non-recursive group is joined
+    once; a recursive one is joined until its round adds no atom, and its
+    last round's matches are the complete ones. Returns each rule's matches
+    that fire. `spent` plus the matches so far, and the atoms, may not
+    exceed `limit`."""
     records: list[list] = [[] for _ in units]
     for members, recursive in schedule:
         before = spent
@@ -411,6 +413,7 @@ def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> li
             spent = before
             for i in members:
                 unit = units[i]
+                fires = keep[i]
                 kept = records[i] = []
                 own = spent
                 try:
@@ -422,7 +425,7 @@ def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> li
                                 f" matches reached {spent} at rule {unit.index} `{unit.rule}`"
                                 f" ({spent - own} of its matches)"
                             )
-                        if keep is None or keep(unit, b):
+                        if fires is None or fires(b):
                             kept.append(b)
                             for pred, args_of in unit.heads:
                                 store.add((pred, args_of(b)))
@@ -452,11 +455,12 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     """Instantiate rule variables by joining positive bodies against the
     possibly-true closure. Each rule is compiled once into a join plan that
     probes hash indexes on the bound argument positions. The closure visits
-    the components of the positive dependency graph in topological order
-    and records every match; emission then reads those records, sorted by
-    binding within each rule. Arithmetic atoms are evaluated away,
-    aggregates are expanded under the deterministic-fragment semantics,
-    and instances whose positive body can never be derived are omitted.
+    the components of `Program.components` in topological order and
+    records every match that can fire; emission then reads those records,
+    sorted by binding within each rule. Arithmetic atoms are evaluated
+    away, aggregates are expanded under the deterministic-fragment
+    semantics over the same closure, and instances whose positive body can
+    never be derived, or whose body can never hold (`_fires`), are omitted.
     Facts plus join matches may not exceed `max_ground_rules`, nor may the
     atoms of the closure. Every rule binds all its variables, since
     `Program` admits only safe rules."""
@@ -469,17 +473,14 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
             raise IntegerRangeError(f"{exc} in fact `{f}.`") from None
         if store.add(key):
             fact_order.append(key)
-    fact_keys = set(fact_order)
 
     units = [_RulePlan(r, i) for i, r in enumerate(program.rules)]
-    keep = None
+    aggregates = None
     if any(r.aggregates for r in program.rules):
-        agg_eval = _AggregateContext(program, units, fact_order, max_ground_rules)
-
-        def keep(unit: _RulePlan, b: tuple) -> bool:
-            aggregates = unit.rule.aggregates
-            return not aggregates or agg_eval.all_true(aggregates, unit.names, unit.values(b))
-
+        aggregates = _AggregateContext(program, store)
+    fact_keys = set(fact_order)
+    fact_preds = {pred for pred, _ in fact_order}
+    keep = [_fires(unit, fact_keys, fact_preds, aggregates) for unit in units]
     records = _closure(units, program.components, store, keep, max_ground_rules, len(fact_order))
 
     # Emission, with negative-literal simplification against the closure. A
@@ -515,21 +516,18 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
                 for b in matches:
                     neg_args = []
                     for pred, num, args_of in neg:
-                        key = (pred, args_of(b))
-                        if key in fact_keys:
-                            break  # negated fact: instance can never fire
-                        if key in store.keys:
-                            neg_args.append((num, key[1]))
+                        args = args_of(b)
+                        if (pred, args) in store.keys:
+                            neg_args.append((num, args))
                         # else: atom can never be true, the literal is vacuous
-                    else:
-                        head = [num(args_of(b)) for num, args_of in heads]
-                        body = [num(args_of(b)) for num, args_of in pos]
-                        negs = [num(args) for num, args in neg_args]
-                        append(GroundRule(
-                            tuple(dict.fromkeys(head) if head_repeats else head),
-                            tuple(dict.fromkeys(body) if pos_repeats else body),
-                            tuple(dict.fromkeys(negs) if neg_repeats else negs),
-                        ))
+                    head = [num(args_of(b)) for num, args_of in heads]
+                    body = [num(args_of(b)) for num, args_of in pos]
+                    negs = [num(args) for num, args in neg_args]
+                    append(GroundRule(
+                        tuple(dict.fromkeys(head) if head_repeats else head),
+                        tuple(dict.fromkeys(body) if pos_repeats else body),
+                        tuple(dict.fromkeys(negs) if neg_repeats else negs),
+                    ))
             except IntegerRangeError as exc:  # a negated atom's argument
                 raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
         source_map.update(dict.fromkeys(range(first, len(ground_rules)), src_index))
@@ -539,6 +537,31 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     # Each key was numbered once, by a rule that uses it: atoms distinct, indices in range.
     gp = GroundProgram._trusted(atoms, tuple(ground_rules))
     return GroundingResult(gp, len(source_map), len(atoms), source_map)
+
+
+def _fires(unit: _RulePlan, fact_keys: set, fact_preds: set, aggregates):
+    """The test whether a match of `unit` can ever fire, or None if every
+    match can. A match cannot fire if one of its negated atoms is a fact or
+    is also one of its positive atoms, or if one of its aggregates fails."""
+    checks = []
+    for pred, args_of in unit.neg:
+        same = [pos_of for pos_pred, pos_of in unit.pos if pos_pred == pred]
+        if pred in fact_preds or same:
+            checks.append((pred, args_of, same))
+    rule_aggregates = unit.rule.aggregates
+    if not checks and not rule_aggregates:
+        return None
+
+    def fires(b: tuple) -> bool:
+        for pred, args_of, same in checks:
+            args = args_of(b)
+            if (pred, args) in fact_keys or any(args == pos_of(b) for pos_of in same):
+                return False
+        return not rule_aggregates or aggregates.all_true(
+            rule_aggregates, unit.names, unit.values(b)
+        )
+
+    return fires
 
 
 class _Numbering(dict):
@@ -576,15 +599,18 @@ class _AggregateContext:
     predicates must be defined by facts or by normal, non-recursive,
     aggregate-free rules whose bodies stay inside the fragment (negation
     only over fact-defined predicates). Their extension is then identical
-    in every answer set, so aggregates can be decided at grounding time."""
+    in every answer set, so aggregates can be decided at grounding time.
+    They are read off the closure's `store`: `Program.components` joins
+    every rule defining a condition predicate before the aggregate's rule,
+    and the closure drops the instances with a negated fact, so by then the
+    store holds exactly the fragment's least model on those predicates."""
 
-    def __init__(self, program: Program, units, fact_order, limit: int):
+    def __init__(self, program: Program, store: _Store):
         fact_only = {f.pred for f in program.facts}
         fact_only.difference_update(a.pred for r in program.rules for a in r.head)
         # One pass in topological order: every rule using a predicate
         # positively comes after all rules defining it.
         self.outside: set[str] = set()
-        fragment = []
         for members, recursive in program.components:
             for i in members:
                 r = program.rules[i]
@@ -596,42 +622,11 @@ class _AggregateContext:
                     or any(l.atom.pred not in fact_only for l in r.neg_body)
                 ):
                     self.outside.update(a.pred for a in r.head)
-                else:
-                    fragment.append(units[i])
-
-        # Only the rules whose head reaches a condition predicate through
-        # positive bodies matter; in reverse order a rule comes before the
-        # rules defining its body predicates.
-        read = {
-            l.atom.pred for r in program.rules for agg in r.aggregates for l in agg.condition
-        }
-        needed = []
-        for unit in reversed(fragment):
-            pred = unit.rule.head[0].pred
-            if pred in read and pred not in self.outside:
-                needed.append(unit)
-                read.update(l.atom.pred for l in unit.rule.pos_body)
-
-        # Least model of those rules: an instance whose negated atom is a
-        # fact never fires. Its matches count against the same limit as the
-        # main closure's, on their own. Each is a component of its own.
-        self.store = _Store()
-        for key in fact_order:
-            self.store.add(key)
-        fact_keys = set(fact_order)
-        _closure(
-            needed[::-1],
-            [([i], False) for i in range(len(needed))],
-            self.store,
-            lambda unit, b: not any((pred, args_of(b)) in fact_keys for pred, args_of in unit.neg),
-            limit,
-            len(fact_keys),
-        )
+        self.store = store
         self.plans: dict[tuple, tuple] = {}
 
     def all_true(self, aggregates, names: tuple, values: tuple) -> bool:
-        """Whether every aggregate holds with the rule variables `names`
-        bound to `values`."""
+        """Whether every aggregate holds with `names` bound to `values`."""
         return all(self._eval(agg, names, values) for agg in aggregates)
 
     def _compile(self, agg: Aggregate, names: tuple):

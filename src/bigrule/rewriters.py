@@ -301,11 +301,7 @@ def qbf3_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
     for x in sorted(middle):
         saturated.append(Atom("t", (Constant(f"x{x}"),)))
         saturated.append(Atom("f", (Constant(f"x{x}"),)))
-    seen = set()
-    for tuple_atom in all_tuple_atoms:
-        if tuple_atom not in seen:
-            seen.add(tuple_atom)
-            saturated.append(tuple_atom)
+    saturated.extend(all_tuple_atoms)  # one distinct atom per clause tuple
     for target in saturated:
         rules.append(Rule(head=(target,), pos_body=(pos(sat),)))
     return Program(rules, facts)

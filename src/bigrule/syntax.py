@@ -250,8 +250,9 @@ class Program:
     given facts in rule order, so that printing and re-parsing yields a
     structurally identical program. The stages that take a Program rely on
     this and do not check it again; `components`, the rules' component
-    order (`_components`), is computed once here for them too. The domain
-    is exactly the set of constants syntactically present.
+    order (`_components`, aggregate conditions first), is computed once
+    here for them too. The domain is exactly the set of constants
+    syntactically present.
     """
 
     __slots__ = ("rules", "facts", "components", "_domain", "_arities")
@@ -623,14 +624,18 @@ def _components(rules) -> list[tuple[list[int], bool]]:
     """Rule indices grouped by the strongly connected components of the
     positive dependency graph (body predicate -> rule -> head predicate),
     in topological order, each flagged if it is recursive (Lifschitz &
-    Turner, "Splitting a logic program", ICLP 1994)."""
+    Turner, "Splitting a logic program", ICLP 1994). A condition edge from
+    each predicate of an aggregate's condition, positive or negated, to its
+    rule puts the rules defining that predicate before the aggregate's rule,
+    unless they depend on it."""
     n = len(rules)
     node: dict[str, int] = {}
     succ: dict[int, set[int]] = {}
     # Edges point from a rule to what it depends on, so Tarjan numbers
     # every component after all those it depends on.
     for i, r in enumerate(rules):
-        succ[i] = {node.setdefault(l.atom.pred, n + len(node)) for l in r.pos_body}
+        read = [*r.pos_body, *(l for agg in r.aggregates for l in agg.condition)]
+        succ[i] = {node.setdefault(l.atom.pred, n + len(node)) for l in read}
         for a in r.head:
             succ.setdefault(node.setdefault(a.pred, n + len(node)), set()).add(i)
     comp = _scc_index(succ, n + len(node))

@@ -256,6 +256,7 @@ HUNDRED_FACTORS = "q(10).\nr(Y) :- q(X), Y = {}.\ns(Z) :- r(Y), Z = {}.\n".forma
         (SQUARING, "rule 0 `p(Y) :- p(X), Y = X*X.`"),
         (HUNDRED_FACTORS, "rule 0 `r(Y) :- q(X), Y = X*X*"),
         ("q(1). r(Y) :- q(X), not s(X*9223372036854775807*2), Y = X.\n", "rule 0 `r(Y)"),
+        ("q(1). s(1). r(Y) :- q(X), not s(X*9223372036854775807*2), Y = X.\n", "rule 0 `r(Y)"),
         ("p(9223372036854775807+1).\n", "in fact `p(9223372036854775807+1).`"),
     ],
 )
@@ -384,13 +385,13 @@ def test_solve_deterministic_output(capsys, tmp_path):
 
 
 def test_solve_keeps_answer_sets_of_a_contradictory_ground_body(capsys, tmp_path):
-    # At X = Y = 1 the constraint grounds to a body that can never hold; it
-    # once made p(1) false and lost {d(1), p(1)}.
+    # At X = Y = 1 the constraint's body can never hold, so the grounder
+    # drops it; it once made p(1) false and lost {d(1), p(1)}.
     src = tmp_path / "c.lp"
     src.write_text("d(1).\np(X) | q(X) :- d(X).\n:- p(X), d(Y), not p(Y), X = Y.\n")
     code, out, _ = run_cli(capsys, "ground", str(src))
     assert code == 0
-    assert out.splitlines() == ["d(1).", "p(1) | q(1) :- d(1).", ":- p(1), d(1), not p(1)."]
+    assert out.splitlines() == ["d(1).", "p(1) | q(1) :- d(1)."]
     code, out, _ = run_cli(capsys, "solve", str(src))
     assert code == 10
     assert out.splitlines() == ["d(1) p(1)", "d(1) q(1)"]
@@ -431,6 +432,37 @@ def test_decompose_output_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert "dom_0_X(X) :- a(U), b(V), X = U+V.\n" in outputs[0]
+
+
+def test_ground_and_solve_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # n(a) can never be derived, its negated atom f(b) being a fact, and m
+    # reads n; the constraint's body can never hold; the aggregate counts
+    # the derived n.
+    src = tmp_path / "r.lp"
+    src.write_text(
+        "e(a,b). e(b,c). e(c,a). f(b).\n"
+        "n(X) :- e(X,Y), not f(Y).\nm(X) :- n(X), e(X,Y).\np(X) | q(X) :- n(X).\n"
+        ":- p(X), e(Y,Z), not p(Y), X = Y.\nk :- #count{X : n(X)} = 2.\n"
+    )
+    outputs = {}
+    for command, code in (("ground", 0), ("solve", 10)):
+        for seed in ("1", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bigrule.cli", command, str(src)],
+                capture_output=True,
+                text=True,
+                env={**CHILD_ENV, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == code, proc.stderr
+            outputs.setdefault(command, []).append(proc.stdout)
+    assert outputs["ground"][0] == outputs["ground"][1]
+    assert outputs["solve"][0] == outputs["solve"][1]
+    ground_text = outputs["ground"][0]
+    assert "n(a)" not in ground_text and not any(
+        line.startswith(":-") for line in ground_text.splitlines()
+    )
+    assert ground_text.endswith("p(c) | q(c) :- n(c).\nk.\n")
+    assert len(outputs["solve"][0].splitlines()) == 4
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -165,7 +165,7 @@ GOLDEN = {
     ),
     "safe_rules": (
         _safe_rules,
-        "5d223e432a377643f8c82414f85f37a20cc00b801b4e1ae64a05eb565e6af2ce",
+        "77e20ceefcc64853b33205aac7beafe30fdfcda001080ff89a853f03d84a6d17",
     ),
     "aggregates": (
         _aggregates,

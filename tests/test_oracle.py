@@ -249,10 +249,11 @@ def test_ground_emission_dedup_and_atom_order():
 
 def test_ground_atom_order_interleaves_predicates():
     # First uses alternate between p and q: in the facts, then a head
-    # (q(3)), a negated atom (p(3)) and a positive body atom (q(2)). The
-    # instance at X=1 is dropped by the negated fact p(2), so q(2) is first
-    # used by the last rule. Numbering all p atoms before all q atoms, or in
-    # any order other than first use across predicates, changes the table.
+    # (q(3)) and a negated atom (p(3)). The instance at X=1 can never fire,
+    # its negated atom p(2) being a fact, so it derives no q(2) and the
+    # last rule has no instance at X=2. Numbering all p atoms before all q
+    # atoms, or in any order other than first use across predicates,
+    # changes the table.
     program = parse_program(
         "p(1). q(1). p(2).\n"
         "q(Y) :- p(X), Y = X+1, Y < 4, not p(Y).\n"
@@ -260,16 +261,15 @@ def test_ground_atom_order_interleaves_predicates():
     )
     result = ground(program)
     gp = result.ground_program
-    assert [str(a) for a in gp.atoms] == ["p(1)", "q(1)", "p(2)", "q(3)", "p(3)", "q(2)"]
+    assert [str(a) for a in gp.atoms] == ["p(1)", "q(1)", "p(2)", "q(3)", "p(3)"]
     assert print_ground_program(gp) == (
         "p(1).\n"
         "q(1).\n"
         "p(2).\n"
         "q(3) :- p(2), not p(3).\n"
-        "p(2) :- q(2).\n"
         "p(3) :- q(3).\n"
     )
-    assert result.source_rule_map == {3: 0, 4: 1, 5: 1}
+    assert result.source_rule_map == {3: 0, 4: 1}
 
 
 def test_ground_deterministic_order():
@@ -797,22 +797,6 @@ def test_ground_aggregate_over_two_level_derived_chain():
     assert not any(t.startswith("two") for t in texts)
 
 
-def test_aggregate_fragment_closure_carries_the_budget(monkeypatch):
-    limits = []
-    closure = oracle._closure
-
-    def spy(units, schedule, store, keep, limit, spent):
-        limits.append(limit)
-        return closure(units, schedule, store, keep, limit, spent)
-
-    monkeypatch.setattr(oracle, "_closure", spy)
-    program = parse_program(
-        "e(a,b). e(b,c).\nl(X,Y) :- e(X,Y).\nok :- #count{X,Y : l(X,Y)} = 2."
-    )
-    ground(program, max_ground_rules=500)
-    assert limits == [500, 500]
-
-
 def test_aggregate_fragment_limit_names_the_program_rule():
     facts = "".join(f"n({k}).\n" for k in range(10))
     program = parse_program(
@@ -825,26 +809,42 @@ def test_aggregate_fragment_limit_names_the_program_rule():
     assert "at rule 1 `d(X,Y,Z) :- n(X), n(Y), n(Z).`" in message
 
 
-def test_aggregate_fragment_grounds_only_rules_conditions_read(monkeypatch):
-    # `d` feeds no aggregate condition, so the fragment store holds no `d`
-    # atom; `m` is read positively and `e` negated, so both are closed.
-    stores = []
-    init = oracle._AggregateContext.__init__
+def test_aggregates_read_the_one_closure(monkeypatch):
+    # `m` is read positively and `e` negated; `d` feeds no condition. The
+    # closure runs once, and each rule is joined once.
+    closures, joined = [], []
+    closure, matches = oracle._closure, oracle._RulePlan.matches
 
-    def spy(self, *args):
-        init(self, *args)
-        stores.append(self.store)
+    def closure_spy(*args):
+        closures.append(args)
+        return closure(*args)
 
-    monkeypatch.setattr(oracle._AggregateContext, "__init__", spy)
+    def matches_spy(self, store):
+        joined.append(str(self.rule))
+        return matches(self, store)
+
+    monkeypatch.setattr(oracle, "_closure", closure_spy)
+    monkeypatch.setattr(oracle._RulePlan, "matches", matches_spy)
     facts = "".join(f"n({k}).\n" for k in range(10))
     program = parse_program(
         facts + "d(X,Y,Z) :- n(X), n(Y), n(Z).\nm(X) :- n(X).\ne(X) :- m(X), X > 5.\n"
         "q :- #count{X : m(X), not e(X)} = 6."
     )
     gp = ground(program).ground_program
-    (store,) = stores
-    assert "d" not in store.by_pred
-    assert len(store.by_pred["m"]) == 10 and len(store.by_pred["e"]) == 4
+    assert len(closures) == 1
+    assert sorted(joined) == sorted(map(str, program.rules))
     texts = {gp.rule_str(r) for r in gp.rules}
     assert "q." in texts
     assert sum(t.startswith("d(") for t in texts) == 1000
+
+
+def test_aggregate_condition_rule_over_the_limit_names_that_rule():
+    facts = "".join(f"n({k}).\n" for k in range(10))
+    program = parse_program(
+        facts + "q :- #count{X : m(X,Y)} >= 1.\nm(X,Y) :- n(X), n(Y)."
+    )
+    with pytest.raises(GroundingLimitError) as info:
+        ground(program, max_ground_rules=50)
+    message = str(info.value)
+    assert "exceeds 50 rule instances" in message
+    assert "at rule 1 `m(X,Y) :- n(X), n(Y).`" in message
