@@ -12,22 +12,13 @@ import sys
 
 from . import decompose as dec
 from . import oracle, parse, rewriters
-from .errors import (
-    ArityError,
-    BigruleError,
-    InputSemanticsError,
-    LimitError,
-    ParseError,
-    SafetyError,
-)
+from .errors import BigruleError, InputSemanticsError, InternalError, ParseError
 from .syntax import GroundProgram, Program
 from .treedecomp import HEURISTICS
 
 EXIT_OK = 0
 EXIT_PARSE = 1
-EXIT_SEMANTIC = 2
 EXIT_DIFFERENT = 3
-EXIT_LIMIT = 4
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 
@@ -258,18 +249,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ParseError, SafetyError, ArityError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except InputSemanticsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SEMANTIC
-    except LimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_LIMIT
-    except BigruleError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_PARSE
+    except BigruleError as exc:  # the exit code is the error group's (errors.py)
+        kind = "internal error" if isinstance(exc, InternalError) else "error"
+        sys.stderr.write(f"{kind}: {exc}\n")
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

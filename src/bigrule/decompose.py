@@ -567,8 +567,10 @@ def decompose_program(
     order, so derived predicates have sizes when they are read; the output
     keeps the input order. Facts pass through. The input's rules are safe,
     since `Program` admits no other; the heuristic and the reserved
-    prefixes are checked here. When every rule comes back as itself, the
-    input is returned."""
+    prefixes are checked here. An aggregate is kept whole when the part
+    split off it would negate a predicate outside `Program.fact_only`, as
+    the grounder reads aggregates only over rules that negate none. When
+    every rule comes back as itself, the input is returned."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     clashing = sorted(
@@ -580,6 +582,7 @@ def decompose_program(
         )
 
     sizes = _fact_sizes(program.facts)
+    fact_only = program.fact_only() if any(r.aggregates for r in program.rules) else None
     decided: list = [None] * len(program.rules)
     for members, recursive in program.components:
         if recursive:
@@ -591,7 +594,8 @@ def decompose_program(
                 _add_heads(rule.head, rows, values, sizes)
         for index in members:
             decided[index] = _decompose_one(
-                index, program.rules[index], heuristic, threshold, sizes, not recursive
+                index, program.rules[index], heuristic, threshold, sizes, not recursive,
+                fact_only,
             )
     out_rules: list[Rule] = []
     report = StatsReport()
@@ -606,11 +610,12 @@ def decompose_program(
 
 
 def _decompose_one(
-    index: int, original: Rule, heuristic: str, threshold: bool, sizes, add_heads: bool
+    index: int, original: Rule, heuristic: str, threshold: bool, sizes, add_heads: bool,
+    fact_only,
 ):
     """The rules emitted for one source rule, and its statistics. With
     `add_heads`, adds the estimated sizes of its head predicates to
-    `sizes`."""
+    `sizes`. An aggregate's helper may negate only `fact_only` predicates."""
     if is_variable_free(original):
         rows = _join_estimate(original, sizes)[1]
         if add_heads:
@@ -622,7 +627,10 @@ def _decompose_one(
     current = original
     helper_parts: list[tuple[Rule, FreshNamer]] = []
     for agg_index in range(len(original.aggregates)):
-        current, helpers = split_aggregate(current, agg_index, namer)
+        split, helpers = split_aggregate(current, agg_index, namer)
+        if helpers and any(l.atom.pred not in fact_only for l in helpers[0].neg_body):
+            continue
+        current = split
         for pos_h, helper in enumerate(helpers):
             # Every helper, the domain definitions included, becomes a
             # part of its own that is estimated and may be split.

@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the toolchain.
 
-Groups map onto the CLI exit codes: parse/safety problems, semantic input
-problems, resource limits, and internal invariant violations.
+Groups map onto the CLI exit codes, which each group's base class carries
+as `exit_code`: parse/safety problems and internal invariant violations
+exit 1, semantic input problems 2, resource limits 4.
 """
 
 
 class BigruleError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 # ---------------------------------------------------------------- exit 1 ----
@@ -49,6 +52,8 @@ class DuplicateIdError(ParseError):
 class InputSemanticsError(BigruleError):
     """Structurally valid input that a component cannot accept."""
 
+    exit_code = 2
+
 
 class PartitionError(InputSemanticsError):
     """Graph partition section references an unknown vertex."""
@@ -86,6 +91,8 @@ class NonIntegerArithmeticError(InputSemanticsError):
 
 class LimitError(BigruleError):
     """A configured resource cap was exceeded."""
+
+    exit_code = 4
 
 
 class GroundingLimitError(LimitError):

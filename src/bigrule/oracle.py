@@ -16,8 +16,10 @@ in order of first use: facts, then rule by rule the instances sorted by
 binding, each with its head, positive and negative atoms in turn. One table
 per predicate maps argument tuples to numbers, all counting in that one
 order; as each atom is numbered once, the output `GroundProgram` skips its
-checks. Aggregate conditions run on the same plans over the same closure,
-whose component order completes them before an aggregate reads them.
+checks. Each aggregate is compiled with its rule into a test on the same
+plans over the same closure, whose component order completes its condition
+before the rule is joined, so the test decides each reading of the rule
+variables it reads once.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads). Rules, truth assignments and atom
@@ -83,6 +85,7 @@ from .syntax import (
     is_variable_free,
     join_order,
     term_variables,
+    variables_of,
 )
 
 _INT, _SYM = 0, 1
@@ -355,7 +358,7 @@ class _RulePlan:
     gets no plan: its only binding, `entry`, holds the argument tuple of
     each of its atoms once, and its keys read them back."""
 
-    __slots__ = ("rule", "index", "plan", "entry", "heads", "pos", "neg", "names", "values")
+    __slots__ = ("rule", "index", "plan", "entry", "heads", "pos", "neg", "values")
 
     def __init__(self, rule: Rule, index: int):
         self.rule = rule
@@ -372,15 +375,13 @@ class _RulePlan:
             self.pos = tuple(key(l.atom) for l in rule.pos_body)
             self.neg = tuple(key(l.atom) for l in rule.neg_body)
             self.entry = tuple(args)
-            self.names = ()
             self.values = _no_key
             return
         atoms = [l.atom for l in rule.pos_body]
         negated = [l.atom for l in rule.neg_body]
         self.plan = plan = _Plan(atoms, rule.arith, also=(*rule.head, *negated))
         self.entry = plan.entry
-        self.names = tuple(sorted(plan.slots))
-        self.values = _getter([plan.slots[name] for name in self.names])
+        self.values = _getter([plan.slots[name] for name in sorted(plan.slots)])
         self.pos = tuple(
             (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
         )
@@ -475,12 +476,10 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
             fact_order.append(key)
 
     units = [_RulePlan(r, i) for i, r in enumerate(program.rules)]
-    aggregates = None
-    if any(r.aggregates for r in program.rules):
-        aggregates = _AggregateContext(program, store)
+    outside = _outside(program) if any(r.aggregates for r in program.rules) else None
     fact_keys = set(fact_order)
     fact_preds = {pred for pred, _ in fact_order}
-    keep = [_fires(unit, fact_keys, fact_preds, aggregates) for unit in units]
+    keep = [_fires(unit, fact_keys, fact_preds, store, outside) for unit in units]
     records = _closure(units, program.components, store, keep, max_ground_rules, len(fact_order))
 
     # Emission, with negative-literal simplification against the closure. A
@@ -539,17 +538,19 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     return GroundingResult(gp, len(source_map), len(atoms), source_map)
 
 
-def _fires(unit: _RulePlan, fact_keys: set, fact_preds: set, aggregates):
+def _fires(unit: _RulePlan, fact_keys: set, fact_preds: set, store: _Store, outside):
     """The test whether a match of `unit` can ever fire, or None if every
     match can. A match cannot fire if one of its negated atoms is a fact or
-    is also one of its positive atoms, or if one of its aggregates fails."""
+    is also one of its positive atoms, or if one of its aggregates fails
+    (`_aggregate_test`, with `outside` the program's `_outside`)."""
     checks = []
     for pred, args_of in unit.neg:
         same = [pos_of for pos_pred, pos_of in unit.pos if pos_pred == pred]
         if pred in fact_preds or same:
             checks.append((pred, args_of, same))
-    rule_aggregates = unit.rule.aggregates
-    if not checks and not rule_aggregates:
+    aggregates = unit.rule.aggregates
+    tests = [_aggregate_test(agg, unit.plan.slots, store, outside) for agg in aggregates]
+    if not checks and not tests:
         return None
 
     def fires(b: tuple) -> bool:
@@ -557,9 +558,7 @@ def _fires(unit: _RulePlan, fact_keys: set, fact_preds: set, aggregates):
             args = args_of(b)
             if (pred, args) in fact_keys or any(args == pos_of(b) for pos_of in same):
                 return False
-        return not rule_aggregates or aggregates.all_true(
-            rule_aggregates, unit.names, unit.values(b)
-        )
+        return all(test(b) for test in tests)
 
     return fires
 
@@ -594,86 +593,76 @@ def _sort_by_binding(matches: list, values):
         matches.sort(key=lambda b: tuple(map(_raw_key, values(b))))
 
 
-class _AggregateContext:
-    """Aggregate expansion over the deterministic sub-program: condition
-    predicates must be defined by facts or by normal, non-recursive,
-    aggregate-free rules whose bodies stay inside the fragment (negation
-    only over fact-defined predicates). Their extension is then identical
-    in every answer set, so aggregates can be decided at grounding time.
-    They are read off the closure's `store`: `Program.components` joins
-    every rule defining a condition predicate before the aggregate's rule,
-    and the closure drops the instances with a negated fact, so by then the
-    store holds exactly the fragment's least model on those predicates."""
+def _outside(program: Program) -> set[str]:
+    """The predicates outside the deterministic fragment, which aggregate
+    conditions may not read. Inside are those defined by facts or by
+    normal, non-recursive, aggregate-free rules whose bodies stay inside and
+    negate only predicates that facts alone define: each has one extension
+    in every answer set. One pass in topological order."""
+    fact_only = program.fact_only()
+    outside: set[str] = set()
+    for members, recursive in program.components:
+        for i in members:
+            r = program.rules[i]
+            if (
+                recursive or len(r.head) != 1 or r.aggregates
+                or any(l.atom.pred in outside for l in r.pos_body)
+                or any(l.atom.pred not in fact_only for l in r.neg_body)
+            ):
+                outside.update(a.pred for a in r.head)
+    return outside
 
-    def __init__(self, program: Program, store: _Store):
-        fact_only = {f.pred for f in program.facts}
-        fact_only.difference_update(a.pred for r in program.rules for a in r.head)
-        # One pass in topological order: every rule using a predicate
-        # positively comes after all rules defining it.
-        self.outside: set[str] = set()
-        for members, recursive in program.components:
-            for i in members:
-                r = program.rules[i]
-                if (
-                    recursive
-                    or len(r.head) != 1
-                    or r.aggregates
-                    or any(l.atom.pred in self.outside for l in r.pos_body)
-                    or any(l.atom.pred not in fact_only for l in r.neg_body)
-                ):
-                    self.outside.update(a.pred for a in r.head)
-        self.store = store
-        self.plans: dict[tuple, tuple] = {}
 
-    def all_true(self, aggregates, names: tuple, values: tuple) -> bool:
-        """Whether every aggregate holds with `names` bound to `values`."""
-        return all(self._eval(agg, names, values) for agg in aggregates)
+def _aggregate_test(agg: Aggregate, slots: dict, store: _Store, outside: set):
+    """The test whether `agg` holds over a match of its rule, whose binding
+    holds each rule variable at `slots`. A condition predicate in `outside` raises
+    here, when the rule is compiled. The condition plan is bound on the rule
+    variables `agg` reads, and each reading is decided once: the closure
+    joins every rule defining a condition predicate before this rule
+    (`Program.components`), so the store then holds the fragment's least
+    model on them."""
+    for lit in agg.condition:
+        if lit.atom.pred in outside:
+            raise UnsupportedAggregateError(
+                f"aggregate condition over non-deterministic predicate {lit.atom.pred}"
+            )
+    reads = sorted(variables_of(agg) & slots.keys())
+    positive = [l.atom for l in agg.condition if not l.negated]
+    negative = [l.atom for l in agg.condition if l.negated]
+    plan = _Plan(positive, (), reads, also=negative)
+    negative = [_atom_key(a, plan) for a in negative]
+    tuple_of = _getter([plan.slots[name] for name in agg.tuple_vars])
+    guard, reading = _term_fn(agg.guard, plan.slots), _getter([slots[name] for name in reads])
+    decided: dict[tuple, bool] = {}
 
-    def _compile(self, agg: Aggregate, names: tuple):
-        for lit in agg.condition:
-            if lit.atom.pred in self.outside:
-                raise UnsupportedAggregateError(
-                    f"aggregate condition over non-deterministic predicate {lit.atom.pred}"
-                )
-        positive = [l.atom for l in agg.condition if not l.negated]
-        negative = [l.atom for l in agg.condition if l.negated]
-        plan = _Plan(positive, (), names, also=negative)
-        negative = [_atom_key(a, plan) for a in negative]
-        tuple_of = _getter([plan.slots[vn] for vn in agg.tuple_vars])
-        return plan, negative, tuple_of, _term_fn(agg.guard, plan.slots)
+    def holds(b: tuple) -> bool:
+        values = reading(b)
+        if values not in decided:
+            entry = plan.entry + values
+            tuples = {
+                tuple_of(m) for m in _matches(plan, store, entry)
+                if not any((pred, args_of(m)) in store.keys for pred, args_of in negative)
+            }
+            value = _aggregate_value(agg.func, tuples)
+            decided[values] = value is not None and _compare(agg.guard_op, value, guard(entry))
+        return decided[values]
 
-    def _eval(self, agg: Aggregate, names: tuple, values: tuple) -> bool:
-        compiled = self.plans.get((agg, names))
-        if compiled is None:
-            compiled = self.plans[(agg, names)] = self._compile(agg, names)
-        plan, negative, tuple_of, guard = compiled
-        entry = plan.entry + values
-        tuples = {
-            tuple_of(b)
-            for b in _matches(plan, self.store, entry)
-            if not any((pred, args_of(b)) in self.store.keys for pred, args_of in negative)
-        }
-        value = self._aggregate_value(agg.func, tuples)
-        if value is None:
-            return False
-        return _compare(agg.guard_op, value, guard(entry))
+    return holds
 
-    @staticmethod
-    def _aggregate_value(func: str, tuples: set[tuple]):
-        if func == "count":
-            return len(tuples)
-        firsts = []
-        for tup in tuples:
-            if not tup or not isinstance(tup[0], int):
-                raise UnsupportedAggregateError(
-                    f"#{func} needs integer first components, got {tup!r}"
-                )
-            firsts.append(tup[0])
-        if func == "sum":
-            return sum(firsts)
-        if not firsts:
-            return None  # empty #min/#max never satisfies a guard
-        return min(firsts) if func == "min" else max(firsts)
+
+def _aggregate_value(func: str, tuples: set[tuple]):
+    if func == "count":
+        return len(tuples)
+    firsts = []
+    for tup in tuples:
+        if not tup or not isinstance(tup[0], int):
+            raise UnsupportedAggregateError(f"#{func} needs integer first components, got {tup!r}")
+        firsts.append(tup[0])
+    if func == "sum":
+        return sum(firsts)
+    if not firsts:
+        return None  # empty #min/#max never satisfies a guard
+    return min(firsts) if func == "min" else max(firsts)
 
 
 # ------------------------------------------------------------- answer sets --

@@ -315,6 +315,11 @@ class Program:
         """Predicate name to arity, over facts and all rule atoms."""
         return dict(self._arities)
 
+    def fact_only(self) -> set[str]:
+        """The predicates that facts alone define, which no rule heads: a
+        rule whose head an aggregate condition reads may negate only these."""
+        return {f.pred for f in self.facts} - {a.pred for r in self.rules for a in r.head}
+
     def _check_arities(self) -> dict[str, int]:
         arities: dict[str, int] = {}
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bigrule
+from bigrule import cli, errors
 from bigrule.cli import main
 
 # Child interpreters import the same bigrule sources as the tests.
@@ -269,6 +270,86 @@ def test_integer_outside_64_bits_exit_4(capsys, tmp_path, text, rule):
         assert out == ""
         assert err.startswith("error: ") and "outside the 64-bit range" in err
         assert rule in err
+
+
+def test_unreached_aggregate_over_a_guess_exit_2(capsys, tmp_path):
+    # No g fact, so no match reaches the aggregate: the rule is rejected
+    # when it is compiled, whatever the data.
+    src = tmp_path / "agg.lp"
+    src.write_text("c(a). p(X) | q(X) :- c(X). ok :- g(X), #count{Y : p(Y)} >= 1.\n")
+    assert run_cli(capsys, "ground", str(src)) == (
+        2, "", "error: aggregate condition over non-deterministic predicate p\n"
+    )
+
+
+# The exit code of each error group, as the comments in errors.py give it.
+GROUP_CODES = {
+    errors.ParseError: 1,
+    errors.SafetyError: 1,
+    errors.ArityError: 1,
+    errors.InputSemanticsError: 2,
+    errors.LimitError: 4,
+    errors.InternalError: 1,
+}
+
+
+def _error_classes(cls=errors.BigruleError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__))
+def test_each_error_group_has_its_exit_code(capsys, monkeypatch, cls):
+    (group,) = [g for g in GROUP_CODES if issubclass(cls, g)]
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_run", fail)
+    code, out, err = run_cli(capsys, "ground", "-")
+    kind = "internal error" if group is errors.InternalError else "error"
+    assert (code, out, err.startswith(f"{kind}: ")) == (GROUP_CODES[group], "", True)
+
+
+# Every parse error path, with its message and line as printed.
+@pytest.mark.parametrize(
+    "mode, text, message",
+    [
+        ("ground", "p.\nq :- $.\n", "line 2, col 6: unexpected character '$'"),
+        ("ground", "(a).\n", "line 1, col 1: expected a predicate name, found '('"),
+        ("ground", "h :- #count{X, 1 : p(X)} >= 1.\n",
+         "line 1, col 16: expected a variable in the aggregate tuple"),
+        ("ground", "h :- #count{X : p(X)}.\n", "line 1, col 22: expected an aggregate guard comparison"),
+        ("ground", "p :- 1 + 2.\n", "line 1, col 11: expected a comparison operator after a non-atom term"),
+        ("qbf2", "c only a comment\n", "empty QDIMACS input"),
+        ("qbf2", "p cnf 2\n", "line 1: unexpected end of QDIMACS input"),
+        ("qbf2", "q cnf 1 1\n", "line 1: expected `p cnf` header"),
+        ("qbf2", "p dnf 1 1\n", "line 1: expected `p cnf` header"),
+        ("qbf2", "p cnf x 1\n", "line 1: malformed header counts"),
+        ("qbf2", "p cnf -1 1\n", "line 1: negative counts in header"),
+        ("qbf2", "p cnf 2 1\na 3 0\n1 0\n", "line 2: quantified variable 3 out of range"),
+        ("qbf2", "p cnf 2 1\na 1 z 0\n", "line 2: bad quantifier token 'z'"),
+        ("qbf2", "p cnf 2 1\na 1 0\ne 2 0\n1 3 0\n", "line 4: literal 3 out of range"),
+        ("qbf2", "p cnf 2 1\na 1 0\ne 2 0\n1 y 0\n", "line 4: bad clause token 'y'"),
+        ("qbf2", "p cnf 2 1\na 1 0\ne 2 0\n1 2\n", "line 4: clause not terminated by 0"),
+        ("qbf2", "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n", "header announces 2 clauses, found 1"),
+        ("shift", "atom(a).\np :- atom(a).\n", "reified input must contain facts only"),
+        ("shift", "atom(1).\n", "atom id in atom(1) must be a symbol"),
+        ("shift", "atom(a,b).\n", "atom must have arity 1"),
+        ("shift", "rule(r).\nrule(r).\n", "rule id 'r' declared twice"),
+        ("shift", "atom(a).\nhead(r,a).\n", "head(r,a) references undeclared rule 'r'"),
+        ("shift", "rule(r).\nhead(r,a).\n", "head(r,a) references undeclared atom 'a'"),
+        ("3col", "#V1\na\n#V1\n", "line 3: duplicate #V1 section"),
+        ("3col", "a b\n#V1\na b\n", "line 3: expected one vertex per line in #V1 section"),
+        ("3col", "a b c\n", "line 1: expected `u v` edge line"),
+    ],
+)
+def test_parse_errors_exit_1(capsys, tmp_path, mode, text, message):
+    src = tmp_path / "in.txt"
+    src.write_text(text)
+    argv = ("ground", str(src)) if mode == "ground" else ("rewrite", mode, str(src))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from bigrule.syntax import (
     variables_of,
 )
 from bigrule.treedecomp import (
+    HEURISTICS,
     TreeDecomposition,
     decompose_graph,
     gaifman,
@@ -373,6 +374,27 @@ def test_aggregate_program_equivalence():
     ok, decomposed, _ = equivalent_after_decomposition(program, threshold=False)
     assert ok
     assert any("temp_" in print_program(decomposed) for _ in [0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "g(1). g(2). p(1,a). p(2,b). q(c). q(d). f(c). r(d). n(W) :- r(W).\n"
+        "h(X) :- g(X), #count{Z : p(X,Z), q(W), not n(W)} >= 1.",
+        "g(1). g(2). p(1,a). p(2,b). q(c).\nh(X) :- g(X), #count{Z : p(X,Z), q(W), not zz(W)} >= 1.",
+    ],
+    ids=["negates-derived", "negates-undefined"],
+)
+def test_aggregate_kept_whole_when_its_part_would_negate_a_non_fact_predicate(text):
+    # Split off, `q(W), not n(W)` would be a rule negating a predicate that
+    # facts alone do not define, outside the fragment aggregates may read.
+    program = parse_program(text)
+    expected = project_answer_sets(ground(program).ground_program)
+    assert {"h(1)", "h(2)"} <= set().union(*expected)
+    for heuristic in HEURISTICS:
+        for threshold in (True, False):
+            decomposed, _ = decompose_program(program, heuristic=heuristic, threshold=threshold)
+            assert project_answer_sets(ground(decomposed).ground_program) == expected
 
 
 # ---------------------------------------------------------------- driver ----

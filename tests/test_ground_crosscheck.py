@@ -407,13 +407,17 @@ def flp_answer_sets(program: Program, max_atoms: int = 12):
     return found
 
 
-def aggregate_program(rng: random.Random) -> Program:
+def aggregate_program(rng: random.Random, detached: bool = False) -> Program:
     """Random facts over e/2, f/1 and g/1 on the integers 1-3; a few rules
     of the deterministic fragment, some negating a fact predicate, one
     with a body that is contradictory where X = Y; maybe a guess over p
     and q; and one or two rules with aggregates over the fact and derived
     predicates, positive and negated (now and then over p, outside the
-    fragment), whose heads other rules may read."""
+    fragment), whose heads other rules may read. With `detached`, about
+    half of the aggregates get a condition part that shares no variable
+    with the tuple or the rule, the part `split_aggregate` moves into a
+    helper rule; it may negate a derived or an undefined predicate. It
+    draws only when set, so a seed gives the same programs without it."""
     lines = []
     for x in (1, 2, 3):
         lines += [f"f({x})."] * (rng.random() < 0.4) + [f"g({x})."] * (rng.random() < 0.6)
@@ -441,6 +445,11 @@ def aggregate_program(rng: random.Random) -> Program:
             negated = ["f(Z)", "g(Z)", "n(Z)", "m(Z,Z)", *(("e(Z,X)",) if glob else ())]
             condition += ", not " + rng.choice(negated)
         local = "Z,W" if "W" in condition and rng.random() < 0.5 else "Z"
+        if detached and rng.random() < 0.5:  # W links the part to the rest, if it occurs there
+            local = "Z"
+            condition += ", " + rng.choice(
+                ("g(W)", "e(W,V), not f(V)", "g(W), not n(W)", "g(W), not zz(W)")
+            )
         func = rng.choice(("count", "sum", "min", "max"))
         op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
         guard = "X" if glob and rng.random() < 0.3 else str(rng.randint(0, 4))

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 import warnings
 from collections import Counter
 
@@ -807,6 +808,17 @@ def test_aggregate_fragment_limit_names_the_program_rule():
     message = str(info.value)
     assert "exceeds 100 rule instances" in message
     assert "at rule 1 `d(X,Y,Z) :- n(X), n(Y), n(Z).`" in message
+
+
+def test_an_aggregate_is_decided_once_per_reading():
+    # The aggregate reads no rule variable, so its 2,000 matches decide it
+    # once: 3 s on 2 vCPUs when each match evaluated it again.
+    facts = "".join(f"n({k}). g({k}).\n" for k in range(2000))
+    program = parse_program(facts + "h(X) :- g(X), #count{Z : n(Z)} > 1.")
+    start = time.perf_counter()
+    result = ground(program)
+    assert time.perf_counter() - start < 1.0
+    assert result.rule_count == 2000
 
 
 def test_aggregates_read_the_one_closure(monkeypatch):
