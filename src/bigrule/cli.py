@@ -241,7 +241,7 @@ def _run(args) -> int:
         _write_out(args, report.render())
         return EXIT_OK
 
-    raise AssertionError(f"unhandled command {args.command}")
+    raise InternalError(f"unhandled command {args.command}")
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    InternalError,
     ReservedPrefixCollisionError,
     UncoveredAtomError,
     UnsecurableVariableError,
@@ -29,7 +30,6 @@ from .syntax import (
     Variable,
     binding_order,
     is_safe,
-    is_variable_free,
     join_order,
     term_variables,
     variables_in_order,
@@ -562,14 +562,13 @@ def decompose_program(
     derivations; without the threshold it always does. The same test runs
     first on lower bounds, no work and one added rule before the tree is
     built and a rule per extra bag before the split is, so neither is built
-    where it cannot pay. A variable-free rule is kept whole and estimated
-    directly. Rules are estimated in `Program.components`, the grounder's
-    order, so derived predicates have sizes when they are read; the output
-    keeps the input order. Facts pass through. The input's rules are safe,
-    since `Program` admits no other; the heuristic and the reserved
-    prefixes are checked here. An aggregate is kept whole when the part
-    split off it would negate a predicate outside `Program.fact_only`, as
-    the grounder reads aggregates only over rules that negate none. When
+    where it cannot pay. Rules are estimated in `Program.components`, the
+    grounder's order, so derived predicates have sizes when they are read;
+    the output keeps the input order. Facts pass through. The input's
+    rules are safe, since `Program` admits no other; the heuristic and the
+    reserved prefixes are checked here. An aggregate is kept whole when the
+    part split off it would negate a predicate outside `Program.fact_only`,
+    as the grounder reads aggregates only over rules that negate none. When
     every rule comes back as itself, the input is returned."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -616,14 +615,7 @@ def _decompose_one(
     """The rules emitted for one source rule, and its statistics. With
     `add_heads`, adds the estimated sizes of its head predicates to
     `sizes`. An aggregate's helper may negate only `fact_only` predicates."""
-    if is_variable_free(original):
-        rows = _join_estimate(original, sizes)[1]
-        if add_heads:
-            _add_heads(original.head, rows, {}, sizes)
-        count = _count(rows)
-        return [original], RuleStats(index, 0, -1, 1, count, count, False)
     namer = FreshNamer(str(index))
-    parts: list[tuple[Rule, FreshNamer]] = []
     current = original
     helper_parts: list[tuple[Rule, FreshNamer]] = []
     for agg_index in range(len(original.aggregates)):
@@ -636,8 +628,7 @@ def _decompose_one(
             # part of its own that is estimated and may be split.
             tag = namer.aggregate_part(agg_index)
             helper_parts.append((helper, FreshNamer(f"{tag.tag}_{pos_h}")))
-    parts.append((current, namer))
-    parts.extend(helper_parts)
+    parts = [(current, namer), *helper_parts]
 
     def pays(split_work: float, added_rules: int) -> bool:
         """The one cost test: a split replaces the part when its join work
@@ -671,7 +662,7 @@ def _decompose_one(
                 td = bag_tree(order, bags)
                 valid, why = validate_td(graph, td)
                 if not valid:
-                    raise AssertionError(f"invalid decomposition produced: {why}")
+                    raise InternalError(f"invalid decomposition produced: {why}")
                 if pays(0, len(td.bags) - 1):
                     split = decompose_rule(
                         part, root_at_head(td, variables_of(part.head)), part_namer
@@ -688,17 +679,17 @@ def _decompose_one(
         emitted.extend(pieces)
 
     max_temp_arity = max(
-        (a.arity for r in emitted for a in r.head if a.pred.startswith("temp_")),
+        [a.arity for r in emitted for a in r.head if a.pred.startswith("temp_")],
         default=0,
     )
     stats = RuleStats(
-        index=index,
-        vars=len(variables_of(original)) if original.aggregates else nvars,
-        width=width,
-        emitted=len(emitted),
-        est_before=_count(est_before),
-        est_after=_count(est_after),
-        decomposed=decomposed,
-        max_temp_arity=max_temp_arity,
+        index,
+        len(variables_of(original)) if original.aggregates else nvars,
+        width,
+        len(emitted),
+        _count(est_before),
+        _count(est_after),
+        decomposed,
+        max_temp_arity,
     )
     return emitted, stats

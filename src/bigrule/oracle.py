@@ -5,9 +5,11 @@ The grounder compiles each rule once into a static join plan: the order of
 its body atoms, with each comparison, binding equation and deferred
 arithmetic argument placed where its variables are first bound. Plans
 probe hash indexes on the bound argument positions, built on first use
-and kept current as atoms arrive, and run on an explicit stack, so body
-length is not limited by recursion depth. The possibly-true closure visits
-the program's components (`Program.components`) in topological order: a
+and kept current as atoms arrive, test an atom whose arguments are all
+bound when they reach it for membership instead (a variable-free rule
+probes nothing), and run on an explicit stack, so body length is not
+limited by recursion depth. The possibly-true closure visits the
+program's components (`Program.components`) in topological order: a
 non-recursive component is joined once, a recursive one until it adds
 nothing. Where a match is joined, the closure drops it if its instance can
 never fire (`_fires`). The rest add their heads and are recorded, and
@@ -82,7 +84,6 @@ from .syntax import (
     binding_order,
     eval_term,
     ground_term,
-    is_variable_free,
     join_order,
     term_variables,
     variables_of,
@@ -184,12 +185,13 @@ class _Plan:
     its bound positions, extends the binding by the values at the other
     positions, and runs its operations: checks (a comparison whose
     variables are bound, a repeated variable, a deferred arithmetic
-    argument) and assignments (a binding equation, or an arithmetic
-    argument the next probe's key needs)."""
+    argument, an atom whose arguments are all bound, looked up in `keys`,
+    the store's atom set) and assignments (a binding equation, or an
+    arithmetic argument the next probe's key needs)."""
 
     __slots__ = ("entry", "consts", "slots", "start", "probes", "atom_slots")
 
-    def __init__(self, atoms, comparisons, bound=(), also=()):
+    def __init__(self, atoms, comparisons, keys: set, bound=(), also=()):
         self.consts = consts = {}
         for a in (*atoms, *also):
             for arg in a.args:
@@ -244,6 +246,10 @@ class _Plan:
                 else:
                     own[pos] = consts[_ground_value(arg)]
                 positions.append(pos)
+            if len(positions) == len(own):
+                ops.append(_member_op(a.pred, _getter(own), keys))
+                self.atom_slots[idx] = tuple(own)
+                continue
             key_slots = [own[pos] for pos in positions]
             ops = []
             for pos, arg in enumerate(a.args):
@@ -311,6 +317,10 @@ def _equal_op(value, slot: int):
     return (True, lambda b: _compare("=", value(b), b[slot]))
 
 
+def _member_op(pred: str, args_of, keys: set):
+    return (True, lambda b: (pred, args_of(b)) in keys)
+
+
 def _apply(ops, bindings):
     for is_filter, fn in ops:
         bindings = filter(fn, bindings) if is_filter else map(fn, bindings)
@@ -354,33 +364,16 @@ class _RulePlan:
     """A rule compiled for the closure and for emission: its body plan, and
     the keys (`_atom_key`) of its head, positive and negative atoms. `values`
     reads the variables in name order; `index` is the rule's position in its
-    program, which errors name. A variable-free rule (`is_variable_free`)
-    gets no plan: its only binding, `entry`, holds the argument tuple of
-    each of its atoms once, and its keys read them back."""
+    program, which errors name."""
 
-    __slots__ = ("rule", "index", "plan", "entry", "heads", "pos", "neg", "values")
+    __slots__ = ("rule", "index", "plan", "heads", "pos", "neg", "values")
 
-    def __init__(self, rule: Rule, index: int):
+    def __init__(self, rule: Rule, index: int, keys: set):
         self.rule = rule
         self.index = index
-        if is_variable_free(rule):
-            args: dict[tuple, int] = {}
-
-            def key(a: Atom) -> tuple:
-                own = tuple(map(_ground_value, a.args))
-                return a.pred, itemgetter(args.setdefault(own, len(args)))
-
-            self.plan = None
-            self.heads = tuple(map(key, rule.head))
-            self.pos = tuple(key(l.atom) for l in rule.pos_body)
-            self.neg = tuple(key(l.atom) for l in rule.neg_body)
-            self.entry = tuple(args)
-            self.values = _no_key
-            return
         atoms = [l.atom for l in rule.pos_body]
         negated = [l.atom for l in rule.neg_body]
-        self.plan = plan = _Plan(atoms, rule.arith, also=(*rule.head, *negated))
-        self.entry = plan.entry
+        self.plan = plan = _Plan(atoms, rule.arith, keys, also=(*rule.head, *negated))
         self.values = _getter([plan.slots[name] for name in sorted(plan.slots)])
         self.pos = tuple(
             (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
@@ -389,12 +382,8 @@ class _RulePlan:
         self.neg = tuple(_atom_key(a, plan) for a in negated)
 
     def matches(self, store: _Store):
-        """The body's matches against the store. A variable-free rule's
-        only instance matches when each positive body atom is in it."""
-        if self.plan is not None:
-            return _matches(self.plan, store, self.entry)
-        b, keys = self.entry, store.keys
-        return (b,) if all((pred, args_of(b)) in keys for pred, args_of in self.pos) else ()
+        """The body's matches against the store."""
+        return _matches(self.plan, store, self.plan.entry)
 
 
 def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> list[list]:
@@ -475,7 +464,7 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
         if store.add(key):
             fact_order.append(key)
 
-    units = [_RulePlan(r, i) for i, r in enumerate(program.rules)]
+    units = [_RulePlan(r, i, store.keys) for i, r in enumerate(program.rules)]
     outside = _outside(program) if any(r.aggregates for r in program.rules) else None
     fact_keys = set(fact_order)
     fact_preds = {pred for pred, _ in fact_order}
@@ -597,8 +586,8 @@ def _outside(program: Program) -> set[str]:
     """The predicates outside the deterministic fragment, which aggregate
     conditions may not read. Inside are those defined by facts or by
     normal, non-recursive, aggregate-free rules whose bodies stay inside and
-    negate only predicates that facts alone define: each has one extension
-    in every answer set. One pass in topological order."""
+    negate only predicates that no rule heads (`Program.fact_only`): each
+    has one extension in every answer set. One pass in topological order."""
     fact_only = program.fact_only()
     outside: set[str] = set()
     for members, recursive in program.components:
@@ -629,7 +618,7 @@ def _aggregate_test(agg: Aggregate, slots: dict, store: _Store, outside: set):
     reads = sorted(variables_of(agg) & slots.keys())
     positive = [l.atom for l in agg.condition if not l.negated]
     negative = [l.atom for l in agg.condition if l.negated]
-    plan = _Plan(positive, (), reads, also=negative)
+    plan = _Plan(positive, (), store.keys, reads, also=negative)
     negative = [_atom_key(a, plan) for a in negative]
     tuple_of = _getter([plan.slots[name] for name in agg.tuple_vars])
     guard, reading = _term_fn(agg.guard, plan.slots), _getter([slots[name] for name in reads])

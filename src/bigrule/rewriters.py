@@ -216,8 +216,9 @@ def _clause_tuples(clause, universal_set):
 
 def _large_rule_parts(clauses, universal_set, max_tuple_width):
     """Shared core of the large-rule QBF encodings: guessing rules for the
-    universal variables, per-clause tuple facts and derivations, and the
-    single wide constraint body."""
+    universal variables, per-clause tuple facts and derivations of the
+    blocked tuple, the one not a fact, and the single wide constraint
+    body. Also returns the blocked tuple atoms."""
     facts: list[Atom] = []
     rules: list[Rule] = []
     for x in sorted(universal_set):
@@ -225,7 +226,7 @@ def _large_rule_parts(clauses, universal_set, max_tuple_width):
             Rule(head=(Atom("t", (Constant(f"x{x}"),)), Atom("f", (Constant(f"x{x}"),))))
         )
     big_body: list[Literal] = []
-    all_tuple_atoms: list[Atom] = []
+    blocked_atoms: list[Atom] = []
     for i, clause in enumerate(clauses, start=1):
         x_lits, y_lits = _clause_tuples(clause, universal_set)
         width = len(y_lits)
@@ -237,17 +238,17 @@ def _large_rule_parts(clauses, universal_set, max_tuple_width):
         blocked = tuple(0 if lit > 0 else 1 for lit in y_lits)
         pred = f"c{i}"
         for tup in product((0, 1), repeat=width):
-            tuple_atom = Atom(pred, tuple(Integer(b) for b in tup))
-            all_tuple_atoms.append(tuple_atom)
             if tup != blocked:
-                facts.append(tuple_atom)
-            for lit in x_lits:
-                name = Constant(f"x{abs(lit)}")
-                trigger = Atom("t", (name,)) if lit > 0 else Atom("f", (name,))
-                rules.append(Rule(head=(tuple_atom,), pos_body=(pos(trigger),)))
+                facts.append(Atom(pred, tuple(map(Integer, tup))))
+        blocked_atom = Atom(pred, tuple(map(Integer, blocked)))
+        blocked_atoms.append(blocked_atom)
+        for lit in x_lits:
+            name = Constant(f"x{abs(lit)}")
+            trigger = Atom("t", (name,)) if lit > 0 else Atom("f", (name,))
+            rules.append(Rule(head=(blocked_atom,), pos_body=(pos(trigger),)))
         eta = tuple(Variable(f"Y{abs(lit)}") for lit in y_lits)
         big_body.append(pos(Atom(pred, eta)))
-    return facts, rules, big_body, all_tuple_atoms
+    return facts, rules, big_body, blocked_atoms
 
 
 def qbf2_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
@@ -291,7 +292,7 @@ def qbf3_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
     outer, middle, _ = _exists_forall_exists_shape(qbf)
     clauses = _live_clauses(qbf)
     treated_universal = set(outer) | set(middle)
-    facts, rules, big_body, all_tuple_atoms = _large_rule_parts(
+    facts, rules, big_body, blocked_atoms = _large_rule_parts(
         clauses, treated_universal, max_tuple_width
     )
     sat = Atom("sat")
@@ -301,7 +302,7 @@ def qbf3_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
     for x in sorted(middle):
         saturated.append(Atom("t", (Constant(f"x{x}"),)))
         saturated.append(Atom("f", (Constant(f"x{x}"),)))
-    saturated.extend(all_tuple_atoms)  # one distinct atom per clause tuple
+    saturated.extend(blocked_atoms)  # the other clause tuples are facts
     for target in saturated:
         rules.append(Rule(head=(target,), pos_body=(pos(sat),)))
     return Program(rules, facts)

@@ -83,7 +83,6 @@ class Arith:
 
 Term = Union[Variable, Constant, Integer, Arith]
 GroundTerm = Union[Constant, Integer]
-_GROUND_TERMS = (Constant, Integer)
 
 
 def _prec(op: str) -> int:
@@ -316,9 +315,10 @@ class Program:
         return dict(self._arities)
 
     def fact_only(self) -> set[str]:
-        """The predicates that facts alone define, which no rule heads: a
-        rule whose head an aggregate condition reads may negate only these."""
-        return {f.pred for f in self.facts} - {a.pred for r in self.rules for a in r.head}
+        """The predicates no rule heads, defined by facts alone or empty in
+        every answer set: a rule whose head an aggregate reads may negate
+        only these."""
+        return self._arities.keys() - {a.pred for r in self.rules for a in r.head}
 
     def _check_arities(self) -> dict[str, int]:
         arities: dict[str, int] = {}
@@ -451,8 +451,8 @@ def term_variables(element) -> Iterator[str]:
         yield from term_variables(element.condition)
         yield from term_variables(element.guard)
     elif kind is Rule:
-        yield from term_variables(element.head)
-        yield from term_variables(element.body_elements())
+        for item in (*element.head, *element.body_elements()):
+            yield from term_variables(item)
     elif isinstance(element, (list, tuple)):
         for item in element:
             yield from term_variables(item)
@@ -481,16 +481,6 @@ def global_vars(r: Rule) -> set[str]:
     for agg in r.aggregates:
         out.update(term_variables(agg.guard))
     return out
-
-
-def is_variable_free(r: Rule) -> bool:
-    """Whether the rule is its own only instance: no comparisons, no
-    aggregates, and only constants and integers as atom arguments (no
-    variables, no arithmetic)."""
-    if r.arith or r.aggregates:
-        return False
-    atoms = (*r.head, *(l.atom for l in r.pos_body), *(l.atom for l in r.neg_body))
-    return all(type(arg) in _GROUND_TERMS for a in atoms for arg in a.args)
 
 
 def is_safe(r: Rule) -> tuple[bool, set[str]]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bigrule
-from bigrule import cli, errors
+from bigrule import cli, errors, rewriters
 from bigrule.cli import main
+from bigrule.parse import QdimacsWarning, parse_qdimacs, print_program
 
 # Child interpreters import the same bigrule sources as the tests.
 CHILD_ENV = {
@@ -451,6 +453,94 @@ def test_auto_rename_flag(capsys, tmp_path):
     assert code == 2 and "reserved" in err
     code, out, _ = run_cli(capsys, "decompose", "--auto-rename", str(src))
     assert code == 0 and "p_temp_0(a)." in out
+
+
+def test_auto_rename_without_reserved_names_changes_nothing(capsys, tmp_path):
+    src = tmp_path / "rule.lp"
+    src.write_text("h(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X).\n")
+    plain = run_cli(capsys, "decompose", str(src))
+    assert plain[0] == 0 and "temp_0_1" in plain[1]
+    assert run_cli(capsys, "decompose", "--auto-rename", str(src)) == plain
+
+
+def test_auto_rename_skips_a_name_already_taken(capsys, tmp_path):
+    # p_temp_a is taken, so temp_a becomes p_p_temp_a.
+    src = tmp_path / "clash.lp"
+    src.write_text("temp_a(1). p_temp_a(2).\nq(X) :- temp_a(X), p_temp_a(Y), X < Y.\n")
+    renamed = tmp_path / "renamed.lp"
+    renamed.write_text("p_p_temp_a(1). p_temp_a(2).\nq(X) :- p_p_temp_a(X), p_temp_a(Y), X < Y.\n")
+    got = run_cli(capsys, "decompose", "--auto-rename", str(src))
+    assert got[0] == 0 and "p_p_temp_a(X)" in got[1]
+    assert got == run_cli(capsys, "decompose", str(renamed))
+
+
+@pytest.mark.parametrize(
+    "mode, encode, text",
+    [
+        ("qbf2-classic", rewriters.qbf2_classic, "p cnf 3 2\na 1 0\ne 2 3 0\n1 -2 3 0\n-1 2 0\n"),
+        ("qbf3", rewriters.qbf3_large_rule, "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 -2 3 0\n-1 2 -3 0\n"),
+    ],
+)
+def test_rewrite_qbf_prints_the_library_encoding(capsys, tmp_path, mode, encode, text):
+    src = tmp_path / "in.qdimacs"
+    src.write_text(text)
+    expected = print_program(encode(parse_qdimacs(text)))
+    assert run_cli(capsys, "rewrite", mode, str(src)) == (0, expected, "")
+
+
+def test_free_qdimacs_variables_join_a_trailing_exists_block(capsys, tmp_path):
+    # Variable 3 is in no block, so it joins the innermost one, an exists.
+    free = "p cnf 3 2\na 1 0\ne 2 0\n1 2 3 0\n-1 -3 0\n"
+    bound = "p cnf 3 2\na 1 0\ne 2 3 0\n1 2 3 0\n-1 -3 0\n"
+    with pytest.warns(QdimacsWarning, match="1 unbound variable"):
+        assert parse_qdimacs(free).prefix == (("a", (1,)), ("e", (2, 3)))
+    (tmp_path / "free.qdimacs").write_text(free)
+    (tmp_path / "bound.qdimacs").write_text(bound)
+    with pytest.warns(QdimacsWarning, match="1 unbound variable"):
+        got = run_cli(capsys, "rewrite", "qbf2", str(tmp_path / "free.qdimacs"))
+    assert got[0] == 0
+    assert got == run_cli(capsys, "rewrite", "qbf2", str(tmp_path / "bound.qdimacs"))
+
+
+def test_blank_lines_in_a_graph_file_are_skipped(capsys, tmp_path):
+    plain = tmp_path / "plain.graph"
+    plain.write_text(EX1_GRAPH)
+    spaced = tmp_path / "spaced.graph"
+    spaced.write_text("\n" + EX1_GRAPH.replace("\n", "\n\n  \n"))
+    got = run_cli(capsys, "rewrite", "3col", str(spaced))
+    assert got[0] == 0
+    assert got == run_cli(capsys, "rewrite", "3col", str(plain))
+
+
+def test_negating_an_undefined_predicate_keeps_an_aggregate_inside_the_fragment(capsys, tmp_path):
+    # zz has neither facts nor rules: it is empty in every answer set, so n
+    # has one extension in all of them and the aggregate may read it.
+    src = tmp_path / "undefined.lp"
+    src.write_text("q(c). n(W) :- q(W), not zz(W). ok :- #count{W : n(W)} >= 1.\n")
+    assert run_cli(capsys, "solve", str(src)) == (10, "n(c) ok q(c)\n", "")
+    code, out, _ = run_cli(capsys, "decompose", str(src))
+    assert code == 0
+    decomposed = tmp_path / "decomposed.lp"
+    decomposed.write_text(out)
+    assert run_cli(capsys, "solve", str(decomposed)) == (10, "n(c) ok q(c)\n", "")
+
+
+def test_invalid_decomposition_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(bigrule.decompose, "validate_td", lambda graph, td: (False, "boom"))
+    src = tmp_path / "rule.lp"
+    src.write_text("h(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X).\n")
+    assert run_cli(capsys, "decompose", "--no-threshold", str(src)) == (
+        1, "", "internal error: invalid decomposition produced: boom\n"
+    )
+
+
+def test_unhandled_command_is_an_internal_error(capsys, monkeypatch):
+    class Parser:
+        def parse_args(self, argv):
+            return argparse.Namespace(command="nope")
+
+    monkeypatch.setattr(cli, "_build_parser", Parser)
+    assert run_cli(capsys) == (1, "", "internal error: unhandled command nope\n")
 
 
 def test_solve_deterministic_output(capsys, tmp_path):

@@ -157,7 +157,7 @@ GOLDEN = {
     ),
     "qbf2": (
         _qbf2,
-        "0155dd7e96a77eb4ac87906285017bebaf599f4ae1309b859cebc78848d9f546",
+        "5b0ac935194d99838c382565baab7eac9315b52c12b468155cde32ed86901d2c",
     ),
     "shift": (
         _shift,

@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, reads no private
-name of another package module, every module-level private function or
-class is referenced by package code other than its own definition, and
-every function that calls itself has a cap on its depth (stdlib `ast`
-scans). `__init__.py` is exempt from the first: its imports are the public
-API."""
+name of another package module, every module-level private function,
+class or constant is referenced by package code other than its own
+definition, no module asserts (a broken invariant raises `InternalError`,
+which the command line reports without a traceback), and every function
+that calls itself has a cap on its depth (stdlib `ast` scans). `__init__.py`
+is exempt from the first: its imports are the public API."""
 
 import ast
 from pathlib import Path
@@ -92,17 +93,22 @@ def test_module_reads_no_private_name_of_another_module(path):
 
 
 def unreferenced_private_definitions(sources: list[str]) -> list[str]:
-    """Module-level `_name` functions and classes that no code refers to
-    (by name, attribute or import) outside their own definition."""
+    """Module-level `_name` functions, classes and constants (`_NAME = ...`)
+    that no code refers to (by name, attribute or import) outside their own
+    definition."""
     defined: list[str] = []
     referenced: set[str] = set()
     for source in sources:
         for statement in ast.parse(source).body:
-            own = None
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                if statement.name.startswith("_") and not statement.name.startswith("__"):
-                    own = statement.name
-                    defined.append(own)
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(statement, "targets", None) or [statement.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            own = {name for name in names if _private(name)}
+            defined += sorted(own)
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -112,7 +118,7 @@ def unreferenced_private_definitions(sources: list[str]) -> list[str]:
                     name = node.name
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     referenced.add(name)
     return [name for name in defined if name not in referenced]
 
@@ -125,9 +131,49 @@ def test_scan_finds_an_unreferenced_private_definition():
     assert unreferenced_private_definitions(sources) == ["_walk"]
 
 
+def test_scan_finds_an_unreferenced_private_constant():
+    sources = [
+        "_GROUND_TERMS = (int, str)\n_INT, _SYM = 0, 1\n_LIMIT: int = 3\n__version__ = '1'\n",
+        "from .a import _INT\nTABLE = {_LIMIT: _SYM}\n",
+    ]
+    assert unreferenced_private_definitions(sources) == ["_GROUND_TERMS"]
+
+
 def test_package_references_every_private_definition():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert unreferenced_private_definitions(sources) == []
+
+
+def assertions(source: str) -> list[str]:
+    """`assert` statements and raises of `AssertionError`: both end in a
+    traceback, and `python -O` drops the first."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append((node.lineno, "raise AssertionError"))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_scan_finds_assertions():
+    source = (
+        "def f(x):\n    assert x, 'x'\n    if not x:\n        raise AssertionError('x')\n"
+        "    raise AssertionError\n\n"
+        "def g(x):\n    raise ValueError('assert')\n"
+    )
+    assert assertions(source) == [
+        "assert (line 2)",
+        "raise AssertionError (line 4)",
+        "raise AssertionError (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_has_no_assertion(path):
+    assert assertions(path.read_text(encoding="utf-8")) == []
 
 
 def self_recursive_functions(source: str) -> list[str]:

@@ -650,12 +650,12 @@ def _plans_leave_a_variable_unbound(r: Rule) -> bool:
     over the rule's bound variables, as the grounder does, and report
     whether any variable is left unbound."""
     try:
-        plan = _Plan([l.atom for l in r.pos_body], r.arith)
+        plan = _Plan([l.atom for l in r.pos_body], r.arith, keys=set())
         if global_vars(r) - plan.slots.keys():
             return True
         names = tuple(sorted(plan.slots))
         for agg in r.aggregates:
-            cond = _Plan([l.atom for l in agg.condition if not l.negated], (), names)
+            cond = _Plan([l.atom for l in agg.condition if not l.negated], (), keys=set(), bound=names)
             if variables_of(list(agg.condition)) - cond.slots.keys():
                 return True
     except InternalError:  # a comparison or arithmetic argument stayed open
@@ -671,7 +671,7 @@ def test_is_safe_is_the_plan_binding_rule(r):
 @given(_rule)
 def test_join_estimate_binds_what_the_plan_binds(r):
     try:
-        plan = _Plan([l.atom for l in r.pos_body], r.arith)
+        plan = _Plan([l.atom for l in r.pos_body], r.arith, keys=set())
     except InternalError:
         return
     sizes = {}

@@ -258,6 +258,21 @@ def test_qbf3_rejects_bad_prefix():
         qbf3_large_rule(qbf)
 
 
+def test_large_rule_encodings_derive_no_fact():
+    # A rule whose only head atom is a fact changes no answer set: only the
+    # blocked tuple of a clause is derived, and saturated.
+    rng = random.Random(1717)
+    programs = [qbf2_large_rule(random_qbf2(rng)) for _ in range(40)]
+    programs += [qbf3_large_rule(random_qbf3(rng)) for _ in range(40)]
+    derived = 0
+    for program in programs:
+        facts = set(program.facts)
+        for rule in program.rules:
+            assert not (len(rule.head) == 1 and rule.head[0] in facts), str(rule)
+            derived += any(a.pred.startswith("c") for a in rule.head)
+    assert derived > 80
+
+
 def test_qbf_encodings_survive_decomposition():
     rng = random.Random(616)
     for _ in range(12):
