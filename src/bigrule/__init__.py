@@ -61,9 +61,7 @@ from .syntax import (
     Program,
     Rule,
     Variable,
-    is_head_cycle_free,
     is_safe,
-    shift,
     variables_of,
 )
 from .treedecomp import (

@@ -78,7 +78,6 @@ class RuleStats:
     est_before: int
     est_after: int
     decomposed: bool
-    max_temp_arity: int = 0
 
 
 @dataclass
@@ -678,10 +677,6 @@ def _decompose_one(
         est_after += piece_rows
         emitted.extend(pieces)
 
-    max_temp_arity = max(
-        [a.arity for r in emitted for a in r.head if a.pred.startswith("temp_")],
-        default=0,
-    )
     stats = RuleStats(
         index,
         len(variables_of(original)) if original.aggregates else nvars,
@@ -690,6 +685,5 @@ def _decompose_one(
         _count(est_before),
         _count(est_after),
         decomposed,
-        max_temp_arity,
     )
     return emitted, stats

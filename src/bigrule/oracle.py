@@ -1043,8 +1043,8 @@ def eval_qbf_expansion(qbf: Qbf, max_vars: int = 12) -> bool:
 
 # --------------------------------------------------------------- coloring --
 
-def solve_coloring(g: InputGraph, n_colors: int = 3, max_vertices: int = 16):
-    """Proper coloring by backtracking, or None. Colors are 0..n_colors-1."""
+def solve_coloring(g: InputGraph, max_vertices: int = 16):
+    """Proper 3-coloring by backtracking, or None. Colors are 0, 1, 2."""
     verts = sorted(g.vertices)
     if len(verts) > max_vertices:
         raise TooManyVerticesError(f"{len(verts)} vertices exceeds cap {max_vertices}")
@@ -1056,7 +1056,7 @@ def solve_coloring(g: InputGraph, n_colors: int = 3, max_vertices: int = 16):
         if idx == len(order):
             return True
         vtx = order[idx]
-        for color in range(n_colors):
+        for color in range(3):
             if all(coloring.get(nb) != color for nb in adjacency[vtx]):
                 coloring[vtx] = color
                 if assign(idx + 1):

@@ -479,17 +479,21 @@ class InputGraph:
         return out
 
 
+def _check_edge(u: str, w: str, line=None) -> None:
+    if u == w:
+        raise ParseError(f"self-loop on {clip(u)!r}", line)
+    for name in (u, w):
+        if not _VERTEX_RE.match(name):
+            raise ParseError(f"vertex name {clip(name)!r} is not a valid constant", line)
+
+
 def make_graph(edges, partition_v1=None) -> InputGraph:
     """Build a graph from unordered edge pairs; vertex names must be valid
     ASP constants."""
     vertices: set[str] = set()
     norm: set[tuple[str, str]] = set()
     for u, w in edges:
-        if u == w:
-            raise ParseError(f"self-loop on {clip(u)!r}")
-        for name in (u, w):
-            if not _VERTEX_RE.match(name):
-                raise ParseError(f"vertex name {clip(name)!r} is not a valid constant")
+        _check_edge(u, w)
         vertices.update((u, w))
         norm.add((min(u, w), max(u, w)))
     partition = None
@@ -526,11 +530,7 @@ def parse_graph(text: str) -> InputGraph:
         if len(fields) != 2:
             raise ParseError("expected `u v` edge line", lineno)
         u, w = fields
-        if u == w:
-            raise ParseError(f"self-loop on {clip(u)!r}", lineno)
-        for name in (u, w):
-            if not _VERTEX_RE.match(name):
-                raise ParseError(f"vertex name {clip(name)!r} is not a valid constant", lineno)
+        _check_edge(u, w, lineno)
         edges.append((u, w))
     return make_graph(edges, v1 if in_partition else None)
 

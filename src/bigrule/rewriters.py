@@ -207,8 +207,8 @@ def qbf2_classic(qbf: Qbf) -> Program:
 
 
 def _clause_tuples(clause, universal_set):
-    """Existential-literal tuple of a clause: the literals over variables
-    outside the universal set, in clause order."""
+    """A clause's universal literals and its existential literals (those over
+    variables outside the universal set), each in clause order."""
     x_lits = [lit for lit in clause.lits if abs(lit) in universal_set]
     y_lits = [lit for lit in clause.lits if abs(lit) not in universal_set]
     return x_lits, y_lits

@@ -589,32 +589,6 @@ def _bound_score(a: Atom, slots) -> int:
     return score
 
 
-def shift(gp: GroundProgram) -> GroundProgram:
-    """Rewrite each disjunctive rule into one rule per head atom, moving the
-    other disjuncts negated into the body. Preserves answer sets on
-    head-cycle-free programs (see `is_head_cycle_free`)."""
-    out: list[GroundRule] = []
-    for r in gp.rules:
-        if len(r.head) <= 1:
-            out.append(r)
-            continue
-        for i, h in enumerate(r.head):
-            others = r.head[:i] + r.head[i + 1:]
-            out.append(GroundRule((h,), r.pos, tuple(r.neg) + others))
-    return GroundProgram(gp.atoms, out)
-
-
-def is_head_cycle_free(gp: GroundProgram) -> bool:
-    """No two atoms sharing a disjunctive head may lie on a common cycle of
-    the positive dependency graph."""
-    succ: dict[int, set[int]] = {}
-    for r in gp.rules:
-        for h in r.head:
-            succ.setdefault(h, set()).update(r.pos)
-    scc_of = _scc_index(succ, len(gp.atoms))
-    return all(len({scc_of[h] for h in r.head}) == len(r.head) for r in gp.rules)
-
-
 def _components(rules) -> list[tuple[list[int], bool]]:
     """Rule indices grouped by the strongly connected components of the
     positive dependency graph (body predicate -> rule -> head predicate),

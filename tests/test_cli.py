@@ -686,6 +686,24 @@ def test_output_file_option(capsys, tmp_path):
     assert target.read_text() == "p(a)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["solve", "{missing}/p.lp"], "{missing}/p.lp"),
+        (["-o", "{missing}/out.txt", "solve", "{src}"], "{missing}/out.txt"),
+    ],
+    ids=["missing-input", "missing-output-dir"],
+)
+def test_missing_file_exit_1(capsys, tmp_path, argv, path):
+    src = tmp_path / "p.lp"
+    src.write_text("p(a).\n")
+    names = {"missing": tmp_path / "missing", "src": src}
+    argv = [arg.format(**names) for arg in argv]
+    assert run_cli(capsys, *argv) == (
+        1, "", f"error: [Errno 2] No such file or directory: '{path.format(**names)}'\n"
+    )
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bigrule.cli", "--help"],

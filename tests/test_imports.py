@@ -1,10 +1,12 @@
-"""Every module of the package uses each name it imports, reads no private
-name of another package module, every module-level private function,
-class or constant is referenced by package code other than its own
-definition, no module asserts (a broken invariant raises `InternalError`,
-which the command line reports without a traceback), and every function
-that calls itself has a cap on its depth (stdlib `ast` scans). `__init__.py`
-is exempt from the first: its imports are the public API."""
+"""Every module of the package and of the tests uses each name it imports,
+no package module reads a private name of another, every module-level
+private function, class or constant is referenced by package code other
+than its own definition, every public one has a reader in the package or
+the benchmark, no module asserts (a broken invariant raises
+`InternalError`, which the command line reports without a traceback), and
+every function that calls itself has a cap on its depth (stdlib `ast`
+scans). `__init__.py` is exempt from the first: its imports are the public
+API."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,8 @@ import bigrule
 
 PACKAGE = sorted(Path(bigrule.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+BENCH_PIPELINE = Path(__file__).parent.parent / "perfbench" / "pipeline.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +40,7 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == ["SafetyError (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -92,22 +96,26 @@ def test_module_reads_no_private_name_of_another_module(path):
     assert private_names_of_other_modules(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_definitions(sources: list[str]) -> list[str]:
-    """Module-level `_name` functions, classes and constants (`_NAME = ...`)
-    that no code refers to (by name, attribute or import) outside their own
-    definition."""
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
+
+
+def _definitions_and_references(sources: list[str], kinds, wanted) -> tuple[list[str], set[str]]:
+    """The module-level names for which `wanted(name)` holds, defined by
+    statements of the given kinds, and every name that code refers to (by
+    name, attribute or import) outside the definition of that name."""
     defined: list[str] = []
     referenced: set[str] = set()
     for source in sources:
         for statement in ast.parse(source).body:
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(statement, kinds):
+                names = []
+            elif isinstance(statement, DEFINITIONS):
                 names = [statement.name]
-            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            else:
                 targets = getattr(statement, "targets", None) or [statement.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                names = []
-            own = {name for name in names if _private(name)}
+            own = {name for name in names if wanted(name)}
             defined += sorted(own)
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name):
@@ -120,6 +128,16 @@ def unreferenced_private_definitions(sources: list[str]) -> list[str]:
                     continue
                 if name not in own:
                     referenced.add(name)
+    return defined, referenced
+
+
+def unreferenced_private_definitions(sources: list[str]) -> list[str]:
+    """Module-level `_name` functions, classes and constants (`_NAME = ...`)
+    that no code refers to (by name, attribute or import) outside their own
+    definition."""
+    defined, referenced = _definitions_and_references(
+        sources, DEFINITIONS + ASSIGNMENTS, _private
+    )
     return [name for name in defined if name not in referenced]
 
 
@@ -142,6 +160,71 @@ def test_scan_finds_an_unreferenced_private_constant():
 def test_package_references_every_private_definition():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert unreferenced_private_definitions(sources) == []
+
+
+def bench_readers(source: str) -> set[str]:
+    """Library names the benchmark pipeline reads: the keys of `LAYER_OF`,
+    the entries of `TREEDECOMP_NAMES`, and `from bigrule... import` names."""
+    names: set[str] = set()
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.ImportFrom) and (statement.module or "").startswith("bigrule"):
+            names.update(alias.name for alias in statement.names)
+        elif isinstance(statement, ast.Assign) and isinstance(statement.targets[0], ast.Name):
+            target = statement.targets[0].id
+            if target == "LAYER_OF":
+                names.update(key.value for key in statement.value.keys)
+            elif target == "TREEDECOMP_NAMES":
+                names.update(entry.value for entry in statement.value.elts)
+    return names
+
+
+def unread_public_definitions(sources: list[str], bench: str) -> list[str]:
+    """Module-level public functions and classes that no package code refers
+    to outside their own definition, and that the benchmark pipeline does not
+    read. `sources` leaves out `__init__.py`: a re-export is not a reader."""
+    defined, referenced = _definitions_and_references(
+        sources, DEFINITIONS, lambda name: not _private(name)
+    )
+    readers = referenced | bench_readers(bench)
+    return [name for name in defined if name not in readers]
+
+
+def test_scan_finds_an_unread_public_definition():
+    sources = [
+        "def walk(t):\n    return walk(t)\nclass Kept: pass\ndef used(): pass\n"
+        "def ground(): pass\ndef traced(): pass\ndef imported(): pass\n"
+        "def _private(): pass\nLIMIT = 3\n",
+        "from .a import Kept\nimport a\na.used()\n",
+    ]
+    bench = (
+        "from bigrule.a import imported\n"
+        "LAYER_OF = {'ground': 'oracle.ground'}\n"
+        "TREEDECOMP_NAMES = ('traced',)\n"
+        "def f():\n    return walk\n"
+    )
+    # The benchmark's own code is not a reader, only its layer tables and
+    # imports are.
+    assert unread_public_definitions(sources, bench) == ["walk"]
+
+
+# Public names that only tests read, each an independent slow route or a
+# writer that a fast path or a parser is checked against.
+CROSS_CHECKS = {
+    "grounding_estimate": "the worst-case bound that decomposition estimates are checked under",
+    "eval_qbf_expansion": "a second QBF evaluator, checked against eval_qbf",
+    "abduce_bruteforce": "the brute-force reference for abduction_encoding",
+    "exact_treewidth": "the exact width that the elimination heuristics are checked against",
+    "emit_qdimacs": "the writer that parse_qdimacs round-trips",
+    "emit_reified": "the writer that parse_reified round-trips",
+}
+
+
+def test_every_public_definition_has_a_reader():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    unread = unread_public_definitions(sources, BENCH_PIPELINE.read_text(encoding="utf-8"))
+    assert [name for name in unread if name not in CROSS_CHECKS] == []
+    # An exemption goes once its name has a reader or is gone.
+    assert sorted(set(CROSS_CHECKS) - set(unread)) == []
 
 
 def assertions(source: str) -> list[str]:

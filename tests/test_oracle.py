@@ -15,6 +15,7 @@ from bigrule.errors import (
     InternalError,
     TooManyAtomsError,
     TooManyVarsError,
+    TooManyVerticesError,
     UnsupportedAggregateError,
 )
 from bigrule.oracle import (
@@ -33,7 +34,7 @@ from bigrule.oracle import (
     has_answer_set,
     solve_coloring,
 )
-from bigrule.parse import make_graph, parse_program, parse_qdimacs, print_ground_program
+from bigrule.parse import Qbf, make_graph, parse_program, parse_qdimacs, print_ground_program
 from bigrule.rewriters import AbductionInstance
 from bigrule.syntax import (
     Aggregate,
@@ -601,6 +602,54 @@ def test_abduce_inconsistent_extension_accepted_vacuously():
     gp = gp_of(["a"], [((), (), ("a",))])
     inst = AbductionInstance(gp, frozenset(), frozenset())
     assert abduce_bruteforce(inst) == frozenset()
+
+
+# ------------------------------------------------------------------- caps --
+
+THREE_ATOMS = gp_of(["a", "b", "c"], [])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: answer_sets_naive(THREE_ATOMS, max_atoms=2), TooManyAtomsError, "3 atoms"),
+        (
+            lambda: eval_qbf_expansion(Qbf((("e", (1, 2, 3)),), (), 3), max_vars=2),
+            TooManyVarsError,
+            "3 variables",
+        ),
+        (
+            lambda: solve_coloring(make_graph([("a", "b"), ("b", "c")]), max_vertices=2),
+            TooManyVerticesError,
+            "3 vertices",
+        ),
+        (
+            lambda: abduce_bruteforce(
+                AbductionInstance(THREE_ATOMS, frozenset(), frozenset()), max_universe=2
+            ),
+            TooManyAtomsError,
+            "3 atoms",
+        ),
+        (
+            lambda: abduce_bruteforce(
+                AbductionInstance(THREE_ATOMS, frozenset({0, 1, 2}), frozenset()),
+                max_hypotheses=2,
+            ),
+            TooManyAtomsError,
+            "3 hypotheses",
+        ),
+    ],
+    ids=[
+        "answer_sets_naive",
+        "eval_qbf_expansion",
+        "solve_coloring",
+        "abduce_bruteforce-universe",
+        "abduce_bruteforce-hypotheses",
+    ],
+)
+def test_reference_refuses_input_over_its_cap(call, error, message):
+    with pytest.raises(error, match=f"^{message} exceeds cap 2$"):
+        call()
 
 
 # ----------------------------------------------------------------- safety --

@@ -18,12 +18,14 @@ from bigrule.parse import (
     QdimacsWarning,
     emit_qdimacs,
     emit_reified,
+    make_graph,
     parse_graph,
     parse_program,
     parse_qdimacs,
     parse_reified,
     print_program,
     reified_atom_ids,
+    reified_rule_ids,
 )
 from bigrule.syntax import Arith, Atom, Constant, GroundProgram, GroundRule, Integer
 
@@ -297,6 +299,21 @@ def test_parse_graph_bad_vertex_name():
         parse_graph("A b")
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [(("a", "a"), "self-loop on 'a'"), (("a", "B"), "vertex name 'B' is not a valid constant")],
+    ids=["self-loop", "bad-name"],
+)
+def test_graph_edge_errors(edge, message):
+    # make_graph reports no line; parse_graph reports the edge's line.
+    with pytest.raises(ParseError) as direct:
+        make_graph([("a", "b"), edge])
+    assert (str(direct.value), direct.value.line) == (message, None)
+    with pytest.raises(ParseError) as parsed:
+        parse_graph("a b\n" + " ".join(edge))
+    assert (str(parsed.value), parsed.value.line) == (f"line 2: {message}", 2)
+
+
 # -------------------------------------------------------------- reified ----
 
 def test_reified_simple_disjunctive_fact():
@@ -344,6 +361,13 @@ def test_reified_ids_are_distinct_symbols():
     back = parse_reified(emit_reified(gp))
     assert [str(a) for a in back.atoms] == ids
     assert back.rules == gp.rules
+
+
+def test_reified_rule_id_skips_an_atom_id():
+    gp = GroundProgram((Atom("r0"),), (GroundRule((0,)),))
+    assert reified_rule_ids(gp, reified_atom_ids(gp)) == ["r0_"]
+    assert emit_reified(gp).splitlines() == ["atom(r0).", "rule(r0_).", "head(r0_,r0)."]
+    assert parse_reified(emit_reified(gp)) == gp
 
 
 def test_reified_round_trip_on_random_programs():

@@ -1,6 +1,5 @@
 import hashlib
 import random
-import warnings
 
 import pytest
 
@@ -440,6 +439,20 @@ def test_abduction_rejects_derivable_hypothesis():
     inst = AbductionInstance(gp, frozenset({0}), frozenset({1}))
     with pytest.raises(InputSemanticsError):
         abduction_encoding(inst)
+
+
+@pytest.mark.parametrize(
+    "hypotheses, manifestations, message",
+    [
+        ({2}, set(), "hypotheses outside the program's atom universe"),
+        ({0}, {-1}, "manifestations outside the program's atom universe"),
+    ],
+    ids=["hypothesis", "manifestation"],
+)
+def test_abduction_instance_rejects_atoms_outside_the_program(hypotheses, manifestations, message):
+    gp = gp_of(["h", "m"], [(("m",), ("h",), ())])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AbductionInstance(gp, frozenset(hypotheses), frozenset(manifestations))
 
 
 def test_abduction_rules_safe_and_printable():

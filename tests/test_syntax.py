@@ -1,13 +1,13 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
 from bigrule.errors import ArityError, SafetyError
 from bigrule.parse import parse_program
 from bigrule.syntax import (
+    Aggregate,
     Arith,
     Atom,
+    Comparison,
     Constant,
     GroundProgram,
     GroundRule,
@@ -18,15 +18,10 @@ from bigrule.syntax import (
     Variable,
     binding_order,
     eval_term,
-    is_head_cycle_free,
     is_safe,
-    shift,
     variables_in_order,
     variables_of,
 )
-from bigrule.oracle import answer_sets
-
-from corpus import random_ground_program
 
 
 def rule_of(text):
@@ -177,47 +172,6 @@ def test_bindable_vars_excludes_embedded_arith():
     assert is_safe(r2) == (False, {"X"})
 
 
-def test_shift_textbook_disjunction():
-    gp = GroundProgram(
-        (Atom("a"), Atom("b")),
-        (GroundRule((0, 1), (), ()),),
-    )
-    shifted = shift(gp)
-    assert shifted.rules == (
-        GroundRule((0,), (), (1,)),
-        GroundRule((1,), (), (0,)),
-    )
-
-
-def test_shift_identity_on_normal():
-    gp = GroundProgram((Atom("a"), Atom("b")), (GroundRule((0,), (1,), ()),))
-    assert shift(gp).rules == gp.rules
-
-
-def test_shift_detects_head_cycle():
-    gp = GroundProgram(
-        (Atom("a"), Atom("b")),
-        (
-            GroundRule((0, 1), (), ()),
-            GroundRule((0,), (1,), ()),
-            GroundRule((1,), (0,), ()),
-        ),
-    )
-    assert not is_head_cycle_free(gp)
-
-
-def test_shift_preserves_answer_sets_on_hcf_corpus():
-    rng = random.Random(4217)
-    checked = 0
-    for _ in range(300):
-        gp = random_ground_program(rng, max_atoms=6, max_rules=6)
-        if not is_head_cycle_free(gp):
-            continue
-        checked += 1
-        assert answer_sets(shift(gp), max_atoms=10) == answer_sets(gp, max_atoms=10)
-    assert checked >= 150
-
-
 def test_arity_clash_rejected():
     with pytest.raises(ArityError):
         Program([], [Atom("p", (Constant("a"),)), Atom("p", (Constant("a"), Constant("b")))])
@@ -264,6 +218,55 @@ def test_ground_rule_fields_defaults_and_immutability():
     twin = GroundRule(head=(0,), pos=(1,), neg=())
     assert twin == rule and hash(twin) == hash(rule)
     assert GroundRule((0,), (2,)) != rule
+
+
+X_LITERAL = Literal(Atom("p", (Variable("X"),)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Variable("x"), "variable name must start uppercase: 'x'"),
+        (lambda: Variable(""), "variable name must start uppercase: ''"),
+        (lambda: Constant("A"), "constant symbol must start lowercase: 'A'"),
+        (lambda: Arith("%", Integer(1), Integer(2)), "unknown arithmetic operator '%'"),
+        (lambda: Comparison("==", Integer(1), Integer(2)), "unknown comparison operator '=='"),
+        (
+            lambda: Aggregate("avg", ("X",), (X_LITERAL,), "<", Integer(2)),
+            "unknown aggregate function 'avg'",
+        ),
+        (
+            lambda: Aggregate("count", ("X",), (X_LITERAL,), "=<", Integer(2)),
+            "unknown guard operator '=<'",
+        ),
+        (
+            lambda: Aggregate("count", ("Y",), (X_LITERAL,), "<", Integer(2)),
+            r"aggregate tuple variables \['Y'\] do not occur in the condition",
+        ),
+        (
+            lambda: Rule(pos_body=(Literal(X_LITERAL.atom, negated=True),)),
+            "negated literal in positive body",
+        ),
+        (lambda: Rule(neg_body=(X_LITERAL,)), "non-negated literal in negative body"),
+        (lambda: Program([], [X_LITERAL.atom]), r"fact must be ground: p\(X\)"),
+    ],
+    ids=[
+        "variable-lowercase",
+        "variable-empty",
+        "constant-uppercase",
+        "arith-operator",
+        "comparison-operator",
+        "aggregate-function",
+        "aggregate-guard",
+        "aggregate-tuple-variable",
+        "rule-negated-positive",
+        "rule-positive-negative",
+        "program-non-ground-fact",
+    ],
+)
+def test_constructor_rejects_bad_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize(

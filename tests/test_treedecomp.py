@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from bigrule.errors import NoCoveringBagError
+from bigrule.errors import NoCoveringBagError, TooManyVerticesError
 from bigrule.parse import parse_program
 from bigrule.treedecomp import (
     GaifmanGraph,
@@ -141,6 +141,26 @@ def test_a_forest_is_rejected():
 def test_an_edge_to_a_missing_bag_or_to_itself_is_rejected(edges):
     with pytest.raises(ValueError, match="edges"):
         TreeDecomposition(TRIANGLE_BAGS, edges, 0)
+
+
+@pytest.mark.parametrize(
+    "bags, root, message",
+    [
+        ([], 0, "a tree decomposition needs at least one node"),
+        (TRIANGLE_BAGS[:1], 1, "root out of range"),
+        (TRIANGLE_BAGS[:1], -1, "root out of range"),
+    ],
+    ids=["no-bag", "root-past-the-end", "negative-root"],
+)
+def test_no_bag_or_a_root_out_of_range_is_rejected(bags, root, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TreeDecomposition(bags, [], root)
+
+
+def test_exact_treewidth_refuses_a_graph_over_its_cap():
+    g = GaifmanGraph(frozenset({"X", "Y", "Z"}), frozenset())
+    with pytest.raises(TooManyVerticesError, match="^3 vertices exceeds cap 2$"):
+        exact_treewidth(g, max_vertices=2)
 
 
 def test_validate_catches_bags_that_form_no_tree():
