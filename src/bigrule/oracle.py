@@ -4,7 +4,7 @@ answer-set enumerator, and brute-force QBF / coloring / abduction solvers.
 The grounder compiles each rule once into a static join plan: the order of
 its body atoms, with each comparison, binding equation and deferred
 arithmetic argument placed where its variables are first bound. Plans
-probe hash indexes on the bound argument positions, built on first use
+probe hash indexes on the bound argument positions, built at compile time
 and kept current as atoms arrive, test an atom whose arguments are all
 bound when they reach it for membership instead (a variable-free rule
 probes nothing), and run on an explicit stack, so body length is not
@@ -138,10 +138,10 @@ def _getter(positions):
 # ---------------------------------------------------------------- matching --
 
 class _Store:
-    """Possibly-true ground atoms by predicate, with hash indexes built the
-    first time a plan asks for them and kept up to date by `add`. The index
-    on (pred, bound positions) maps the values at those positions to the
-    tuples of values at the other positions. Programs fix one arity per
+    """Possibly-true ground atoms by predicate, with hash indexes built when
+    a plan that probes them is compiled and kept up to date by `add`. The
+    index on (pred, bound positions) maps the values at those positions to
+    the tuples of values at the other positions. Programs fix one arity per
     predicate, so the positions alone identify an index."""
 
     __slots__ = ("by_pred", "keys", "_indexes", "_by_positions")
@@ -182,16 +182,16 @@ class _Plan:
     whose keys are read off bindings later), then the variables bound on
     entry, then one value per slot the steps fill, in step order. `start`
     runs on the entry binding. Each probe then looks up one atom's index on
-    its bound positions, extends the binding by the values at the other
-    positions, and runs its operations: checks (a comparison whose
-    variables are bound, a repeated variable, a deferred arithmetic
-    argument, an atom whose arguments are all bound, looked up in `keys`,
-    the store's atom set) and assignments (a binding equation, or an
-    arithmetic argument the next probe's key needs)."""
+    its bound positions, taken from `store` at compile time, extends the
+    binding by the values at the other positions, and runs its operations:
+    checks (a comparison whose variables are bound, a repeated variable, a
+    deferred arithmetic argument, an atom whose arguments are all bound,
+    looked up in the store's atom set) and assignments (a binding equation,
+    or an arithmetic argument the next probe's key needs)."""
 
     __slots__ = ("entry", "consts", "slots", "start", "probes", "atom_slots")
 
-    def __init__(self, atoms, comparisons, keys: set, bound=(), also=()):
+    def __init__(self, atoms, comparisons, store: _Store, bound=(), also=()):
         self.consts = consts = {}
         for a in (*atoms, *also):
             for arg in a.args:
@@ -247,7 +247,7 @@ class _Plan:
                     own[pos] = consts[_ground_value(arg)]
                 positions.append(pos)
             if len(positions) == len(own):
-                ops.append(_member_op(a.pred, _getter(own), keys))
+                ops.append(_member_op(a.pred, _getter(own), store.keys))
                 self.atom_slots[idx] = tuple(own)
                 continue
             key_slots = [own[pos] for pos in positions]
@@ -266,9 +266,8 @@ class _Plan:
                     pending.append((arg, own[pos]))
             if pending:
                 propagate(ops)
-            self.probes.append(
-                (a.pred, tuple(positions), len(a.args), _key_getter(key_slots), ops)
-            )
+            index = store.index(a.pred, tuple(positions), len(a.args))
+            self.probes.append((index, _key_getter(key_slots), ops))
             self.atom_slots[idx] = tuple(own)
         if pending:  # Program rejects every rule that leaves one
             raise InternalError(f"join plan leaves {pending} unbound")
@@ -327,15 +326,12 @@ def _apply(ops, bindings):
     return bindings
 
 
-def _matches(plan: _Plan, store: _Store, entry: tuple):
-    """Every extension of `entry` that matches the plan against the store,
+def _matches(plan: _Plan, entry: tuple):
+    """Every extension of `entry` that matches the plan against its store,
     depth first. The stack holds one iterator per probe, so bodies of any
     length run without recursion. An index bucket that grows while it is
     read yields the new tuples too."""
-    probes = [
-        (store.index(pred, positions, arity), key_of, ops)
-        for pred, positions, arity, key_of, ops in plan.probes
-    ]
+    probes = plan.probes
     first = _apply(plan.start, iter((entry,)))
     if not probes:
         yield from first
@@ -368,12 +364,12 @@ class _RulePlan:
 
     __slots__ = ("rule", "index", "plan", "heads", "pos", "neg", "values")
 
-    def __init__(self, rule: Rule, index: int, keys: set):
+    def __init__(self, rule: Rule, index: int, store: _Store):
         self.rule = rule
         self.index = index
         atoms = [l.atom for l in rule.pos_body]
         negated = [l.atom for l in rule.neg_body]
-        self.plan = plan = _Plan(atoms, rule.arith, keys, also=(*rule.head, *negated))
+        self.plan = plan = _Plan(atoms, rule.arith, store, also=(*rule.head, *negated))
         self.values = _getter([plan.slots[name] for name in sorted(plan.slots)])
         self.pos = tuple(
             (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
@@ -381,9 +377,9 @@ class _RulePlan:
         self.heads = tuple(_atom_key(a, plan) for a in rule.head)
         self.neg = tuple(_atom_key(a, plan) for a in negated)
 
-    def matches(self, store: _Store):
+    def matches(self):
         """The body's matches against the store."""
-        return _matches(self.plan, store, self.plan.entry)
+        return _matches(self.plan, self.plan.entry)
 
 
 def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> list[list]:
@@ -407,7 +403,7 @@ def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> li
                 kept = records[i] = []
                 own = spent
                 try:
-                    for b in unit.matches(store):
+                    for b in unit.matches():
                         spent += 1
                         if spent > limit:
                             raise GroundingLimitError(
@@ -464,7 +460,7 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
         if store.add(key):
             fact_order.append(key)
 
-    units = [_RulePlan(r, i, store.keys) for i, r in enumerate(program.rules)]
+    units = [_RulePlan(r, i, store) for i, r in enumerate(program.rules)]
     outside = _outside(program) if any(r.aggregates for r in program.rules) else None
     fact_keys = set(fact_order)
     fact_preds = {pred for pred, _ in fact_order}
@@ -618,7 +614,7 @@ def _aggregate_test(agg: Aggregate, slots: dict, store: _Store, outside: set):
     reads = sorted(variables_of(agg) & slots.keys())
     positive = [l.atom for l in agg.condition if not l.negated]
     negative = [l.atom for l in agg.condition if l.negated]
-    plan = _Plan(positive, (), store.keys, reads, also=negative)
+    plan = _Plan(positive, (), store, reads, also=negative)
     negative = [_atom_key(a, plan) for a in negative]
     tuple_of = _getter([plan.slots[name] for name in agg.tuple_vars])
     guard, reading = _term_fn(agg.guard, plan.slots), _getter([slots[name] for name in reads])
@@ -629,7 +625,7 @@ def _aggregate_test(agg: Aggregate, slots: dict, store: _Store, outside: set):
         if values not in decided:
             entry = plan.entry + values
             tuples = {
-                tuple_of(m) for m in _matches(plan, store, entry)
+                tuple_of(m) for m in _matches(plan, entry)
                 if not any((pred, args_of(m)) in store.keys for pred, args_of in negative)
             }
             value = _aggregate_value(agg.func, tuples)

@@ -135,24 +135,26 @@ def _live_clauses(qbf: Qbf):
     return live
 
 
-def _forall_exists_shape(qbf: Qbf) -> tuple[list[int], list[int]]:
-    """Split a prefix of shape [∀-block][∃-block] (either block may be
-    absent) into universal and existential variables."""
+def _prefix_blocks(qbf: Qbf, template: str, shape: str) -> list[list[int]]:
+    """One variable list per quantifier of `template` ("ae" or "eae"): the
+    prefix must read as a run of consecutive template blocks, and the
+    blocks it lacks are empty. `shape` names the template in the error."""
     pattern = tuple(q for q, _ in qbf.prefix)
-    if pattern not in ((), ("a",), ("e",), ("a", "e")):
-        raise PrefixShapeError(
-            f"need a forall-exists prefix, found {'-'.join(pattern) or 'none'}"
-        )
-    universals = [x for q, block in qbf.prefix if q == "a" for x in block]
-    existentials = [x for q, block in qbf.prefix if q == "e" for x in block]
-    return universals, existentials
+    n = len(pattern)
+    start = next((i for i in range(len(template)) if tuple(template[i:i + n]) == pattern), -1)
+    if start < 0:
+        raise PrefixShapeError(f"need {shape} prefix, found {'-'.join(pattern)}")
+    blocks: list[list[int]] = [[] for _ in template]
+    for i, (_, block) in enumerate(qbf.prefix, start):
+        blocks[i] = list(block)
+    return blocks
 
 
 def qbf2_classic(qbf: Qbf) -> Program:
     """Fixed-program encoding: guess an assignment, derive `sat` when some
     clause is falsified, saturate existential assignments. Consistent
     exactly when the formula is false."""
-    universals, existentials = _forall_exists_shape(qbf)
+    universals, existentials = _prefix_blocks(qbf, "ae", "a forall-exists")
     clauses = _live_clauses(qbf)
     names = {x: f"x{x}" for x in universals}
     names.update({y: f"y{y}" for y in existentials})
@@ -206,14 +208,6 @@ def qbf2_classic(qbf: Qbf) -> Program:
     return Program(rules, facts)
 
 
-def _clause_tuples(clause, universal_set):
-    """A clause's universal literals and its existential literals (those over
-    variables outside the universal set), each in clause order."""
-    x_lits = [lit for lit in clause.lits if abs(lit) in universal_set]
-    y_lits = [lit for lit in clause.lits if abs(lit) not in universal_set]
-    return x_lits, y_lits
-
-
 def _large_rule_parts(clauses, universal_set, max_tuple_width):
     """Shared core of the large-rule QBF encodings: guessing rules for the
     universal variables, per-clause tuple facts and derivations of the
@@ -228,7 +222,8 @@ def _large_rule_parts(clauses, universal_set, max_tuple_width):
     big_body: list[Literal] = []
     blocked_atoms: list[Atom] = []
     for i, clause in enumerate(clauses, start=1):
-        x_lits, y_lits = _clause_tuples(clause, universal_set)
+        x_lits = [lit for lit in clause.lits if abs(lit) in universal_set]
+        y_lits = [lit for lit in clause.lits if abs(lit) not in universal_set]
         width = len(y_lits)
         if width > max_tuple_width:
             raise TupleWidthError(
@@ -255,7 +250,7 @@ def qbf2_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
     """Large-rule encoding: clause predicates hold the still-satisfiable
     existential tuples, one wide constraint asks for a tuple assignment
     satisfying every clause. Consistent exactly when the formula is false."""
-    universals, _ = _forall_exists_shape(qbf)
+    universals, _ = _prefix_blocks(qbf, "ae", "a forall-exists")
     clauses = _live_clauses(qbf)
     facts, rules, big_body, _ = _large_rule_parts(
         clauses, set(universals), max_tuple_width
@@ -264,32 +259,12 @@ def qbf2_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
     return Program(rules, facts)
 
 
-def _exists_forall_exists_shape(qbf: Qbf):
-    pattern = tuple(q for q, _ in qbf.prefix)
-    allowed = {(), ("e",), ("a",), ("e", "a"), ("a", "e"), ("e", "a", "e")}
-    if pattern not in allowed:
-        raise PrefixShapeError(
-            f"need an exists-forall-exists prefix, found {'-'.join(pattern)}"
-        )
-    outer: list[int] = []
-    middle: list[int] = []
-    inner: list[int] = []
-    blocks = list(qbf.prefix)
-    if blocks and blocks[0][0] == "e":
-        outer = list(blocks.pop(0)[1])
-    if blocks and blocks[0][0] == "a":
-        middle = list(blocks.pop(0)[1])
-    if blocks:
-        inner = list(blocks.pop(0)[1])
-    return outer, middle, inner
-
-
 def qbf3_large_rule(qbf: Qbf, max_tuple_width: int = 12) -> Program:
     """Third-level extension: build the large-rule encoding as if the outer
     existential block were universal, then saturate the genuinely universal
     guesses and all clause tuples. Consistent exactly when the formula is
     valid."""
-    outer, middle, _ = _exists_forall_exists_shape(qbf)
+    outer, middle, _ = _prefix_blocks(qbf, "eae", "an exists-forall-exists")
     clauses = _live_clauses(qbf)
     treated_universal = set(outer) | set(middle)
     facts, rules, big_body, blocked_atoms = _large_rule_parts(

@@ -627,7 +627,7 @@ def _scc_index(succ: dict[int, set[int]], count: int) -> list[int]:
     for start in range(count):
         if index[start] != -1:
             continue
-        work = [(start, iter(sorted(succ.get(start, ()))))]
+        work = [(start, iter(succ.get(start, ())))]
         index[start] = low[start] = counter
         counter += 1
         stack.append(start)
@@ -641,7 +641,7 @@ def _scc_index(succ: dict[int, set[int]], count: int) -> list[int]:
                     counter += 1
                     stack.append(nxt)
                     on_stack[nxt] = True
-                    work.append((nxt, iter(sorted(succ.get(nxt, ())))))
+                    work.append((nxt, iter(succ.get(nxt, ()))))
                     advanced = True
                     break
                 if on_stack[nxt]:

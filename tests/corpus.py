@@ -7,6 +7,7 @@ from itertools import product
 from bigrule.parse import Clause, InputGraph, Qbf, make_graph
 from bigrule.rewriters import AbductionInstance
 from bigrule.syntax import (
+    Arith,
     Atom,
     Comparison,
     Constant,
@@ -117,36 +118,52 @@ FACT_PREDS = (("e", 2), ("d", 1))
 DERIVED_PREDS = (("p", 1), ("q", 1), ("r", 1))
 
 
+def swapped(name: str) -> Arith:
+    """`1+2-V`, which swaps 1 and 2. Its constants are 1 and 2, so the
+    domain that `ground_naive` ranges over stays {1, 2}; `3-V` would add 3."""
+    return Arith("-", Arith("+", Integer(1), Integer(2)), Variable(name))
+
+
 def random_pipeline_program(rng: random.Random, max_rules=4, max_vars=4) -> Program:
     """Two or more random safe rules over the derived predicates p, q and
     r, which rules also read positively and under negation, so recursion,
-    disjunctive heads and negated derived atoms all occur; now and then a
-    comparison between two rule variables. Facts over e/2 and d/1 on the
-    domain {1, 2}. Every ground atom is one of those 12, which keeps a
-    naive grounding within `answer_sets_naive`'s cap."""
+    disjunctive heads and negated derived atoms all occur. Now and then a
+    comparison between two rule variables, a binding equation `W = 1+2-V`
+    for a fresh variable W, which only head and negated atoms then read, and
+    `1+2-V` as an argument of head, positive and negated atoms. Facts over
+    e/2 and d/1 on the domain {1, 2}, which `1+2-V` maps onto itself. Every
+    ground atom is one of those 12, which keeps a naive grounding within
+    `answer_sets_naive`'s cap."""
     domain = (Integer(1), Integer(2))
     rules = []
     for _ in range(rng.randint(2, max_rules)):
         names = [f"V{i}" for i in range(rng.randint(1, max_vars))]
 
+        def arg(name):
+            return swapped(name) if rng.random() < 0.15 else Variable(name)
+
         def atom(pred, arity):
-            return Atom(pred, tuple(Variable(rng.choice(names)) for _ in range(arity)))
+            return Atom(pred, tuple(arg(rng.choice(names)) for _ in range(arity)))
 
         pos = [
             Literal(atom(*rng.choice(FACT_PREDS + DERIVED_PREDS)))
             for _ in range(rng.randint(1, 3))
         ]
-        covered = {arg.name for lit in pos for arg in lit.atom.args}
+        covered = {arg.name for lit in pos for arg in lit.atom.args if isinstance(arg, Variable)}
         pos += [Literal(Atom("d", (Variable(n),))) for n in names if n not in covered]
+        arith = ()
+        if len(names) > 1 and rng.random() < 0.3:
+            left, right = rng.sample(names, 2)
+            arith = (Comparison(rng.choice(("=", "!=", "<")), Variable(left), Variable(right)),)
+        if rng.random() < 0.3:
+            fresh = f"V{len(names)}"
+            arith += (Comparison("=", Variable(fresh), swapped(rng.choice(names))),)
+            names.append(fresh)
         head = tuple(atom(*rng.choice(DERIVED_PREDS)) for _ in range(rng.choice((0, 1, 1, 2))))
         neg = tuple(
             Literal(atom(*rng.choice(FACT_PREDS + DERIVED_PREDS)), True)
             for _ in range(rng.choice((0, 1, 1, 2)))
         )
-        arith = ()
-        if len(names) > 1 and rng.random() < 0.3:
-            left, right = rng.sample(names, 2)
-            arith = (Comparison(rng.choice(("=", "!=", "<")), Variable(left), Variable(right)),)
         rules.append(Rule(head, tuple(pos), neg, arith))
     facts = [
         Atom(pred, args)

@@ -19,7 +19,7 @@ from bigrule.decompose import (
     synthesize_dom_rules,
 )
 from bigrule.errors import ReservedPrefixCollisionError, UnsecurableVariableError
-from bigrule.oracle import _Plan, answer_sets, answer_sets_naive, ground
+from bigrule.oracle import _Plan, _Store, answer_sets, answer_sets_naive, ground
 from bigrule.parse import make_graph, parse_program, parse_qdimacs, print_program
 from bigrule.rewriters import qbf2_classic, threecol_single_rule
 from bigrule.syntax import (
@@ -693,5 +693,5 @@ def test_join_order_of_a_long_grid_rule_is_linear():
     sizes = _fact_sizes(program.facts)
     start = time.perf_counter()
     _join_estimate(rule, sizes)
-    _Plan([l.atom for l in rule.pos_body], rule.arith, keys=set())
+    _Plan([l.atom for l in rule.pos_body], rule.arith, store=_Store())
     assert time.perf_counter() - start < 1.0

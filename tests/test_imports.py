@@ -1,12 +1,12 @@
-"""Every module of the package and of the tests uses each name it imports,
-no package module reads a private name of another, every module-level
-private function, class or constant is referenced by package code other
-than its own definition, every public one has a reader in the package or
-the benchmark, no module asserts (a broken invariant raises
-`InternalError`, which the command line reports without a traceback), and
-every function that calls itself has a cap on its depth (stdlib `ast`
-scans). `__init__.py` is exempt from the first: its imports are the public
-API."""
+"""Every module of the package, the tests and the benchmark (`perfbench/`,
+read only) uses each name it imports, no package module reads a private
+name of another, every module-level private function, class or constant is
+referenced by package code other than its own definition, every public one
+has a reader in the package or the benchmark, no package or benchmark
+module asserts (a broken invariant raises `InternalError`, which the
+command line reports without a traceback), and every function that calls
+itself has a cap on its depth (stdlib `ast` scans). `__init__.py` is exempt
+from the first: its imports are the public API."""
 
 import ast
 from pathlib import Path
@@ -18,7 +18,12 @@ import bigrule
 PACKAGE = sorted(Path(bigrule.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 BENCH_PIPELINE = Path(__file__).parent.parent / "perfbench" / "pipeline.py"
+
+
+def _path_id(path: Path) -> str:
+    return f"perfbench/{path.name}" if path in BENCH else path.name
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +45,7 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == ["SafetyError (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS + BENCH, ids=_path_id)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -254,7 +259,7 @@ def test_scan_finds_assertions():
     ]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE + BENCH, ids=_path_id)
 def test_module_has_no_assertion(path):
     assert assertions(path.read_text(encoding="utf-8")) == []
 

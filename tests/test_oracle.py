@@ -20,6 +20,7 @@ from bigrule.errors import (
 )
 from bigrule.oracle import (
     _Plan,
+    _Store,
     _enumerate_answer_sets,
     _is_ordered,
     _minimal_below,
@@ -699,12 +700,12 @@ def _plans_leave_a_variable_unbound(r: Rule) -> bool:
     over the rule's bound variables, as the grounder does, and report
     whether any variable is left unbound."""
     try:
-        plan = _Plan([l.atom for l in r.pos_body], r.arith, keys=set())
+        plan = _Plan([l.atom for l in r.pos_body], r.arith, store=_Store())
         if global_vars(r) - plan.slots.keys():
             return True
         names = tuple(sorted(plan.slots))
         for agg in r.aggregates:
-            cond = _Plan([l.atom for l in agg.condition if not l.negated], (), keys=set(), bound=names)
+            cond = _Plan([l.atom for l in agg.condition if not l.negated], (), store=_Store(), bound=names)
             if variables_of(list(agg.condition)) - cond.slots.keys():
                 return True
     except InternalError:  # a comparison or arithmetic argument stayed open
@@ -720,7 +721,7 @@ def test_is_safe_is_the_plan_binding_rule(r):
 @given(_rule)
 def test_join_estimate_binds_what_the_plan_binds(r):
     try:
-        plan = _Plan([l.atom for l in r.pos_body], r.arith, keys=set())
+        plan = _Plan([l.atom for l in r.pos_body], r.arith, store=_Store())
     except InternalError:
         return
     sizes = {}
@@ -880,9 +881,9 @@ def test_aggregates_read_the_one_closure(monkeypatch):
         closures.append(args)
         return closure(*args)
 
-    def matches_spy(self, store):
+    def matches_spy(self):
         joined.append(str(self.rule))
-        return matches(self, store)
+        return matches(self)
 
     monkeypatch.setattr(oracle, "_closure", closure_spy)
     monkeypatch.setattr(oracle._RulePlan, "matches", matches_spy)

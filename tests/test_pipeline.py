@@ -6,6 +6,7 @@ that grounding (`flp_answer_sets`). The decomposer's temp_ and dom_ atoms
 are projected away before the answer sets are compared."""
 
 import random
+from collections import Counter
 
 from bigrule.decompose import decompose_program
 from bigrule.errors import UnsupportedAggregateError
@@ -19,18 +20,20 @@ from test_ground_crosscheck import aggregate_program, flp_answer_sets, ground_na
 from test_ground_golden import AGGREGATE_TEXTS
 
 
-def check_pipeline(program) -> int:
-    """Assert that both routes agree; return how many of the two
-    decompositions split a rule."""
+def check_pipeline(program) -> dict[str, int]:
+    """Assert that both routes agree; return, per heuristic, how many of its
+    two decompositions split a rule."""
     naive = ground_naive(program)
     expected = {
         frozenset(str(naive.atoms[i]) for i in s.true_atoms) for s in answer_sets_naive(naive)
     }
-    splits = 0
-    for threshold in (True, False):
-        small, report = decompose_program(program, threshold=threshold)
-        assert project_answer_sets(ground(small).ground_program) == expected, threshold
-        splits += any(stats.decomposed for stats in report.rules)
+    splits = dict.fromkeys(HEURISTICS, 0)
+    for heuristic in HEURISTICS:
+        for threshold in (True, False):
+            small, report = decompose_program(program, heuristic=heuristic, threshold=threshold)
+            got = project_answer_sets(ground(small).ground_program)
+            assert got == expected, (heuristic, threshold, print_program(small))
+            splits[heuristic] += any(stats.decomposed for stats in report.rules)
     return splits
 
 
@@ -47,10 +50,10 @@ def test_pipeline_keeps_answer_sets_of_a_contradictory_ground_body():
 
 def test_pipeline_agrees_with_naive_route_on_random_programs():
     rng = random.Random(2718)
-    splits = 0
+    splits = Counter()
     for _ in range(300):
-        splits += check_pipeline(random_pipeline_program(rng))
-    assert splits > 300
+        splits.update(check_pipeline(random_pipeline_program(rng)))
+    assert all(splits[heuristic] > 300 for heuristic in HEURISTICS), splits
 
 
 # Where decomposition changes what the grounder sees: the link atom of a

@@ -257,6 +257,44 @@ def test_qbf3_rejects_bad_prefix():
         qbf3_large_rule(qbf)
 
 
+def _qbf_with_prefix(pattern: str) -> Qbf:
+    # One variable per block, and one clause over all of them.
+    prefix = tuple((q, (k,)) for k, q in enumerate(pattern, start=1))
+    return Qbf(prefix, (Clause.of(range(1, len(pattern) + 1)),), len(pattern))
+
+
+@pytest.mark.parametrize("encode", [qbf2_classic, qbf2_large_rule], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("pattern", ["ea", "aa", "ee", "aea", "eae"])
+def test_qbf2_encoders_name_the_rejected_prefix(encode, pattern):
+    with pytest.raises(PrefixShapeError) as caught:
+        encode(_qbf_with_prefix(pattern))
+    found = "-".join(pattern)
+    assert str(caught.value) == f"need a forall-exists prefix, found {found}"
+
+
+@pytest.mark.parametrize("pattern", ["aa", "ee", "aea", "eaea", "aeae"])
+def test_qbf3_encoder_names_the_rejected_prefix(pattern):
+    with pytest.raises(PrefixShapeError) as caught:
+        qbf3_large_rule(_qbf_with_prefix(pattern))
+    found = "-".join(pattern)
+    assert str(caught.value) == f"need an exists-forall-exists prefix, found {found}"
+
+
+@pytest.mark.parametrize(
+    "encode, pattern",
+    [
+        *((encode, p) for encode in (qbf2_classic, qbf2_large_rule) for p in ("", "a", "e", "ae")),
+        *((qbf3_large_rule, p) for p in ("", "e", "a", "ea", "ae", "eae")),
+    ],
+    ids=lambda v: getattr(v, "__name__", v or "none"),
+)
+def test_qbf_encoders_accept_each_run_of_their_prefix(encode, pattern):
+    # Each block plays its role: the 2-QBF encodings are consistent exactly
+    # when the formula is false, the 3-QBF one exactly when it is true.
+    qbf = _qbf_with_prefix(pattern)
+    assert consistent(encode(qbf)) == (eval_qbf(qbf) == (encode is qbf3_large_rule))
+
+
 def test_large_rule_encodings_derive_no_fact():
     # A rule whose only head atom is a fact changes no answer set: only the
     # blocked tuple of a clause is derived, and saturated.
