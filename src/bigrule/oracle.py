@@ -13,11 +13,22 @@ program's components (`Program.components`) in topological order: a
 non-recursive component is joined once, a recursive one until it adds
 nothing. Where a match is joined, the closure drops it if its instance can
 never fire (`_fires`). The rest add their heads and are recorded, and
-emission reads the records once the closure is complete. It numbers atoms
-in order of first use: facts, then rule by rule the instances sorted by
-binding, each with its head, positive and negative atoms in turn. One table
-per predicate maps argument tuples to numbers, all counting in that one
-order; as each atom is numbered once, the output `GroundProgram` skips its
+emission reads the records once the closure is complete. Emission evaluates
+the deterministic fragment away (`_outside`): facts and the normal,
+non-recursive rules over them have one answer set, which is part of every
+answer set of the program (Lifschitz & Turner, "Splitting a logic
+program", ICLP 1994), so its atoms may stand as facts. A fact, or a
+possibly-true atom of a fragment predicate, is certain. A rule heading a
+fragment predicate emits each new head atom of its matches once, as a
+fact. Every other rule leaves certain atoms out of its positive body, drops
+an instance that negates a certain atom or whose head holds one, and emits
+each distinct simplified rule once, so a constraint over certain atoms
+alone becomes one `:- .`. Which body positions hold certain atoms is
+decided per rule, before its matches are read. Atoms are numbered in order
+of first use: facts, then rule by rule the instances sorted by binding,
+each with its head, positive and negative atoms in turn. One table per
+predicate maps argument tuples to numbers, all counting in that one order;
+as each atom is numbered once, the output `GroundProgram` skips its
 checks. Each aggregate is compiled with its rule into a test on the same
 plans over the same closure, whose component order completes its condition
 before the rule is joined, so the test decides each reading of the rule
@@ -431,6 +442,11 @@ def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> li
 
 @dataclass(frozen=True)
 class GroundingResult:
+    """`rule_count` and `source_rule_map` (ground rule index -> source rule
+    index) count the emitted rules other than the program's facts. A rule
+    of the deterministic fragment counts the facts it adds, not its
+    matches."""
+
     ground_program: GroundProgram
     rule_count: int
     atom_count: int
@@ -447,9 +463,12 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     away, aggregates are expanded under the deterministic-fragment
     semantics over the same closure, and instances whose positive body can
     never be derived, or whose body can never hold (`_fires`), are omitted.
-    Facts plus join matches may not exceed `max_ground_rules`, nor may the
-    atoms of the closure. Every rule binds all its variables, since
-    `Program` admits only safe rules."""
+    The deterministic fragment is evaluated to facts: its rules emit their
+    new head atoms as facts, and every other rule is simplified by the
+    certain atoms, the facts and the possibly-true atoms of fragment
+    predicates (`_emit_rules`). Facts plus join matches may not exceed
+    `max_ground_rules`, nor may the atoms of the closure. Every rule binds
+    all its variables, since `Program` admits only safe rules."""
     store = _Store()
     fact_order: list[tuple] = []
     for f in program.facts:
@@ -461,14 +480,15 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
             fact_order.append(key)
 
     units = [_RulePlan(r, i, store) for i, r in enumerate(program.rules)]
-    outside = _outside(program) if any(r.aggregates for r in program.rules) else None
+    outside = _outside(program)
     fact_keys = set(fact_order)
     fact_preds = {pred for pred, _ in fact_order}
     keep = [_fires(unit, fact_keys, fact_preds, store, outside) for unit in units]
     records = _closure(units, program.components, store, keep, max_ground_rules, len(fact_order))
+    mixed = outside & fact_preds  # their facts are certain, their other atoms not
 
-    # Emission, with negative-literal simplification against the closure. A
-    # list of atoms can repeat one only if two of them share a predicate.
+    # Emission, rule by rule in program order, each rule's matches sorted by
+    # binding; a rule heading a fragment predicate emits facts.
     order: list[tuple] = []
     tables: dict = {}
 
@@ -479,41 +499,20 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
         return num
 
     ground_rules = [GroundRule((table(pred)(args),)) for pred, args in fact_order]
-    append = ground_rules.append
     source_map: dict[int, int] = {}
     for src_index, (unit, matches) in enumerate(zip(units, records)):
+        if not matches:
+            continue
         _sort_by_binding(matches, unit.values)
         first = len(ground_rules)
-        heads = [(table(pred), args_of) for pred, args_of in unit.heads]
-        pos = [(table(pred), args_of) for pred, args_of in unit.pos]
-        pos_repeats = _may_repeat(unit.pos)
-        if not unit.neg and len(heads) <= 1:
-            head_num, head_of = heads[0] if heads else (None, None)
-            for b in matches:
-                head = (head_num(head_of(b)),) if heads else ()
-                body = [num(args_of(b)) for num, args_of in pos]
-                append(GroundRule(head, tuple(dict.fromkeys(body) if pos_repeats else body), ()))
-        else:
-            head_repeats, neg_repeats = _may_repeat(unit.heads), _may_repeat(unit.neg)
-            neg = [(pred, table(pred), args_of) for pred, args_of in unit.neg]
-            try:
-                for b in matches:
-                    neg_args = []
-                    for pred, num, args_of in neg:
-                        args = args_of(b)
-                        if (pred, args) in store.keys:
-                            neg_args.append((num, args))
-                        # else: atom can never be true, the literal is vacuous
-                    head = [num(args_of(b)) for num, args_of in heads]
-                    body = [num(args_of(b)) for num, args_of in pos]
-                    negs = [num(args) for num, args in neg_args]
-                    append(GroundRule(
-                        tuple(dict.fromkeys(head) if head_repeats else head),
-                        tuple(dict.fromkeys(body) if pos_repeats else body),
-                        tuple(dict.fromkeys(negs) if neg_repeats else negs),
-                    ))
-            except IntegerRangeError as exc:  # a negated atom's argument
-                raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
+        try:
+            if len(unit.heads) == 1 and unit.heads[0][0] not in outside:
+                _emit_facts(unit, matches, table, ground_rules)
+            else:
+                _emit_rules(unit, matches, table, outside, mixed, len(fact_order), store.keys,
+                            ground_rules)
+        except IntegerRangeError as exc:  # a negated atom's argument
+            raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
         source_map.update(dict.fromkeys(range(first, len(ground_rules)), src_index))
 
     terms = {v: ground_term(v) for v in {v for _, args in order for v in args}}
@@ -521,6 +520,91 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     # Each key was numbered once, by a rule that uses it: atoms distinct, indices in range.
     gp = GroundProgram._trusted(atoms, tuple(ground_rules))
     return GroundingResult(gp, len(source_map), len(atoms), source_map)
+
+
+def _emit_facts(unit: _RulePlan, matches, table, out: list) -> None:
+    """A rule of the deterministic fragment: each head atom of its matches
+    that is not numbered yet, once, as a fact. Only facts and such rules
+    number atoms of a fragment predicate, so a numbered one is already a
+    fact. The negated atoms' arguments are still evaluated, so that one
+    outside the 64-bit range raises as it would in an emitted rule."""
+    ((pred, head_of),) = unit.heads
+    number, append = table(pred), out.append
+    numbered = number.__self__
+    negated = [args_of for _, args_of in unit.neg]
+    for b in matches:
+        for args_of in negated:
+            args_of(b)
+        args = head_of(b)
+        if args not in numbered:
+            append(GroundRule((number(args),)))
+
+
+def _emit_rules(unit: _RulePlan, matches, table, outside: set, mixed: set, facts: int,
+                possible: set, out: list) -> None:
+    """A rule outside the deterministic fragment, simplified by the certain
+    atoms: the facts, and the possibly-true atoms (`possible`) of fragment
+    predicates. They leave the positive body, and an instance that negates
+    one or whose head holds one is dropped. A negated atom that is not
+    possibly true leaves the body too. A body position of a fragment
+    predicate is left out once per rule. At any other position only a fact
+    can be certain, and only one of a `mixed` predicate, outside but with
+    facts, can be a fact: facts are numbered first, so the number an atom
+    gets there, below `facts` or not, tells. Instances that lose body atoms
+    can coincide, so each distinct rule is then emitted once. A list of
+    atoms can repeat one only if two of them share a predicate."""
+    # `_outside` puts every head predicate of this rule there, so only a
+    # fact can be a certain head atom.
+    heads = [(pred, table(pred), args_of) for pred, args_of in unit.heads]
+    pos = [(pred, table(pred), args_of) for pred, args_of in unit.pos if pred in outside]
+    checked = bool(mixed) and not mixed.isdisjoint([pred for pred, _, _ in pos])
+    seen = set() if checked or len(pos) < len(unit.pos) else None
+    pos_repeats = len(pos) > 1 and _may_repeat(pos)
+    append = out.append
+    if not unit.neg and len(heads) <= 1:
+        _, head_num, head_of = heads[0] if heads else (None, None, None)
+        for b in matches:
+            head = (head_num(head_of(b)),) if heads else ()
+            if head and head[0] < facts:  # numbering a fact numbers no new atom
+                continue
+            body = [n for _, num, args_of in pos if (n := num(args_of(b))) >= facts]
+            rule = GroundRule(head, tuple(dict.fromkeys(body) if pos_repeats else body))
+            if seen is not None:
+                if rule in seen:
+                    continue
+                seen.add(rule)
+            append(rule)
+        return
+    head_facts = [(num.__self__.get, args_of) for pred, num, args_of in heads if pred in mixed]
+    neg = [(pred, table(pred), args_of, pred not in outside) for pred, args_of in unit.neg]
+    head_repeats = len(heads) > 1 and _may_repeat(heads)
+    neg_repeats = len(neg) > 1 and _may_repeat(neg)
+    for b in matches:
+        dropped, negated = False, []
+        for pred, num, args_of, certain in neg:
+            args = args_of(b)  # evaluated even once dropped, for its errors
+            if (pred, args) in possible:
+                if certain:
+                    dropped = True
+                else:
+                    negated.append((num, args))
+        if dropped or head_facts and any(
+            get(args_of(b), facts) < facts for get, args_of in head_facts
+        ):
+            continue
+        head = [num(args_of(b)) for _, num, args_of in heads]
+        body = [n for _, num, args_of in pos if (n := num(args_of(b))) >= facts]
+        negs = [num(args) for num, args in negated]
+        rule = GroundRule(
+            tuple(dict.fromkeys(head) if head_repeats else head),
+            tuple(dict.fromkeys(body) if pos_repeats else body),
+            tuple(dict.fromkeys(negs) if neg_repeats else negs),
+        )
+        if seen is not None:
+            if rule in seen:
+                continue
+            seen.add(rule)
+        append(rule)
 
 
 def _fires(unit: _RulePlan, fact_keys: set, fact_preds: set, store: _Store, outside):
@@ -565,7 +649,7 @@ class _Numbering(dict):
 
 
 def _may_repeat(atoms) -> bool:  # only atoms of one predicate can coincide
-    return len({pred for pred, _ in atoms}) < len(atoms)
+    return len({a[0] for a in atoms}) < len(atoms)
 
 
 def _sort_by_binding(matches: list, values):
@@ -579,22 +663,25 @@ def _sort_by_binding(matches: list, values):
 
 
 def _outside(program: Program) -> set[str]:
-    """The predicates outside the deterministic fragment, which aggregate
-    conditions may not read. Inside are those defined by facts or by
-    normal, non-recursive, aggregate-free rules whose bodies stay inside and
-    negate only predicates that no rule heads (`Program.fact_only`): each
-    has one extension in every answer set. One pass in topological order."""
-    fact_only = program.fact_only()
+    """The predicates outside the deterministic fragment: aggregate
+    conditions may not read them, and emission takes the possibly-true
+    atoms of every other predicate as certain. Inside are those defined by
+    facts or by normal, non-recursive, aggregate-free rules whose bodies
+    stay inside and negate only predicates that no rule heads
+    (`Program.fact_only`): each has one extension in every answer set. One
+    pass in topological order."""
+    rules = program.rules
+    headed = {a.pred for r in rules for a in r.head}
     outside: set[str] = set()
     for members, recursive in program.components:
         for i in members:
-            r = program.rules[i]
+            r = rules[i]
             if (
                 recursive or len(r.head) != 1 or r.aggregates
-                or any(l.atom.pred in outside for l in r.pos_body)
-                or any(l.atom.pred not in fact_only for l in r.neg_body)
+                or not outside.isdisjoint([l.atom.pred for l in r.pos_body])
+                or not headed.isdisjoint([l.atom.pred for l in r.neg_body])
             ):
-                outside.update(a.pred for a in r.head)
+                outside.update([a.pred for a in r.head])
     return outside
 
 

@@ -161,14 +161,21 @@ def named_rules(gp: GroundProgram) -> set:
     return {(name(r.head), name(r.pos), name(r.neg)) for r in gp.rules}
 
 
-def derivable_rules(gp: GroundProgram, facts) -> set:
-    """`named_rules` of the naive grounding cut down the way the grounder
-    emits. An instance can fire unless one of its negated atoms is a fact
-    or is also one of its positive atoms. The possibly-true closure adds
-    the heads of the instances that can fire, once their positive body is
-    in it; only those instances are kept, each with the negated atoms
-    outside the closure dropped from its body."""
-    facts = set(facts)
+def derivable_rules(gp: GroundProgram, program: Program) -> set:
+    """`named_rules` of the naive grounding of `program` cut down the way
+    the grounder emits. An instance can fire unless one of its negated
+    atoms is a fact or is also one of its positive atoms. The
+    possibly-true closure adds the heads of the instances that can fire,
+    once their positive body is in it; only those instances are kept, each
+    with the negated atoms outside the closure dropped from its body.
+
+    Then the certain atoms are evaluated away: the facts, and the
+    closure's atoms of the predicates `fragment_predicates` finds in the
+    source program (computed here, not with the grounder's own analysis).
+    An instance of a rule heading such a predicate becomes the fact of its
+    head. Any other instance loses its certain positive atoms, and is
+    dropped if it negates a certain atom or its head holds one."""
+    facts = set(program.facts)
     fact_ids = {i for i, a in enumerate(gp.atoms) if a in facts}
     can_fire = [
         r for r in gp.rules if not fact_ids.intersection(r.neg) and not set(r.pos) & set(r.neg)
@@ -181,12 +188,60 @@ def derivable_rules(gp: GroundProgram, facts) -> set:
             if closure.issuperset(r.pos) and not closure.issuperset(r.head):
                 closure.update(r.head)
                 grown = True
-    kept = [
-        GroundRule(r.head, r.pos, tuple(i for i in r.neg if i in closure))
-        for r in can_fire
-        if closure.issuperset(r.pos)
-    ]
+    inside = fragment_predicates(program)
+    certain = fact_ids | {i for i in closure if gp.atoms[i].pred in inside}
+    kept = []
+    for r in can_fire:
+        if not closure.issuperset(r.pos):
+            continue
+        neg = tuple(i for i in r.neg if i in closure)
+        if len(r.head) == 1 and (gp.atoms[r.head[0]].pred in inside or r == GroundRule(r.head)):
+            kept.append(GroundRule(r.head))
+        elif not certain.intersection(r.head + neg):
+            kept.append(GroundRule(r.head, tuple(i for i in r.pos if i not in certain), neg))
     return named_rules(GroundProgram(gp.atoms, kept))
+
+
+def fragment_predicates(program: Program) -> set[str]:
+    """The predicates of the deterministic fragment, whose extension is the
+    same in every answer set: every rule heading one has a single head
+    atom, no aggregate, no positive body predicate that depends on its
+    head, a positive body over fragment predicates, and negates only
+    predicates that no rule heads. Predicates are struck off until every
+    rule heading one that is left qualifies."""
+    headed = {a.pred for r in program.rules for a in r.head}
+    feeds: dict[str, set[str]] = {}  # body predicate -> head predicates
+    for r in program.rules:
+        for lit in r.pos_body:
+            feeds.setdefault(lit.atom.pred, set()).update(a.pred for a in r.head)
+
+    def reaches(start: str, goal: set[str]) -> bool:
+        seen, stack = {start}, [start]
+        while stack:
+            pred = stack.pop()
+            if pred in goal:
+                return True
+            for nxt in feeds.get(pred, set()) - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return False
+
+    inside = {lit.atom.pred for r in program.rules for lit in (*r.pos_body, *r.neg_body)}
+    inside |= headed | {f.pred for f in program.facts}
+    changed = True
+    while changed:
+        changed = False
+        for r in program.rules:
+            body = {lit.atom.pred for lit in r.pos_body}
+            if any(a.pred in inside for a in r.head) and (
+                len(r.head) != 1 or r.aggregates
+                or not body <= inside
+                or any(lit.atom.pred in headed for lit in r.neg_body)
+                or reaches(r.head[0].pred, body)
+            ):
+                inside -= {a.pred for a in r.head}
+                changed = True
+    return inside
 
 
 def tiny_program(rng: random.Random, variable_free: bool = False) -> Program:
@@ -279,7 +334,7 @@ def test_variable_free_rules_agree_with_naive_cross_product():
         smart = ground(program).ground_program
         naive = ground_naive(program)
         assert named_answer_sets(smart) == named_answer_sets(naive)
-        assert named_rules(smart) == derivable_rules(naive, program.facts)
+        assert named_rules(smart) == derivable_rules(naive, program)
 
 
 ARITHMETIC_TEXTS = (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bigrule import oracle
-from bigrule.decompose import _Size, _join_estimate
+from bigrule.decompose import _Size, _join_estimate, decompose_program
 from bigrule.errors import (
     DivisionByZeroError,
     GroundingLimitError,
@@ -36,7 +36,7 @@ from bigrule.oracle import (
     solve_coloring,
 )
 from bigrule.parse import Qbf, make_graph, parse_program, parse_qdimacs, print_ground_program
-from bigrule.rewriters import AbductionInstance
+from bigrule.rewriters import AbductionInstance, threecol_single_rule
 from bigrule.syntax import (
     Aggregate,
     Arith,
@@ -58,6 +58,7 @@ from bigrule.syntax import (
 )
 
 from corpus import random_ground_program, random_overlapping_ground_program, random_qbf2
+from test_ground_golden import grid
 
 
 def gp_of(atom_names, rules):
@@ -83,10 +84,11 @@ def as_names(gp, sets):
 # ------------------------------------------------------------- grounding ---
 
 def test_ground_simple_rule_instances():
+    # p is inside the deterministic fragment: its instances become facts.
     program = parse_program("q(a). q(b).\np(X) :- q(X).")
     result = ground(program)
     texts = [result.ground_program.rule_str(r) for r in result.ground_program.rules]
-    assert "p(a) :- q(a)." in texts and "p(b) :- q(b)." in texts
+    assert texts == ["q(a).", "q(b).", "p(a).", "p(b)."]
     assert result.rule_count == 2
     assert set(result.source_rule_map.values()) == {0}
 
@@ -110,7 +112,7 @@ def test_ground_arithmetic_binding():
     program = parse_program("p(1). p(2).\nq(X) :- p(Y), X = Y+1.")
     result = ground(program)
     texts = {result.ground_program.rule_str(r) for r in result.ground_program.rules}
-    assert "q(2) :- p(1)." in texts and "q(3) :- p(2)." in texts
+    assert "q(2)." in texts and "q(3)." in texts
 
 
 def test_ground_division_truncates_toward_zero():
@@ -129,12 +131,22 @@ def large_body_text(n: int = 1500) -> str:
 
 
 def test_ground_large_body_runs_without_recursion():
+    # Every pK is a fact predicate, so h is inside the deterministic
+    # fragment and its one instance is emitted as the fact h(a).
     result = ground(parse_program(large_body_text()))
     gp = result.ground_program
     assert result.rule_count == 1
     (instance,) = [gp.rules[i] for i in result.source_rule_map]
-    assert gp.rule_str(instance).startswith("h(a) :- p0(a), p1(a),")
-    assert len(instance.pos) == 1500
+    assert gp.rule_str(instance) == "h(a)."
+    # Over a predicate that a disjunctive rule heads, the body stays whole.
+    n = 1500
+    text = "d(a).\n" + "".join(f"k({i}).\n" for i in range(n))
+    text += "p(X,K) | z :- d(X), k(K).\nh(X) :- " + ", ".join(f"p(X,{i})" for i in range(n)) + ".\n"
+    result = ground(parse_program(text))
+    gp = result.ground_program
+    (instance,) = [gp.rules[i] for i, src in result.source_rule_map.items() if src == 1]
+    assert gp.rule_str(instance).startswith("h(a) :- p(a,0), p(a,1),")
+    assert len(instance.pos) == n
 
 
 def test_ground_division_by_zero_is_an_error():
@@ -209,20 +221,24 @@ def test_ground_limit_names_rule_and_counts():
 
 
 def test_ground_negative_fact_literal_drops_instance():
-    program = parse_program("q(a). q(b). r(a).\np(X) :- q(X), not r(X).")
+    program = parse_program("q(a). q(b). r(a).\np(X) | s(X) :- q(X), not r(X).")
     result = ground(program)
     texts = {result.ground_program.rule_str(r) for r in result.ground_program.rules}
-    assert "p(b) :- q(b)." in texts  # vacuous literal removed
+    assert "p(b) | s(b)." in texts  # fact q(b) and vacuous literal removed
     assert not any(t.startswith("p(a)") for t in texts)
 
 
 def test_ground_emission_dedup_and_atom_order():
-    # At e(a,a) the head, the positive body and the negative body each
-    # repeat an atom. At e(a,b) the instance of z is dropped by the negated
-    # fact f(b), so neither z(b) nor g(b) may be numbered there: g(b) is
-    # first used by the last rule.
+    # e is headed by a disjunctive rule, so it stays outside the
+    # deterministic fragment, and so do the rules that read it. At e(a,a)
+    # the head, the positive body and the negative body each repeat an
+    # atom. At e(a,b) the instance of z is dropped by the negated fact
+    # f(b), so neither z(b) nor g(b) may be numbered there: g(b) is first
+    # used by the last rule. The facts d(a,a) and d(a,b) leave the first
+    # rule's body.
     program = parse_program(
-        "e(a,a). e(a,b). f(b).\n"
+        "d(a,a). d(a,b). f(b).\n"
+        "e(X,Y) | x :- d(X,Y).\n"
         "p(X) | p(Y) :- e(X,Y).\n"
         "r(X) :- e(X,Y), e(Y,X), e(X,X).\n"
         "n(X) :- e(X,Y), not p(X), not p(Y).\n"
@@ -232,9 +248,11 @@ def test_ground_emission_dedup_and_atom_order():
     result = ground(program)
     gp = result.ground_program
     assert print_ground_program(gp) == (
-        "e(a,a).\n"
-        "e(a,b).\n"
+        "d(a,a).\n"
+        "d(a,b).\n"
         "f(b).\n"
+        "e(a,a) | x.\n"
+        "e(a,b) | x.\n"
         "p(a) :- e(a,a).\n"
         "p(a) | p(b) :- e(a,b).\n"
         "r(a) :- e(a,a).\n"
@@ -245,9 +263,12 @@ def test_ground_emission_dedup_and_atom_order():
         "g(b) :- e(a,b).\n"
     )
     assert [str(a) for a in gp.atoms] == [
-        "e(a,a)", "e(a,b)", "f(b)", "p(a)", "p(b)", "r(a)", "n(a)", "z(a)", "g(a)", "g(b)",
+        "d(a,a)", "d(a,b)", "f(b)", "e(a,a)", "x", "e(a,b)",
+        "p(a)", "p(b)", "r(a)", "n(a)", "z(a)", "g(a)", "g(b)",
     ]
-    assert result.source_rule_map == {3: 0, 4: 0, 5: 1, 6: 2, 7: 2, 8: 3, 9: 4, 10: 4}
+    assert result.source_rule_map == {
+        3: 0, 4: 0, 5: 1, 6: 1, 7: 2, 8: 3, 9: 3, 10: 4, 11: 5, 12: 5,
+    }
 
 
 def test_ground_atom_order_interleaves_predicates():
@@ -256,7 +277,9 @@ def test_ground_atom_order_interleaves_predicates():
     # its negated atom p(2) being a fact, so it derives no q(2) and the
     # last rule has no instance at X=2. Numbering all p atoms before all q
     # atoms, or in any order other than first use across predicates,
-    # changes the table.
+    # changes the table. Both predicates are outside the deterministic
+    # fragment (q negates p, which a rule heads), so only the fact p(2)
+    # leaves a body.
     program = parse_program(
         "p(1). q(1). p(2).\n"
         "q(Y) :- p(X), Y = X+1, Y < 4, not p(Y).\n"
@@ -269,7 +292,7 @@ def test_ground_atom_order_interleaves_predicates():
         "p(1).\n"
         "q(1).\n"
         "p(2).\n"
-        "q(3) :- p(2), not p(3).\n"
+        "q(3) :- not p(3).\n"
         "p(3) :- q(3).\n"
     )
     assert result.source_rule_map == {3: 0, 4: 1}
@@ -286,14 +309,84 @@ def test_ground_deterministic_order():
 
 def test_ground_sorts_integer_and_symbol_bindings_apart():
     # X takes integers and symbols, which plain tuple order cannot compare;
-    # the instances come integers first, then symbols.
+    # the instances come integers first, then symbols, here as facts.
     gp = ground(parse_program("p(1). p(a). p(2). p(b).\nq(X) :- p(X).")).ground_program
-    assert print_ground_program(gp).splitlines()[4:] == [
-        "q(1) :- p(1).",
-        "q(2) :- p(2).",
-        "q(a) :- p(a).",
-        "q(b) :- p(b).",
-    ]
+    assert print_ground_program(gp).splitlines()[4:] == ["q(1).", "q(2).", "q(a).", "q(b)."]
+
+
+def ground_text(text: str) -> str:
+    return print_ground_program(ground(parse_program(text)).ground_program)
+
+
+def test_ground_certain_rule_emits_each_new_head_atom_once_as_a_fact():
+    # p is inside the deterministic fragment: p(a) has two matches, p(c)
+    # is a fact already, and the second rule adds only p(d).
+    result = ground(parse_program(
+        "e(a,b). e(a,c). e(b,c). p(c). f(d).\np(X) :- e(X,Y).\np(X) :- e(X,b).\np(X) :- f(X).\n"
+    ))
+    assert print_ground_program(result.ground_program) == (
+        "e(a,b).\ne(a,c).\ne(b,c).\np(c).\nf(d).\np(a).\np(b).\np(d).\n"
+    )
+    assert result.source_rule_map == {5: 0, 6: 0, 7: 2}
+
+
+def test_ground_facts_and_certain_atoms_leave_disjunctive_bodies():
+    assert ground_text("d(1).\np(X) | q(X) :- d(X).") == "d(1).\np(1) | q(1).\n"
+    assert ground_text("d(1).\nc(X) :- d(X).\np(X) | q(X) :- c(X), d(X).") == (
+        "d(1).\nc(1).\np(1) | q(1).\n"
+    )
+
+
+def test_ground_drops_an_instance_that_negates_a_certain_atom():
+    # c(1) is derived inside the fragment, so `not c(1)` never holds; c(2)
+    # is never derived, so `not c(2)` always holds and leaves the body.
+    assert ground_text("d(1). d(2).\nc(X) :- d(X), X < 2.\np(X) | q(X) :- d(X), not c(X).") == (
+        "d(1).\nd(2).\nc(1).\np(2) | q(2).\n"
+    )
+
+
+def test_ground_drops_an_instance_whose_head_holds_a_fact():
+    # p has facts and is headed by a disjunctive rule: only its facts are
+    # certain, in a head and in a body alike.
+    assert ground_text(
+        "d(1). d(2). e(1). e(3). p(1).\np(X) | q(X) :- d(X).\np(X) :- e(X).\nr(X) :- p(X).\n"
+    ) == (
+        "d(1).\nd(2).\ne(1).\ne(3).\np(1).\np(2) | q(2).\np(3).\n"
+        "r(1).\nr(2) :- p(2).\nr(3) :- p(3).\n"
+    )
+
+
+def test_ground_constraint_over_certain_atoms_is_one_empty_rule():
+    result = ground(parse_program("d(1). d(2).\nc(X) :- d(X).\n:- c(X), d(Y)."))
+    gp = result.ground_program
+    assert print_ground_program(gp) == "d(1).\nd(2).\nc(1).\nc(2).\n:- .\n"
+    assert result.rule_count == 3
+    assert not has_answer_set(gp)
+
+
+def _decomposed_coloring(graph):
+    program, _ = decompose_program(threecol_single_rule(graph))
+    result = ground(program)
+    gp = result.ground_program
+    return gp, [r for r in gp.rules if r.pos or r.neg or len(r.head) != 1]
+
+
+def test_ground_decomposed_colourable_grid_is_facts_and_one_empty_rule():
+    # Every temp predicate is inside the fragment, and the constraint reads
+    # only them: it has a match, since the grid is 3-colourable.
+    gp, rules = _decomposed_coloring(grid(3, 4))
+    assert rules == [GroundRule((), (), ())]
+    assert not has_answer_set(gp, max_atoms=len(gp.atoms))
+
+
+def test_ground_decomposed_strip_with_a_k4_is_facts_only():
+    # The K4 leaves the constraint without a match, so no rule is left.
+    k4 = ("v0_0", "v0_1", "v1_0", "v1_1")
+    edges = [(u, w) for i, u in enumerate(k4) for w in k4[i + 1:]]
+    graph = make_graph([*grid(3, 4).edges, *edges])
+    gp, rules = _decomposed_coloring(graph)
+    assert rules == [] and len(gp.rules) == len(gp.atoms)
+    assert has_answer_set(gp, max_atoms=len(gp.atoms))
 
 
 # ------------------------------------------------------------ answer sets --
