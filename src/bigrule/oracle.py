@@ -47,18 +47,21 @@ false. Every upper bound is one Horn closure: a single forward sweep when
 each rule comes after all rules heading its positive body atoms (the usual
 shape of decomposed programs), otherwise sweeps until nothing changes; it is
 computed again only when a round could shrink it. The root, before the first
-decision, propagates forward only: the search counts the atoms it made true
-as supported by the rules it settles, which holds only for atoms the forward
-step derives. The search covers only the rules the root leaves open,
-starting every closure from the atoms the root made true. Propagation
-leaves each leaf a supported model (see `_propagate`), so a leaf is checked
-only for subset-minimality against the reduct. Propagation prunes only
-branches without answer sets, so answer sets come out in lexicographic order
-of the decision atoms, true first. The decision search and the minimality
-search run depth first on explicit stacks, so search depth is not limited by
-recursion depth. A literal subset-enumeration variant is kept for
-cross-checking; both return exactly the answer sets of the textbook reduct
-semantics.
+decision, starts from the facts (heads of body-less rules with one head
+atom) as one mask, with no rule mask or sweep of their own: the bottom of
+any split of the program (Lifschitz & Turner), they hold in every answer
+set, and clasp too settles them before its search. From there it propagates
+forward only: the search counts the atoms it made true as supported by the
+rules it settles, which holds only for atoms the forward step derives. The
+search covers only the rules the root leaves open, starting every closure
+from the atoms the root made true. Propagation leaves each leaf a supported
+model (see `_propagate`), so a leaf is checked only for subset-minimality
+against the reduct. Propagation prunes only branches without answer sets, so
+answer sets come out in lexicographic order of the decision atoms, true
+first. The decision search and the minimality search run depth first on
+explicit stacks, so search depth is not limited by recursion depth. A
+literal subset-enumeration variant is kept for cross-checking; both return
+exactly the answer sets of the textbook reduct semantics.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def _compare(op: str, left, right) -> bool:
 
 def _atom_raw(a: Atom) -> tuple:
     """The key of a ground atom, its arithmetic arguments evaluated."""
-    return (a.pred, tuple(eval_term(arg, {}) for arg in a.args))
+    return (a.pred, tuple([arg.name if type(arg) is Constant else arg.value if type(arg) is Integer
+                           else eval_term(arg, {}) for arg in a.args]))
 
 
 def _no_key(_) -> tuple:
@@ -740,17 +744,24 @@ def _aggregate_value(func: str, tuples: set[tuple]):
 # ------------------------------------------------------------- answer sets --
 
 def _rule_masks(gp: GroundProgram):
+    """(facts, masks): the heads of the rules with one head atom and an
+    empty body as one bitmask, and the (head, pos, neg) bitmasks of every
+    other rule in program order."""
+    facts = bytearray(len(gp.atoms) // 8 + 1)
     masks = []
-    for r in gp.rules:
+    for head, pos, neg in gp.rules:
+        if len(head) == 1 and not pos and not neg:
+            facts[head[0] >> 3] |= 1 << (head[0] & 7)
+            continue
         h = p = g = 0
-        for i in r.head:
+        for i in head:
             h |= 1 << i
-        for i in r.pos:
+        for i in pos:
             p |= 1 << i
-        for i in r.neg:
+        for i in neg:
             g |= 1 << i
         masks.append((h, p, g))
-    return masks
+    return int.from_bytes(facts, "little"), masks
 
 
 def _is_model(mask_rules, m: int) -> bool:
@@ -913,20 +924,24 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
         close = f != f_in or t & ~t_in & negs
 
 
-def _root_residual(mask_rules, ordered: bool, universe: int):
-    """Propagate once at the root, with no decision made and forward only.
+def _root_residual(facts: int, mask_rules, ordered: bool, universe: int):
+    """Propagate once at the root, with no decision made and forward only,
+    seeded with the facts as one mask (`_rule_masks`): a fact's rule always
+    fires and its head is never false, so starting from them reaches the
+    fixpoint that deriving them reaches, with no mask or sweep per fact.
     None on a conflict, else (t0, f0, rest): the root assignment and, in
-    their order, the rules it leaves open. A rule is dropped when its body
-    can never hold (a positive atom in f0, a negative one in t0, an atom in
-    both) or when all its atoms are assigned, so that its body holds and a
-    head atom is in t0. Each atom of t0 is the only true head atom, at every
-    leaf, of the rule that derived it, which is dropped: t0 is supported.
-    That holds only for atoms the forward step derives, which is why the
-    backward and support steps wait for the search."""
+    their order, the rules of `mask_rules` it leaves open. A rule is dropped
+    when its body can never hold (a positive atom in f0, a negative one in
+    t0, an atom in both) or when all its atoms are assigned, so that its
+    body holds and a head atom is in t0. Each atom of t0 is the only true
+    head atom, at every leaf, of the fact or rule that derived it, which is
+    dropped: t0 is supported. That holds only for atoms the forward step
+    derives, which is why the backward and support steps wait for the
+    search."""
     negs = 0
     for _, _, g in mask_rules:
         negs |= g
-    root = _propagate(mask_rules, ordered, universe, 0, 0, 0, negs, _search=False)
+    root = _propagate(mask_rules, ordered, universe, facts, facts, 0, negs, _search=False)
     if root is None:
         return None
     t0, f0 = root
@@ -940,10 +955,10 @@ def _root_residual(mask_rules, ordered: bool, universe: int):
 
 
 def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
-    mask_rules = _rule_masks(gp)
+    facts, mask_rules = _rule_masks(gp)
     ordered = _is_ordered(mask_rules)
     universe = (1 << len(gp.atoms)) - 1
-    root = _root_residual(mask_rules, ordered, universe)
+    root = _root_residual(facts, mask_rules, ordered, universe)
     if root is None:
         return []
     # Every atom of t0 is derived without a decision, so it stays in every
@@ -1010,7 +1025,8 @@ def answer_sets_naive(gp: GroundProgram, max_atoms: int = 14) -> set[Interpretat
     n = len(gp.atoms)
     if n > max_atoms:
         raise TooManyAtomsError(f"{n} atoms exceeds cap {max_atoms}")
-    mask_rules = _rule_masks(gp)
+    # Masks made here, apart from `_rule_masks`, so that they check it too.
+    mask_rules = [tuple(sum(1 << i for i in set(part)) for part in r) for r in gp.rules]
     out: set[Interpretation] = set()
     for size in range(n + 1):
         for combo in combinations(range(n), size):
@@ -1043,13 +1059,9 @@ def _positive_model(red, m: int) -> bool:
     return True
 
 
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+def _bits(mask: int) -> list[int]:
+    """The indices of mask's set bits, ascending, in one pass."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 # -------------------------------------------------------------- eval_qbf ---

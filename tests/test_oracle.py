@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -46,6 +47,7 @@ from bigrule.syntax import (
     GroundProgram,
     GroundRule,
     Integer,
+    Interpretation,
     Literal,
     Rule,
     Variable,
@@ -431,11 +433,11 @@ def test_answer_sets_agree_with_naive_on_corpus():
         naive = answer_sets_naive(gp)
         for rules in (gp.rules, gp.rules[::-1]):
             program = GroundProgram(gp.atoms, rules)
-            masks = _rule_masks(program)
+            facts, masks = _rule_masks(program)
             in_order = _is_ordered(masks)
             ordered[in_order] += 1
-            root = _root_residual(masks, in_order, (1 << len(gp.atoms)) - 1)
-            partial += root is not None and 0 < len(root[2]) < len(masks)
+            root = _root_residual(facts, masks, in_order, (1 << len(gp.atoms)) - 1)
+            partial += root is not None and 0 < len(root[2]) < len(rules)
             assert answer_sets(program, max_atoms=10) == naive
     assert ordered[True] >= 100 and ordered[False] >= 100
     assert partial >= 80
@@ -523,8 +525,10 @@ def test_rules_fixed_at_the_root_keep_their_support():
             (("d",), (), ("a",)),
         ],
     )
-    masks = _rule_masks(gp)
-    assert _root_residual(masks, True, 0b1111) == (0b0011, 0, [masks[2]])
+    facts, masks = _rule_masks(gp)
+    assert facts == 0b0001
+    assert masks == [(0b0010, 0b0001, 0), (0b1100, 0b0010, 0), (0b1000, 0, 0b0001)]
+    assert _root_residual(facts, masks, True, 0b1111) == (0b0011, 0, [masks[1]])
     expected = [["a", "b", "c"], ["a", "b", "d"]]
     assert as_names(gp, answer_sets(gp)) == expected
     assert as_names(gp, answer_sets_naive(gp)) == expected
@@ -534,8 +538,9 @@ def test_contradictory_body_makes_nothing_false():
     # `:- a, not a.` can never fire. Read as one undecided body literal, it
     # made a false by the backward step, losing {a}; the root drops it.
     gp = gp_of(["a", "b"], [(("a", "b"), (), ()), ((), ("a",), ("a",))])
-    masks = _rule_masks(gp)
-    assert _root_residual(masks, True, 0b11) == (0, 0, [masks[0]])
+    facts, masks = _rule_masks(gp)
+    assert facts == 0 and masks == [(0b11, 0, 0), (0, 0b01, 0b01)]
+    assert _root_residual(facts, masks, True, 0b11) == (0, 0, [masks[0]])
     assert as_names(gp, answer_sets(gp)) == [["a"], ["b"]]
     assert as_names(gp, answer_sets_naive(gp)) == [["a"], ["b"]]
 
@@ -559,8 +564,67 @@ def test_answer_sets_agree_with_naive_when_rule_parts_share_atoms():
         assert answer_sets(gp) == naive
         assert has_answer_set(gp) == bool(naive)
         shared += any(set(r.pos) & set(r.neg) for r in gp.rules)
-        ordered += _is_ordered(_rule_masks(gp))
+        ordered += _is_ordered(_rule_masks(gp)[1])
     assert shared > 1000 and 200 < ordered < 1800
+
+
+def test_facts_seed_the_root_like_any_rule():
+    # Facts, and sometimes `:- .`, dropped anywhere into programs whose
+    # atoms overlap freely: seeding the root with the facts as one mask must
+    # give the answer sets, and their order, of deriving them. Many of the
+    # facts also sit in a negative body or a disjunctive head, where the
+    # search would otherwise decide them.
+    rng = random.Random(25)
+    overlapping = 0
+    for _ in range(1000):
+        gp = random_overlapping_ground_program(rng)
+        rules = list(gp.rules)
+        added = [GroundRule((rng.randrange(len(gp.atoms)),)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            added.append(GroundRule())
+        for rule in added:
+            rules.insert(rng.randint(0, len(rules)), rule)
+        program = GroundProgram(gp.atoms, rules)
+        facts = {r.head[0] for r in rules if len(r.head) == 1 and not r.pos and not r.neg}
+        decisions = sorted(
+            {i for r in rules for i in r.neg} | {i for r in rules if len(r.head) > 1 for i in r.head}
+        )
+        overlapping += bool(facts & set(decisions))
+        naive = answer_sets_naive(program)
+        expected = sorted(
+            (sum(1 << i for i in s.true_atoms) for s in naive),
+            key=lambda m: [not m >> i & 1 for i in decisions],
+        )
+        assert answer_sets(program) == naive
+        assert has_answer_set(program) == bool(naive)
+        assert _enumerate_answer_sets(program, True) == expected[:1]
+        assert _enumerate_answer_sets(program, False) == expected
+    assert overlapping >= 500
+
+
+def test_sixty_thousand_facts_solve_in_linear_time_and_space():
+    # The decomposed 3x1200 colouring strip grounds to about 57,500 facts
+    # and `:- .`. A bitmask and a sweep per fact took seconds and over
+    # 200 MB on these programs; the facts seed the root as one mask instead.
+    n = 60_000
+    atoms = tuple(Atom("v", (Integer(i),)) for i in range(n))
+    facts = [GroundRule((i,)) for i in range(n)]
+    inconsistent = GroundProgram(atoms, [*facts, GroundRule()])
+    consistent = GroundProgram(atoms, facts)
+    for solve, expected in (
+        (lambda: has_answer_set(inconsistent, max_atoms=n), False),
+        (lambda: answer_sets(consistent, max_atoms=n), {Interpretation(frozenset(range(n)))}),
+    ):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            found = solve()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == expected
+        assert elapsed < 2.0 and peak < 40_000_000
 
 
 def test_answer_sets_need_a_unique_true_head():
@@ -606,7 +670,7 @@ def test_minimal_below_deep_branching_runs_without_recursion():
     k = 1200
     names = [x for i in range(k) for x in (f"a{i}", f"b{i}")]
     gp = gp_of(names, [((f"a{i}", f"b{i}"), (), ()) for i in range(k)])
-    masks = _rule_masks(gp)
+    _, masks = _rule_masks(gp)
     assert _minimal_below(masks, (1 << 2 * k) - 1, _is_ordered(masks)) is False
 
 
