@@ -3,36 +3,35 @@ answer-set enumerator, and brute-force QBF / coloring / abduction solvers.
 
 The grounder compiles each rule once into a static join plan: the order of
 its body atoms, with each comparison, binding equation and deferred
-arithmetic argument placed where its variables are first bound. Plans
-probe hash indexes on the bound argument positions, built at compile time
-and kept current as atoms arrive, test an atom whose arguments are all
-bound when they reach it for membership instead (a variable-free rule
-probes nothing), and run on an explicit stack, so body length is not
-limited by recursion depth. The possibly-true closure visits the
-program's components (`Program.components`) in topological order: a
-non-recursive component is joined once, a recursive one until it adds
-nothing. Where a match is joined, the closure drops it if its instance can
-never fire (`_fires`). The rest add their heads and are recorded, and
-emission reads the records once the closure is complete. Emission evaluates
-the deterministic fragment away (`_outside`): facts and the normal,
-non-recursive rules over them have one answer set, which is part of every
-answer set of the program (Lifschitz & Turner, "Splitting a logic
-program", ICLP 1994), so its atoms may stand as facts. A fact, or a
-possibly-true atom of a fragment predicate, is certain. A rule heading a
-fragment predicate emits each new head atom of its matches once, as a
-fact. Every other rule leaves certain atoms out of its positive body, drops
-an instance that negates a certain atom or whose head holds one, and emits
-each distinct simplified rule once, so a constraint over certain atoms
-alone becomes one `:- .`. Which body positions hold certain atoms is
-decided per rule, before its matches are read. Atoms are numbered in order
-of first use: facts, then rule by rule the instances sorted by binding,
-each with its head, positive and negative atoms in turn. One table per
-predicate maps argument tuples to numbers, all counting in that one order;
-as each atom is numbered once, the output `GroundProgram` skips its
-checks. Each aggregate is compiled with its rule into a test on the same
-plans over the same closure, whose component order completes its condition
-before the rule is joined, so the test decides each reading of the rule
-variables it reads once.
+arithmetic argument placed where its variables are first bound. Plans probe
+hash indexes on the bound argument positions, built at compile time and
+kept current as atoms arrive, test an atom whose arguments are all bound
+when they reach it for membership instead (a variable-free rule probes
+nothing), and run on an explicit stack, so body length is not limited by
+recursion depth. The possibly-true closure visits the program's components
+(`Program.components`) in topological order, those of the deterministic
+fragment (`_outside`) first: a non-recursive component is joined once, a
+recursive one until it adds nothing. Facts and the normal, non-recursive
+rules over them, the fragment, have one answer set, which is part of every
+answer set of the program (Lifschitz & Turner, "Splitting a logic program",
+ICLP 1994), so its atoms may stand as facts: a fact, or a possibly-true
+atom of a fragment predicate, is certain. Where a match is joined, and only
+there, the closure drops it if its instance can never fire (`_fires`). The
+rest add their heads and are recorded, and emission reads the records once
+the closure is complete. Emission only leaves atoms out: a rule heading a
+fragment predicate emits each new head atom of its matches once, as a fact;
+every other rule leaves out its certain positive atoms and the negated
+atoms that are not possibly true, and emits each distinct simplified rule
+once, so a constraint over certain atoms alone becomes one `:- .`. Which
+body positions hold certain atoms is decided per rule, before its matches
+are read. Atoms are numbered in order of first use: facts, then rule by
+rule the instances sorted by binding, each with its head, positive and
+negative atoms in turn. One table per predicate maps argument tuples to
+numbers, all counting in that one order; as each atom is numbered once, the
+output `GroundProgram` skips its checks. Each aggregate is compiled with
+its rule into a test on the same plans over the same closure, whose
+component order completes its condition before the rule is joined, so the
+test decides each reading of the rule variables it reads once.
 
 The enumerator decides truth only for atoms that can actually vary (atoms
 in negative bodies or disjunctive heads). Rules, truth assignments and atom
@@ -401,11 +400,11 @@ def _closure(units, schedule, store: _Store, keep, limit: int, spent: int) -> li
     """Join every rule against the store and add the heads of its matches
     that `keep[i]`, unit i's test (None: all pass), lets fire, group by
     group of `schedule`, a topological order of (unit indices, recursive)
-    groups such as `Program.components`. A non-recursive group is joined
-    once; a recursive one is joined until its round adds no atom, and its
-    last round's matches are the complete ones. Returns each rule's matches
-    that fire. `spent` plus the matches so far, and the atoms, may not
-    exceed `limit`."""
+    groups such as `Program.components`; a match the test rejects adds no
+    head. A non-recursive group is joined once; a recursive one is joined
+    until its round adds no atom, and its last round's matches are the
+    complete ones. Returns each rule's matches that fire. `spent` plus the
+    matches so far, and the atoms, may not exceed `limit`."""
     records: list[list] = [[] for _ in units]
     for members, recursive in schedule:
         before = spent
@@ -461,16 +460,17 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     """Instantiate rule variables by joining positive bodies against the
     possibly-true closure. Each rule is compiled once into a join plan that
     probes hash indexes on the bound argument positions. The closure visits
-    the components of `Program.components` in topological order and
-    records every match that can fire; emission then reads those records,
-    sorted by binding within each rule. Arithmetic atoms are evaluated
-    away, aggregates are expanded under the deterministic-fragment
-    semantics over the same closure, and instances whose positive body can
-    never be derived, or whose body can never hold (`_fires`), are omitted.
-    The deterministic fragment is evaluated to facts: its rules emit their
-    new head atoms as facts, and every other rule is simplified by the
-    certain atoms, the facts and the possibly-true atoms of fragment
-    predicates (`_emit_rules`). Facts plus join matches may not exceed
+    the components of `Program.components` in topological order, the
+    deterministic fragment's first, and records every match that can fire;
+    emission then reads those records, sorted by binding within each rule.
+    Arithmetic atoms are evaluated away, aggregates are expanded under the
+    deterministic-fragment semantics over the same closure, and instances
+    whose positive body can never be derived, or that can never fire
+    (`_fires`), are omitted. The deterministic fragment is evaluated to
+    facts: its rules emit their new head atoms as facts, and every other
+    rule leaves out the certain atoms, the facts and the possibly-true
+    atoms of fragment predicates, and the negated atoms that are not
+    possibly true (`_emit_rules`). Facts plus join matches may not exceed
     `max_ground_rules`, nor may the atoms of the closure. Every rule binds
     all its variables, since `Program` admits only safe rules."""
     store = _Store()
@@ -486,10 +486,15 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     units = [_RulePlan(r, i, store) for i, r in enumerate(program.rules)]
     outside = _outside(program)
     fact_keys = set(fact_order)
-    fact_preds = {pred for pred, _ in fact_order}
-    keep = [_fires(unit, fact_keys, fact_preds, store, outside) for unit in units]
-    records = _closure(units, program.components, store, keep, max_ground_rules, len(fact_order))
-    mixed = outside & fact_preds  # their facts are certain, their other atoms not
+    mixed = outside & {pred for pred, _ in fact_order}  # facts certain, other atoms not
+    keep = [_fires(unit, fact_keys, mixed, store, outside) for unit in units]
+    # A fragment rule has one head atom, of a predicate inside, and is alone
+    # in its group. It reads only fragment and fact-only predicates, so
+    # joining these groups first keeps the order topological and completes
+    # the fragment before any rule that negates it is joined.
+    fragment = [len(r.head) == 1 and r.head[0].pred not in outside for r in program.rules]
+    schedule = sorted(program.components, key=lambda group: not fragment[group[0][0]])
+    records = _closure(units, schedule, store, keep, max_ground_rules, len(fact_order))
 
     # Emission, rule by rule in program order, each rule's matches sorted by
     # binding; a rule heading a fragment predicate emits facts.
@@ -510,7 +515,7 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
         _sort_by_binding(matches, unit.values)
         first = len(ground_rules)
         try:
-            if len(unit.heads) == 1 and unit.heads[0][0] not in outside:
+            if fragment[src_index]:
                 _emit_facts(unit, matches, table, ground_rules)
             else:
                 _emit_rules(unit, matches, table, outside, mixed, len(fact_order), store.keys,
@@ -530,15 +535,11 @@ def _emit_facts(unit: _RulePlan, matches, table, out: list) -> None:
     """A rule of the deterministic fragment: each head atom of its matches
     that is not numbered yet, once, as a fact. Only facts and such rules
     number atoms of a fragment predicate, so a numbered one is already a
-    fact. The negated atoms' arguments are still evaluated, so that one
-    outside the 64-bit range raises as it would in an emitted rule."""
+    fact."""
     ((pred, head_of),) = unit.heads
     number, append = table(pred), out.append
     numbered = number.__self__
-    negated = [args_of for _, args_of in unit.neg]
     for b in matches:
-        for args_of in negated:
-            args_of(b)
         args = head_of(b)
         if args not in numbered:
             append(GroundRule((number(args),)))
@@ -547,30 +548,28 @@ def _emit_facts(unit: _RulePlan, matches, table, out: list) -> None:
 def _emit_rules(unit: _RulePlan, matches, table, outside: set, mixed: set, facts: int,
                 possible: set, out: list) -> None:
     """A rule outside the deterministic fragment, simplified by the certain
-    atoms: the facts, and the possibly-true atoms (`possible`) of fragment
-    predicates. They leave the positive body, and an instance that negates
-    one or whose head holds one is dropped. A negated atom that is not
-    possibly true leaves the body too. A body position of a fragment
-    predicate is left out once per rule. At any other position only a fact
-    can be certain, and only one of a `mixed` predicate, outside but with
-    facts, can be a fact: facts are numbered first, so the number an atom
-    gets there, below `facts` or not, tells. Instances that lose body atoms
-    can coincide, so each distinct rule is then emitted once. A list of
-    atoms can repeat one only if two of them share a predicate."""
-    # `_outside` puts every head predicate of this rule there, so only a
-    # fact can be a certain head atom.
+    atoms: the facts, and the possibly-true atoms of fragment predicates.
+    `_fires` has dropped each match that negates one or whose head holds
+    one, so here they only leave the positive body, and a negated atom
+    stays only if it is possibly true (`possible`), which only one of a
+    predicate outside can be. A body position of a fragment predicate is
+    left out once per rule. At any other position only a fact can be
+    certain, and only one of a `mixed` predicate, outside but with facts,
+    can be a fact: facts are numbered first, so the number an atom gets
+    there, below `facts` or not, tells. Instances that lose body atoms can
+    coincide, so each distinct rule is then emitted once. A list of atoms
+    can repeat one only if two of them share a predicate."""
     heads = [(pred, table(pred), args_of) for pred, args_of in unit.heads]
     pos = [(pred, table(pred), args_of) for pred, args_of in unit.pos if pred in outside]
+    neg = [(pred, table(pred), args_of) for pred, args_of in unit.neg if pred in outside]
     checked = bool(mixed) and not mixed.isdisjoint([pred for pred, _, _ in pos])
     seen = set() if checked or len(pos) < len(unit.pos) else None
     pos_repeats = len(pos) > 1 and _may_repeat(pos)
     append = out.append
-    if not unit.neg and len(heads) <= 1:
+    if not neg and len(heads) <= 1:
         _, head_num, head_of = heads[0] if heads else (None, None, None)
         for b in matches:
             head = (head_num(head_of(b)),) if heads else ()
-            if head and head[0] < facts:  # numbering a fact numbers no new atom
-                continue
             body = [n for _, num, args_of in pos if (n := num(args_of(b))) >= facts]
             rule = GroundRule(head, tuple(dict.fromkeys(body) if pos_repeats else body))
             if seen is not None:
@@ -579,26 +578,12 @@ def _emit_rules(unit: _RulePlan, matches, table, outside: set, mixed: set, facts
                 seen.add(rule)
             append(rule)
         return
-    head_facts = [(num.__self__.get, args_of) for pred, num, args_of in heads if pred in mixed]
-    neg = [(pred, table(pred), args_of, pred not in outside) for pred, args_of in unit.neg]
     head_repeats = len(heads) > 1 and _may_repeat(heads)
     neg_repeats = len(neg) > 1 and _may_repeat(neg)
     for b in matches:
-        dropped, negated = False, []
-        for pred, num, args_of, certain in neg:
-            args = args_of(b)  # evaluated even once dropped, for its errors
-            if (pred, args) in possible:
-                if certain:
-                    dropped = True
-                else:
-                    negated.append((num, args))
-        if dropped or head_facts and any(
-            get(args_of(b), facts) < facts for get, args_of in head_facts
-        ):
-            continue
         head = [num(args_of(b)) for _, num, args_of in heads]
         body = [n for _, num, args_of in pos if (n := num(args_of(b))) >= facts]
-        negs = [num(args) for num, args in negated]
+        negs = [num(args) for pred, num, args_of in neg if (pred, (args := args_of(b))) in possible]
         rule = GroundRule(
             tuple(dict.fromkeys(head) if head_repeats else head),
             tuple(dict.fromkeys(body) if pos_repeats else body),
@@ -611,27 +596,37 @@ def _emit_rules(unit: _RulePlan, matches, table, outside: set, mixed: set, facts
         append(rule)
 
 
-def _fires(unit: _RulePlan, fact_keys: set, fact_preds: set, store: _Store, outside):
+def _fires(unit: _RulePlan, fact_keys: set, mixed: set, store: _Store, outside: set):
     """The test whether a match of `unit` can ever fire, or None if every
-    match can. A match cannot fire if one of its negated atoms is a fact or
-    is also one of its positive atoms, or if one of its aggregates fails
-    (`_aggregate_test`, with `outside` the program's `_outside`)."""
-    checks = []
+    match can; no other code drops a match. A match cannot fire if a
+    negated atom is certain or one of its positive atoms, if a head atom of
+    a `mixed` predicate (outside, with facts) is a fact, or if an aggregate
+    fails (`_aggregate_test`, with `outside` the program's `_outside`). A
+    negated atom of a predicate outside can be certain only as a fact; one
+    inside is certain if it is in the store, which `ground`, joining the
+    fragment first, fills before any rule that negates it."""
+    checks = []  # (pred, args_of, certain atoms, positive atoms of pred)
     for pred, args_of in unit.neg:
         same = [pos_of for pos_pred, pos_of in unit.pos if pos_pred == pred]
-        if pred in fact_preds or same:
-            checks.append((pred, args_of, same))
+        if pred not in outside:
+            checks.append((pred, args_of, store.keys, same))
+        elif pred in mixed or same:
+            checks.append((pred, args_of, fact_keys, same))
+    checks += [(pred, args_of, fact_keys, ()) for pred, args_of in unit.heads if pred in mixed]
     aggregates = unit.rule.aggregates
     tests = [_aggregate_test(agg, unit.plan.slots, store, outside) for agg in aggregates]
     if not checks and not tests:
         return None
 
     def fires(b: tuple) -> bool:
-        for pred, args_of, same in checks:
+        for pred, args_of, certain, same in checks:
             args = args_of(b)
-            if (pred, args) in fact_keys or any(args == pos_of(b) for pos_of in same):
+            if (pred, args) in certain or any(args == pos_of(b) for pos_of in same):
                 return False
-        return all(test(b) for test in tests)
+        for test in tests:
+            if not test(b):
+                return False
+        return True
 
     return fires
 

@@ -13,6 +13,7 @@ from bigrule.decompose import _Size, _join_estimate, decompose_program
 from bigrule.errors import (
     DivisionByZeroError,
     GroundingLimitError,
+    IntegerRangeError,
     InternalError,
     TooManyAtomsError,
     TooManyVarsError,
@@ -356,6 +357,33 @@ def test_ground_drops_an_instance_whose_head_holds_a_fact():
         "d(1).\nd(2).\ne(1).\ne(3).\np(1).\np(2) | q(2).\np(3).\n"
         "r(1).\nr(2) :- p(2).\nr(3) :- p(3).\n"
     )
+
+
+def test_ground_a_match_that_negates_a_certain_atom_derives_nothing():
+    # The fragment is joined first, so the match at X=1 is dropped where it
+    # is joined: p(1) never enters the closure, and `q(1) :- p(1).` is not
+    # emitted.
+    text = "d(1). d(2).\nc(X) :- d(X), X < 2.\np(X) | s(X) :- d(X), not c(X).\nq(X) :- p(X)."
+    result = ground(parse_program(text))
+    gp = result.ground_program
+    assert print_ground_program(gp) == "d(1).\nd(2).\nc(1).\np(2) | s(2).\nq(2) :- p(2).\n"
+    assert (result.rule_count, result.atom_count) == (3, 6)
+    assert as_names(gp, answer_sets(gp)) == [
+        ["c(1)", "d(1)", "d(2)", "p(2)", "q(2)"], ["c(1)", "d(1)", "d(2)", "s(2)"],
+    ]
+
+
+def test_ground_a_match_whose_head_holds_a_fact_derives_nothing():
+    # The only match of the disjunctive rule holds the fact p(1) in its
+    # head, so q(1) is never possibly true and r reads nothing.
+    assert ground_text("d(1). p(1).\np(X) | q(X) :- d(X).\nr(X) :- q(X).") == "d(1).\np(1).\n"
+
+
+def test_ground_evaluates_a_fragment_rule_negated_atom_for_its_errors():
+    # No q atom exists, so the negated atom can never be certain; it is
+    # still evaluated where the match is joined.
+    with pytest.raises(IntegerRangeError, match=r"outside the 64-bit range.* at rule 0 `p :- "):
+        ground(parse_program("p :- not q(9223372036854775807+1)."))
 
 
 def test_ground_constraint_over_certain_atoms_is_one_empty_rule():
