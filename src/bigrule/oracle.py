@@ -44,12 +44,12 @@ the root with exactly one rule left that can support it forces that rule's
 body true and its other head atoms false. Atoms outside the upper bound are
 false. Every upper bound is one Horn closure: a single forward sweep when
 each rule comes after all rules heading its positive body atoms (the usual
-shape of decomposed programs), otherwise sweeps until nothing changes; it is
-computed again only when a round could shrink it. The root, before the first
-decision, starts from the facts (heads of body-less rules with one head
-atom) as one mask, with no rule mask or sweep of their own: the bottom of
-any split of the program (Lifschitz & Turner), they hold in every answer
-set, and clasp too settles them before its search. From there it propagates
+shape of decomposed programs), otherwise sweeps until nothing changes; each
+propagation round starts with it. The root, before the first decision,
+starts from the facts (heads of body-less rules with one head atom) as one
+mask, with no rule mask or sweep of their own: the bottom of any split of
+the program (Lifschitz & Turner), they hold in every answer set, and clasp
+too settles them before its search. From there it propagates
 forward only: the search counts the atoms it made true as supported by the
 rules it settles, which holds only for atoms the forward step derives. The
 search covers only the rules the root leaves open, starting every closure
@@ -556,38 +556,22 @@ def _emit_rules(unit: _RulePlan, matches, table, outside: set, mixed: set, facts
     left out once per rule. At any other position only a fact can be
     certain, and only one of a `mixed` predicate, outside but with facts,
     can be a fact: facts are numbered first, so the number an atom gets
-    there, below `facts` or not, tells. Instances that lose body atoms can
-    coincide, so each distinct rule is then emitted once. A list of atoms
-    can repeat one only if two of them share a predicate."""
-    heads = [(pred, table(pred), args_of) for pred, args_of in unit.heads]
-    pos = [(pred, table(pred), args_of) for pred, args_of in unit.pos if pred in outside]
+    there, below `facts` or not, tells. Every instance goes through one
+    loop, which keeps the first of each repeated atom in its head, positive
+    and negative tuples. Instances that lose body atoms can coincide, so
+    each distinct rule is then emitted once."""
+    heads = [(table(pred), args_of) for pred, args_of in unit.heads]
+    pos = [(table(pred), args_of) for pred, args_of in unit.pos if pred in outside]
     neg = [(pred, table(pred), args_of) for pred, args_of in unit.neg if pred in outside]
-    checked = bool(mixed) and not mixed.isdisjoint([pred for pred, _, _ in pos])
+    checked = bool(mixed) and not mixed.isdisjoint([pred for pred, _ in unit.pos])
     seen = set() if checked or len(pos) < len(unit.pos) else None
-    pos_repeats = len(pos) > 1 and _may_repeat(pos)
     append = out.append
-    if not neg and len(heads) <= 1:
-        _, head_num, head_of = heads[0] if heads else (None, None, None)
-        for b in matches:
-            head = (head_num(head_of(b)),) if heads else ()
-            body = [n for _, num, args_of in pos if (n := num(args_of(b))) >= facts]
-            rule = GroundRule(head, tuple(dict.fromkeys(body) if pos_repeats else body))
-            if seen is not None:
-                if rule in seen:
-                    continue
-                seen.add(rule)
-            append(rule)
-        return
-    head_repeats = len(heads) > 1 and _may_repeat(heads)
-    neg_repeats = len(neg) > 1 and _may_repeat(neg)
     for b in matches:
-        head = [num(args_of(b)) for _, num, args_of in heads]
-        body = [n for _, num, args_of in pos if (n := num(args_of(b))) >= facts]
-        negs = [num(args) for pred, num, args_of in neg if (pred, (args := args_of(b))) in possible]
         rule = GroundRule(
-            tuple(dict.fromkeys(head) if head_repeats else head),
-            tuple(dict.fromkeys(body) if pos_repeats else body),
-            tuple(dict.fromkeys(negs) if neg_repeats else negs),
+            tuple(dict.fromkeys([num(args_of(b)) for num, args_of in heads])),
+            tuple(dict.fromkeys([n for num, args_of in pos if (n := num(args_of(b))) >= facts])),
+            tuple(dict.fromkeys([num(args) for pred, num, args_of in neg
+                                 if (pred, (args := args_of(b))) in possible])),
         )
         if seen is not None:
             if rule in seen:
@@ -645,10 +629,6 @@ class _Numbering(dict):
         self[args] = n = len(self.order)
         self.order.append((self.pred, args))
         return n
-
-
-def _may_repeat(atoms) -> bool:  # only atoms of one predicate can coincide
-    return len({a[0] for a in atoms}) < len(atoms)
 
 
 def _sort_by_binding(matches: list, values):
@@ -838,15 +818,13 @@ def _minimal_below(mask_rules, m: int, ordered: bool, lo: int = 0) -> bool:
     return True
 
 
-def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int,
-               negs: int, close: bool = True, *, _search: bool = True):
+def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int, *,
+               _search: bool = True):
     """Extend the assignment (t, f) to its fixpoint, or None on a conflict:
     forward steps, and in the search backward and support steps for the
     atoms of t outside `lo`, a set of atoms every upper bound contains. An
-    atom no rule can support is a conflict. The bound's closure runs when
-    `close` is set and after a round that makes an atom false (it lies
-    inside the bound) or makes true an atom of `negs`, the atoms of the
-    rules' negative bodies; no other change can shrink the bound.
+    atom no rule can support is a conflict. Each round starts with the
+    bound's closure under the current assignment.
 
     A leaf's fixpoint is a supported model, so a leaf needs only the
     minimality check. The search assigns the atoms of negative bodies and
@@ -857,11 +835,10 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
     each atom of t outside `lo` the only true head atom of one (else
     `need & ~once` fails). The rules the root dropped support `lo`, its t0."""
     while True:
-        if close:
-            hi = _horn_closure(mask_rules, ordered, lo, t, f)
-            if t & ~hi:
-                return None
-            f |= universe & ~hi
+        hi = _horn_closure(mask_rules, ordered, lo, t, f)
+        if t & ~hi:
+            return None
+        f |= universe & ~hi
         t_in, f_in = t, f
         need = t & ~lo if _search else 0
         # Rules that can support each atom of `need`: in `once` for one, also
@@ -916,7 +893,6 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
             return None
         if t == t_in and f == f_in:
             return t, f
-        close = f != f_in or t & ~t_in & negs
 
 
 def _root_residual(facts: int, mask_rules, ordered: bool, universe: int):
@@ -933,10 +909,7 @@ def _root_residual(facts: int, mask_rules, ordered: bool, universe: int):
     dropped: t0 is supported. That holds only for atoms the forward step
     derives, which is why the backward and support steps wait for the
     search."""
-    negs = 0
-    for _, _, g in mask_rules:
-        negs |= g
-    root = _propagate(mask_rules, ordered, universe, facts, facts, 0, negs, _search=False)
+    root = _propagate(mask_rules, ordered, universe, facts, facts, 0, _search=False)
     if root is None:
         return None
     t0, f0 = root
@@ -960,31 +933,26 @@ def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
     # upper bound below the root and in every model of a leaf's reduct.
     t0, f0, rest = root
     # Atoms that can never be true are in f0, so they are never open.
-    decided_mask = negs = 0
+    decided_mask = 0
     for h, _, g in mask_rules:
         decided_mask |= g
         if h & (h - 1):
             decided_mask |= h
-    for _, _, g in rest:
-        negs |= g
 
     # Depth first over the decision atoms in index order, true branch first.
-    # An entry's flag says whether its bound needs a new closure: not at the
-    # root, whose bound f0 holds, nor after making true an atom of no
-    # negative body.
     results: list[int] = []
-    stack = [(t0, f0, False)]
+    stack = [(t0, f0)]
     while stack:
-        t, f, close = stack.pop()
-        state = _propagate(rest, ordered, universe, t0, t, f, negs, close)
+        t, f = stack.pop()
+        state = _propagate(rest, ordered, universe, t0, t, f)
         if state is None:
             continue
         t, f = state
         open_bits = decided_mask & ~(t | f)
         if open_bits:
             bit = open_bits & -open_bits
-            stack.append((t, f | bit, True))
-            stack.append((t | bit, f, bit & negs != 0))
+            stack.append((t, f | bit))
+            stack.append((t | bit, f))
         elif _minimal_below(rest, t, ordered, t0):
             results.append(t)
             if first_only:
@@ -1030,14 +998,14 @@ def answer_sets_naive(gp: GroundProgram, max_atoms: int = 14) -> set[Interpretat
                 m |= 1 << i
             if not _is_model(mask_rules, m):
                 continue
-            red = [(h, p) for h, p, g in mask_rules if (g & m) == 0]
+            red = [(h, p, 0) for h, p, g in mask_rules if (g & m) == 0]
             minimal = True
             for sub_size in range(size):
                 for sub in combinations(combo, sub_size):
                     nmask = 0
                     for i in sub:
                         nmask |= 1 << i
-                    if _positive_model(red, nmask):
+                    if _is_model(red, nmask):
                         minimal = False
                         break
                 if not minimal:
@@ -1045,13 +1013,6 @@ def answer_sets_naive(gp: GroundProgram, max_atoms: int = 14) -> set[Interpretat
             if minimal:
                 out.add(Interpretation(frozenset(combo)))
     return out
-
-
-def _positive_model(red, m: int) -> bool:
-    for h, p in red:
-        if (p & ~m) == 0 and (h & m) == 0:
-            return False
-    return True
 
 
 def _bits(mask: int) -> list[int]:

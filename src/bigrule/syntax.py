@@ -250,11 +250,10 @@ class Program:
     structurally identical program. The stages that take a Program rely on
     this and do not check it again; `components`, the rules' component
     order (`_components`, aggregate conditions first), is computed once
-    here for them too. The domain is exactly the set of constants
-    syntactically present.
+    here for them too.
     """
 
-    __slots__ = ("rules", "facts", "components", "_domain", "_arities")
+    __slots__ = ("rules", "facts", "components", "_arities")
 
     def __init__(self, rules: Iterable[Rule] = (), facts: Iterable[Atom] = ()):
         kept_rules: list[Rule] = []
@@ -277,7 +276,6 @@ class Program:
             kept_rules.append(r)
         self.rules: tuple[Rule, ...] = tuple(kept_rules)
         self.facts: tuple[Atom, ...] = tuple(all_facts)
-        self._domain: frozenset[GroundTerm] | None = None
         self._arities = self._check_arities()
         self.components: list[tuple[list[int], bool]] = _components(self.rules)
 
@@ -288,27 +286,6 @@ class Program:
 
     def __repr__(self):
         return f"Program({len(self.rules)} rules, {len(self.facts)} facts)"
-
-    @property
-    def domain(self) -> frozenset[GroundTerm]:
-        if self._domain is None:
-            found: set[GroundTerm] = set()
-            for f in self.facts:
-                _collect_constants_atom(f, found)
-            for r in self.rules:
-                for a in r.head:
-                    _collect_constants_atom(a, found)
-                for lit in (*r.pos_body, *r.neg_body):
-                    _collect_constants_atom(lit.atom, found)
-                for comp in r.arith:
-                    _collect_constants_term(comp.left, found)
-                    _collect_constants_term(comp.right, found)
-                for agg in r.aggregates:
-                    for lit in agg.condition:
-                        _collect_constants_atom(lit.atom, found)
-                    _collect_constants_term(agg.guard, found)
-            self._domain = frozenset(found)
-        return self._domain
 
     def predicates(self) -> dict[str, int]:
         """Predicate name to arity, over facts and all rule atoms."""
@@ -341,19 +318,6 @@ class Program:
                 for lit in agg.condition:
                     see(lit.atom)
         return arities
-
-
-def _collect_constants_atom(a: Atom, out: set):
-    for arg in a.args:
-        _collect_constants_term(arg, out)
-
-
-def _collect_constants_term(t: Term, out: set):
-    if isinstance(t, (Constant, Integer)):
-        out.add(t)
-    elif isinstance(t, Arith):
-        _collect_constants_term(t.left, out)
-        _collect_constants_term(t.right, out)
 
 
 # --------------------------------------------------------- ground program --

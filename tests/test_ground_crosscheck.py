@@ -9,6 +9,7 @@ naive grounding with its aggregates kept. The naive route shares no
 matching, comparison or aggregate code with the grounder it checks."""
 
 import random
+from dataclasses import fields, is_dataclass
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from bigrule.syntax import (
     Constant,
     GroundProgram,
     GroundRule,
+    Integer,
     Literal,
     Program,
     Rule,
@@ -48,7 +50,7 @@ def ground_naive_aggregates(program: Program):
     local variables. An instance is (head, positive, negated, aggregates)
     with atom ids; an aggregate is (function, guard operator, guard value,
     elements), an element (tuple, positive ids, negated ids)."""
-    domain = sorted(program.domain, key=str)
+    domain = sorted(constants(program), key=str)
     atom_table: dict[Atom, int] = {}
 
     def intern(atom: Atom) -> int:
@@ -80,6 +82,22 @@ def ground_naive_aggregates(program: Program):
                 tuple(aggregates),
             ))
     return list(atom_table), instances
+
+
+def constants(program: Program) -> set:
+    """The constants and integers written anywhere in the facts and rules,
+    found by an explicit-stack walk over their dataclass fields."""
+    found = set()
+    stack = [*program.facts, *program.rules]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Constant, Integer)):
+            found.add(node)
+        elif isinstance(node, tuple):
+            stack.extend(node)
+        elif is_dataclass(node):
+            stack.extend(getattr(node, field.name) for field in fields(node))
+    return found
 
 
 def global_bindings(rule: Rule, domain):

@@ -2,11 +2,13 @@
 read only) uses each name it imports, no package module reads a private
 name of another, every module-level private function, class or constant is
 referenced by package code other than its own definition, every public one
-has a reader in the package or the benchmark, no package or benchmark
-module asserts (a broken invariant raises `InternalError`, which the
-command line reports without a traceback), and every function that calls
-itself has a cap on its depth (stdlib `ast` scans). `__init__.py` is exempt
-from the first: its imports are the public API."""
+has a reader in the package or the benchmark, every public method or
+property of a package class is read as an attribute in the package, no
+package or benchmark module asserts (a broken invariant raises
+`InternalError`, which the command line reports without a traceback), and
+every function that calls itself has a cap on its depth (stdlib `ast`
+scans). `__init__.py` is exempt from the first: its imports are the public
+API."""
 
 import ast
 from pathlib import Path
@@ -232,6 +234,49 @@ def test_every_public_definition_has_a_reader():
     assert sorted(set(CROSS_CHECKS) - set(unread)) == []
 
 
+def unread_public_methods(sources: list[str]) -> list[str]:
+    """`Class.name` of each public method or property of a module-level
+    class whose name no code refers to as an attribute outside the method's
+    own definition."""
+    trees = [ast.parse(source) for source in sources]
+    attributes = [node.attr for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    unread = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                own = [node for node in ast.walk(method)
+                       if isinstance(node, ast.Attribute) and node.attr == method.name]
+                if attributes.count(method.name) == len(own):
+                    unread.append(f"{cls.name}.{method.name}")
+    return unread
+
+
+def test_scan_finds_an_unread_public_method():
+    sources = [
+        "class Tree:\n"
+        "    def depth(self):\n        return self.depth()\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def used(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def _own(self):\n        pass\n"
+        "def walk(t):\n    return t.size\n",
+        "from .a import Tree\nTree().used()\n",
+    ]
+    # walk reads size and the other module reads used; depth reads only
+    # itself, and dunder and private methods are not checked.
+    assert unread_public_methods(sources) == ["Tree.depth"]
+
+
+def test_every_public_method_has_a_reader():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unread_public_methods(sources) == []
+
+
 def assertions(source: str) -> list[str]:
     """`assert` statements and raises of `AssertionError`: both end in a
     traceback, and `python -O` drops the first."""
@@ -310,7 +355,6 @@ def test_scan_finds_self_recursive_functions():
 RECURSION_CAPS = {
     "syntax.term_variables": "MAX_TERM_DEPTH",
     "syntax.eval_term": "MAX_TERM_DEPTH",
-    "syntax._collect_constants_term": "MAX_TERM_DEPTH",
     "oracle._term_fn": "MAX_TERM_DEPTH",
     "oracle.eval_qbf.rec": "max_vars",
     "oracle.eval_qbf_expansion.build": "max_vars",
