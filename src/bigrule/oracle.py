@@ -55,12 +55,15 @@ rules it settles, which holds only for atoms the forward step derives. The
 search covers only the rules the root leaves open, starting every closure
 from the atoms the root made true. Propagation leaves each leaf a supported
 model (see `_propagate`), so a leaf is checked only for subset-minimality
-against the reduct. Propagation prunes only branches without answer sets, so
-answer sets come out in lexicographic order of the decision atoms, true
-first. The decision search and the minimality search run depth first on
-explicit stacks, so search depth is not limited by recursion depth. A
-literal subset-enumeration variant is kept for cross-checking; both return
-exactly the answer sets of the textbook reduct semantics.
+against the reduct. There is one decision search (`_search`), depth first
+on an explicit stack, so search depth is not limited by recursion depth,
+and it runs twice: over the program, true branch first, for the candidates,
+and over each candidate's reduct, false branch first, for a model strictly
+below it (`_minimal_below`), as in Koch, Leone & Pfeifer (AIJ 2003).
+Propagation prunes only branches without answer sets, so answer sets come
+out in lexicographic order of the decision atoms, true first. A literal
+subset-enumeration variant is kept for cross-checking; both return exactly
+the answer sets of the textbook reduct semantics.
 """
 
 from __future__ import annotations
@@ -780,67 +783,72 @@ def _horn_closure(mask_rules, ordered: bool, lo: int = 0, t: int = 0, f: int = 0
             return hi
 
 
-def _minimal_below(mask_rules, m: int, ordered: bool, lo: int = 0) -> bool:
-    """True iff no proper subset of m models the reduct w.r.t. m. Branches
-    over disjunctive heads restricted below m, depth first on an explicit
-    stack, from `lo`, a set every model of the reduct below m contains;
-    every minimal model of the restricted positive program appears as a
-    leaf."""
-    red = []
-    for h, p, g in mask_rules:
-        if g & m:
-            continue
-        if p & ~m:
-            continue
-        red.append((h & m, p))
-    # A subsequence of ordered rules with smaller heads is still ordered.
-    units = [(h, p, 0) for h, p in red if h and (h & (h - 1)) == 0]
-    seen: set[int] = set()
-    stack = [lo]
+def _minimal_below(mask_rules, m: int, ordered: bool, lo: int) -> bool:
+    """True iff no proper subset of m models the reduct w.r.t. m, given
+    `lo`, a set every model of the reduct below m contains. The reduct's
+    rules, heads cut to m, with one constraint appended, "some atom of m
+    outside lo is false", go to `_search` over m, deciding the reduct's
+    disjunctive heads, false first: m is minimal iff it finds no leaf. Every
+    minimal model of a positive program is a supported model, which is what
+    a leaf is. Rules are dropped and heads shrunk, and the constraint comes
+    last, so an ordered program stays ordered."""
+    red = [(h & m, p, 0) for h, p, g in mask_rules if not (g & m or p & ~m)]
+    decided = 0
+    for h, _, _ in red:
+        if h & (h - 1):
+            decided |= h
+    red.append((0, m & ~lo, 0))
+    return next(_search(red, ordered, m, lo, 0, decided, False), None) is None
+
+
+def _search(mask_rules, ordered: bool, universe: int, lo: int, f: int, decided: int,
+            true_first: bool):
+    """The decision search: from the assignment (lo, f), decide the atoms of
+    `decided` in index order, depth first on an explicit stack, propagating
+    (`_propagate`) between decisions. Yields each leaf's true atoms, a
+    supported model of `mask_rules` over `universe` that contains `lo`."""
+    stack = [(lo, f)]
     while stack:
-        n = _horn_closure(units, ordered, stack.pop())
-        if n in seen:
+        t, f = stack.pop()
+        state = _propagate(mask_rules, ordered, universe, lo, t, f)
+        if state is None:
             continue
-        seen.add(n)
-        for h, p in red:
-            if (p & ~n) == 0 and (h & n) == 0:
-                children = []
-                rest = h
-                while rest:
-                    low = rest & -rest
-                    rest &= rest - 1
-                    children.append(n | low)
-                stack.extend(reversed(children))
-                break
+        t, f = state
+        open_bits = decided & ~(t | f)
+        if not open_bits:
+            yield t
+            continue
+        bit = open_bits & -open_bits
+        if true_first:
+            stack += ((t, f | bit), (t | bit, f))
         else:
-            if n != m:
-                return False
-    return True
+            stack += ((t | bit, f), (t, f | bit))
 
 
 def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int, *,
-               _search: bool = True):
+               forward_only: bool = False):
     """Extend the assignment (t, f) to its fixpoint, or None on a conflict:
-    forward steps, and in the search backward and support steps for the
-    atoms of t outside `lo`, a set of atoms every upper bound contains. An
-    atom no rule can support is a conflict. Each round starts with the
-    bound's closure under the current assignment.
+    forward steps, and unless `forward_only` (the root) backward and support
+    steps for the atoms of t outside `lo`, a set of atoms every upper bound
+    contains. An atom no rule can support is a conflict. Each round starts
+    with the bound's closure under the current assignment.
 
-    A leaf's fixpoint is a supported model, so a leaf needs only the
-    minimality check. The search assigns the atoms of negative bodies and
-    disjunctive heads; the forward step makes true each other atom of the
-    bound, the only head atom of a rule whose negative body is false and
-    positive body in the bound; the rest is false. The last round finds a
-    true head atom for each rule whose body holds (else None), and makes
-    each atom of t outside `lo` the only true head atom of one (else
-    `need & ~once` fails). The rules the root dropped support `lo`, its t0."""
+    A leaf's fixpoint is a supported model, so an answer-set candidate needs
+    only the minimality check. `_search` decides the atoms of negative bodies
+    and disjunctive heads (of the reduct, in the minimality check); the
+    forward step makes true each other atom of the bound, the only head atom
+    of a rule whose negative body is false and positive body in the bound;
+    the rest is false. The last round finds a true head atom for each rule
+    whose body holds (else None), and makes each atom of t outside `lo` the
+    only true head atom of one (else `need & ~once` fails). The rules the
+    root dropped support `lo`, its t0."""
     while True:
         hi = _horn_closure(mask_rules, ordered, lo, t, f)
         if t & ~hi:
             return None
         f |= universe & ~hi
         t_in, f_in = t, f
-        need = t & ~lo if _search else 0
+        need = 0 if forward_only else t & ~lo
         # Rules that can support each atom of `need`: in `once` for one, also
         # in `twice` for two or more; `sole` holds the last one seen. An atom
         # whose support is settled (body true, other head atoms false) goes
@@ -864,7 +872,7 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
                         open_t = ~t
                     continue
             elif not live:
-                if _search and not body & (body - 1):
+                if not forward_only and not body & (body - 1):
                     if body & p:
                         f |= body
                         open_f = ~f
@@ -909,7 +917,7 @@ def _root_residual(facts: int, mask_rules, ordered: bool, universe: int):
     dropped: t0 is supported. That holds only for atoms the forward step
     derives, which is why the backward and support steps wait for the
     search."""
-    root = _propagate(mask_rules, ordered, universe, facts, facts, 0, _search=False)
+    root = _propagate(mask_rules, ordered, universe, facts, facts, 0, forward_only=True)
     if root is None:
         return None
     t0, f0 = root
@@ -939,21 +947,11 @@ def _enumerate_answer_sets(gp: GroundProgram, first_only: bool):
         if h & (h - 1):
             decided_mask |= h
 
-    # Depth first over the decision atoms in index order, true branch first.
+    # True branch first, so answer sets come out in decision order; the
+    # minimal leaves are the answer sets.
     results: list[int] = []
-    stack = [(t0, f0)]
-    while stack:
-        t, f = stack.pop()
-        state = _propagate(rest, ordered, universe, t0, t, f)
-        if state is None:
-            continue
-        t, f = state
-        open_bits = decided_mask & ~(t | f)
-        if open_bits:
-            bit = open_bits & -open_bits
-            stack.append((t, f | bit))
-            stack.append((t | bit, f))
-        elif _minimal_below(rest, t, ordered, t0):
+    for t in _search(rest, ordered, universe, t0, f0, decided_mask, True):
+        if _minimal_below(rest, t, ordered, t0):
             results.append(t)
             if first_only:
                 break

@@ -260,6 +260,10 @@ HUNDRED_FACTORS = "q(10).\nr(Y) :- q(X), Y = {}.\ns(Z) :- r(Y), Z = {}.\n".forma
         (HUNDRED_FACTORS, "rule 0 `r(Y) :- q(X), Y = X*X*"),
         ("q(1). r(Y) :- q(X), not s(X*9223372036854775807*2), Y = X.\n", "rule 0 `r(Y)"),
         ("q(1). s(1). r(Y) :- q(X), not s(X*9223372036854775807*2), Y = X.\n", "rule 0 `r(Y)"),
+        (  # a negated atom evaluated only when its rule is emitted
+            "d(1). p(X) | q(X) :- d(X). r :- d(X), not p(X+9223372036854775807).\n",
+            "rule 1 `r :- d(X)",
+        ),
         ("p(9223372036854775807+1).\n", "in fact `p(9223372036854775807+1).`"),
     ],
 )

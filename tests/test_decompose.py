@@ -473,11 +473,18 @@ def test_driver_reserved_prefix_rejected():
 
 
 def test_rename_reserved_makes_program_acceptable():
-    program = parse_program("temp_0(a). dom_1(b).\np(X) :- temp_0(X), not dom_1(X).")
-    renamed = rename_reserved(program)
-    decomposed, _ = decompose_program(renamed)
-    preds = set(decomposed.predicates())
-    assert "p_temp_0" in preds and "p_dom_1" in preds
+    # The second program has its reserved names inside an aggregate's
+    # condition.
+    for text, names in (
+        ("temp_0(a). dom_1(b).\np(X) :- temp_0(X), not dom_1(X).", {"p_temp_0", "p_dom_1"}),
+        (
+            "temp_a(1). dom_b(2).\nh :- #count{X : temp_a(X), not dom_b(X)} >= 1.",
+            {"p_temp_a", "p_dom_b"},
+        ),
+    ):
+        renamed = rename_reserved(parse_program(text))
+        decomposed, _ = decompose_program(renamed)
+        assert names <= set(decomposed.predicates())
 
 
 def test_chorded_cycle_rule_decomposes_to_three_vars():

@@ -24,6 +24,7 @@ from bigrule.oracle import (
     _Plan,
     _Store,
     _enumerate_answer_sets,
+    _is_model,
     _is_ordered,
     _minimal_below,
     _root_residual,
@@ -694,12 +695,55 @@ def test_has_answer_set_deep_search_runs_without_recursion():
 
 def test_minimal_below_deep_branching_runs_without_recursion():
     # 1,200 disjunctions `ai | bi.`: all atoms true is a model but not a
-    # minimal one, found 1,200 branchings deep.
+    # minimal one, found 1,200 branchings deep, with the recursion limit 50
+    # frames above here.
     k = 1200
     names = [x for i in range(k) for x in (f"a{i}", f"b{i}")]
     gp = gp_of(names, [((f"a{i}", f"b{i}"), (), ()) for i in range(k)])
     _, masks = _rule_masks(gp)
-    assert _minimal_below(masks, (1 << 2 * k) - 1, _is_ordered(masks)) is False
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        minimal = _minimal_below(masks, (1 << 2 * k) - 1, _is_ordered(masks), 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert minimal is False
+
+
+def _minimal_by_subsets(masks, m: int, lo: int) -> bool:
+    """No proper subset of m that contains lo models the reduct w.r.t. m,
+    tried one subset at a time."""
+    red = [(h, p) for h, p, g in masks if not g & m]
+    sub = m
+    while sub:
+        sub = (sub - 1) & m
+        if sub & lo == lo and all(h & sub or p & ~sub for h, p in red):
+            return False
+    return True
+
+
+def test_minimal_below_agrees_with_subset_enumeration():
+    # Every model m of a random ground program that contains its facts,
+    # with the facts as lo: the search over the reduct finds a model
+    # strictly below m exactly when one of m's subsets is one.
+    rng = random.Random(28)
+    checked = rejected = 0
+    for k in range(2000):
+        make = random_overlapping_ground_program if k % 2 else random_ground_program
+        gp = make(rng, max_atoms=8, max_rules=10)
+        rules = [*gp.rules, *(GroundRule((rng.randrange(len(gp.atoms)),))
+                              for _ in range(rng.randint(0, 2)))]
+        rng.shuffle(rules)
+        facts, masks = _rule_masks(GroundProgram(gp.atoms, rules))
+        ordered = _is_ordered(masks)
+        for m in range(1 << len(gp.atoms)):
+            if m & facts != facts or not _is_model(masks, m):
+                continue
+            expected = _minimal_by_subsets(masks, m, facts)
+            assert _minimal_below(masks, m, ordered, facts) is expected
+            checked += 1
+            rejected += not expected
+    assert checked - rejected >= 1000 and rejected >= 20_000
 
 
 # -------------------------------------------------------------- eval_qbf ---

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -228,6 +229,28 @@ def test_qbf2_encodings_agree_small_corpus():
         want = not eval_qbf(qbf)
         assert consistent(qbf2_classic(qbf), max_atoms=400) == want
         assert consistent(qbf2_large_rule(qbf), max_atoms=400) == want
+
+
+def test_qbf2_classic_hard_formulas_solve_fast():
+    # Formulas 3, 4 and 6 of a seeded draw, 10 universal and 20 existential
+    # variables, 40 clauses of 3 distinct variables. Under saturation each
+    # candidate's minimality check is the inner SAT problem, so a check
+    # that does not propagate takes seconds on these.
+    rng = random.Random(11)
+    prefix = (("a", tuple(range(1, 11))), ("e", tuple(range(11, 31))))
+    formulas = [
+        Qbf(prefix, tuple(
+            Clause.of([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 31), 3)])
+            for _ in range(40)
+        ), 30)
+        for _ in range(6)
+    ]
+    for k in (3, 4, 6):
+        qbf = formulas[k - 1]
+        start = time.perf_counter()
+        verdict = consistent(qbf2_classic(qbf), decompose=True)
+        assert time.perf_counter() - start < 1.5
+        assert verdict == consistent(qbf2_large_rule(qbf), decompose=True)
 
 
 def test_qbf3_validity_iff_consistency_examples():
