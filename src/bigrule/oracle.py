@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from operator import itemgetter
 
 from .errors import (
@@ -212,56 +212,51 @@ class _Plan:
         self.consts = consts = {}
         for a in (*atoms, *also):
             for arg in a.args:
-                if isinstance(arg, (Constant, Integer)):
-                    consts.setdefault(_ground_value(arg), len(consts))
+                kind = type(arg)
+                if kind is Constant:
+                    consts.setdefault(arg.name, len(consts))
+                elif kind is Integer:
+                    consts.setdefault(arg.value, len(consts))
         self.entry = tuple(consts)
         self.slots = slots = {name: len(consts) + i for i, name in enumerate(bound)}
-        width = len(slots) + len(consts)
+        fill = count(len(slots) + len(consts)).__next__  # the next binding position
         pending: list = list(comparisons)  # Comparison, or (term, slot) deferred
         fresh: list[str] = []  # names bound since the atom scores were updated
-
-        def fill(name=None) -> int:
-            nonlocal width
-            if name is not None:
-                slots[name] = width
-                fresh.append(name)
-            width += 1
-            return width - 1
-
-        def propagate(ops):
-            # Same order as evaluating at match time.
-            for item in binding_order(pending, slots):
-                if type(item) is tuple:
-                    term, slot = item
-                    ops.append(_equal_op(_term_fn(term, slots), slot))
-                elif item.is_binding_equation() and item.left.name not in slots:
-                    ops.append(_assign_op(_term_fn(item.right, slots)))
-                    fill(item.left.name)
-                else:
-                    ops.append(_check_op(item, slots))
-
-        ops: list = []
-        self.start = ops
-        if pending:
-            propagate(ops)
+        self.start = ops = []
         self.probes = []
         self.atom_slots: list = [None] * len(atoms)
-        for idx in join_order(atoms, slots, fresh):
+        order = join_order(atoms, slots, fresh)
+        while True:  # what the bindings so far make ready, then the next atom
+            if pending:  # same order as evaluating at match time
+                for item in binding_order(pending, slots):
+                    if type(item) is tuple:
+                        term, slot = item
+                        ops.append(_equal_op(_term_fn(term, slots), slot))
+                    elif item.is_binding_equation() and item.left.name not in slots:
+                        ops.append(_assign_op(_term_fn(item.right, slots)))
+                        slots[item.left.name] = fill()
+                        fresh.append(item.left.name)
+                    else:
+                        ops.append(_check_op(item, slots))
+            idx = next(order, None)
+            if idx is None:
+                break
             a = atoms[idx]
             own = [None] * len(a.args)
             positions = []
             for pos, arg in enumerate(a.args):
-                if isinstance(arg, Variable):
+                kind = type(arg)
+                if kind is Variable:
                     if arg.name not in slots:
                         continue
                     own[pos] = slots[arg.name]
-                elif isinstance(arg, Arith):
-                    if not all(vn in slots for vn in term_variables(arg)):
+                elif kind is Arith:
+                    if not all(map(slots.__contains__, term_variables(arg))):
                         continue
                     ops.append(_assign_op(_term_fn(arg, slots)))
                     own[pos] = fill()
                 else:
-                    own[pos] = consts[_ground_value(arg)]
+                    own[pos] = consts[arg.name if kind is Constant else arg.value]
                 positions.append(pos)
             if len(positions) == len(own):
                 ops.append(_member_op(a.pred, _getter(own), store.keys))
@@ -272,17 +267,16 @@ class _Plan:
             for pos, arg in enumerate(a.args):
                 if own[pos] is not None:
                     continue
-                if isinstance(arg, Variable):
+                if type(arg) is Variable:
                     if arg.name in slots:  # repeated within this atom
                         own[pos] = fill()
                         ops.append(_equal_op(itemgetter(slots[arg.name]), own[pos]))
                     else:
-                        own[pos] = fill(arg.name)
+                        own[pos] = slots[arg.name] = fill()
+                        fresh.append(arg.name)
                 else:
                     own[pos] = fill()
                     pending.append((arg, own[pos]))
-            if pending:
-                propagate(ops)
             index = store.index(a.pred, tuple(positions), len(a.args))
             self.probes.append((index, _key_getter(key_slots), ops))
             self.atom_slots[idx] = tuple(own)
@@ -290,16 +284,12 @@ class _Plan:
             raise InternalError(f"join plan leaves {pending} unbound")
 
 
-def _ground_value(arg):
-    return arg.name if isinstance(arg, Constant) else arg.value
-
-
 def _term_fn(term, slots):
     """Evaluate a term over a binding tuple."""
     if isinstance(term, Variable):
         return itemgetter(slots[term.name])
     if isinstance(term, (Constant, Integer)):
-        value = _ground_value(term)
+        value = term.name if isinstance(term, Constant) else term.value
         return lambda b: value
     left, right = _term_fn(term.left, slots), _term_fn(term.right, slots)
     return lambda b: arith(term, left(b), right(b))
@@ -308,13 +298,18 @@ def _term_fn(term, slots):
 def _atom_key(a: Atom, plan: _Plan) -> tuple:
     """`(pred, args_of)`: the atom's ground key over a binding b is `(pred,
     args_of(b))`. The plan's binding carries the atom's constants."""
-    if not any(isinstance(arg, Arith) for arg in a.args):
-        return a.pred, _getter([
-            plan.slots[arg.name] if isinstance(arg, Variable) else plan.consts[_ground_value(arg)]
-            for arg in a.args
-        ])
-    fns = [_term_fn(arg, plan.slots) for arg in a.args]
-    return a.pred, lambda b: tuple([fn(b) for fn in fns])
+    slots, consts = plan.slots, plan.consts
+    positions = []
+    for arg in a.args:
+        kind = type(arg)
+        if kind is Variable:
+            positions.append(slots[arg.name])
+        elif kind is Arith:
+            fns = [_term_fn(term, slots) for term in a.args]
+            return a.pred, lambda b: tuple([fn(b) for fn in fns])
+        else:
+            positions.append(consts[arg.name if kind is Constant else arg.value])
+    return a.pred, _getter(positions)
 
 
 # Operations are (is_filter, fn): a filter keeps the bindings fn accepts,
@@ -388,11 +383,9 @@ class _RulePlan:
         negated = [l.atom for l in rule.neg_body]
         self.plan = plan = _Plan(atoms, rule.arith, store, also=(*rule.head, *negated))
         self.values = _getter([plan.slots[name] for name in sorted(plan.slots)])
-        self.pos = tuple(
-            (a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)
-        )
-        self.heads = tuple(_atom_key(a, plan) for a in rule.head)
-        self.neg = tuple(_atom_key(a, plan) for a in negated)
+        self.pos = [(a.pred, _getter(slots)) for a, slots in zip(atoms, plan.atom_slots)]
+        self.heads = [_atom_key(a, plan) for a in rule.head]
+        self.neg = [_atom_key(a, plan) for a in negated]
 
     def matches(self):
         """The body's matches against the store."""
@@ -478,6 +471,7 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
     all its variables, since `Program` admits only safe rules."""
     store = _Store()
     fact_order: list[tuple] = []
+    fact_atoms: list[Atom] = []  # the first fact of each key
     for f in program.facts:
         try:
             key = _atom_raw(f)
@@ -485,6 +479,7 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
             raise IntegerRangeError(f"{exc} in fact `{f}.`") from None
         if store.add(key):
             fact_order.append(key)
+            fact_atoms.append(f)
 
     units = [_RulePlan(r, i, store) for i, r in enumerate(program.rules)]
     outside = _outside(program)
@@ -527,8 +522,15 @@ def ground(program: Program, max_ground_rules: int = 200_000) -> GroundingResult
             raise IntegerRangeError(f"{exc} at rule {src_index} `{unit.rule}`") from None
         source_map.update(dict.fromkeys(range(first, len(ground_rules)), src_index))
 
-    terms = {v: ground_term(v) for v in {v for _, args in order for v in args}}
-    atoms = tuple([Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in order])
+    # Facts are numbered first. A fact stands for its own atom unless an
+    # argument is arithmetic, which the atom holds evaluated.
+    derived = order[len(fact_order):]
+    terms = {v: ground_term(v) for v in {v for _, args in derived for v in args}}
+    atoms = (
+        *[f if Arith not in map(type, f.args) else Atom(pred, tuple(map(ground_term, args)))
+          for f, (pred, args) in zip(fact_atoms, fact_order)],
+        *[Atom(pred, tuple(map(terms.__getitem__, args))) for pred, args in derived],
+    )
     # Each key was numbered once, by a rule that uses it: atoms distinct, indices in range.
     gp = GroundProgram._trusted(atoms, tuple(ground_rules))
     return GroundingResult(gp, len(source_map), len(atoms), source_map)

@@ -150,18 +150,37 @@ def _prefix_blocks(qbf: Qbf, template: str, shape: str) -> list[list[int]]:
     return blocks
 
 
+_X, _SAT, _ZERO, _ONE = Variable("X"), Atom("sat"), Integer(0), Integer(1)
+# The fixed rules of `qbf2_classic`, built once and shared by every formula's
+# program: guess an assignment, saturate the existential variables once
+# `sat` holds, derive `sat` from a falsified clause, and require it.
+_CLASSIC_RULES = (
+    Rule(head=(Atom("ass", (_X, _ONE)), Atom("ass", (_X, _ZERO))),
+         pos_body=(pos(Atom("var", (_X,))),)),
+    *[Rule(head=(Atom("ass", (_X, value)),), pos_body=(pos(_SAT), pos(Atom("exists", (_X,)))))
+      for value in (_ZERO, _ONE)],
+    Rule(head=(_SAT,), pos_body=tuple(
+        pos(atom) for slot in (1, 2, 3) for atom in (
+            Atom(f"pos_{slot}", (Variable("C"), Variable(f"X{slot}"), Variable(f"A{slot}"))),
+            Atom("ass", (Variable(f"X{slot}"), Arith("-", _ONE, Variable(f"A{slot}")))),
+        )
+    )),
+    Rule(neg_body=(neg(_SAT),)),
+)
+
+
 def qbf2_classic(qbf: Qbf) -> Program:
     """Fixed-program encoding: guess an assignment, derive `sat` when some
     clause is falsified, saturate existential assignments. Consistent
-    exactly when the formula is false."""
+    exactly when the formula is false. The instance is only facts."""
     universals, existentials = _prefix_blocks(qbf, "ae", "a forall-exists")
     clauses = _live_clauses(qbf)
-    names = {x: f"x{x}" for x in universals}
-    names.update({y: f"y{y}" for y in existentials})
+    names = {x: Constant(f"x{x}") for x in universals}
+    names.update({y: Constant(f"y{y}") for y in existentials})
 
-    facts = [Atom("var", (Constant(names[x]),)) for x in universals + existentials]
-    facts += [Atom("exists", (Constant(names[y]),)) for y in existentials]
-    rules: list[Rule] = []
+    facts = [Atom("var", (names[x],)) for x in universals + existentials]
+    facts += [Atom("exists", (names[y],)) for y in existentials]
+    falsified: list[Atom] = []
     for i, clause in enumerate(clauses, start=1):
         if len(clause.lits) > 3:
             raise ClauseTooWideError(
@@ -169,43 +188,13 @@ def qbf2_classic(qbf: Qbf) -> Program:
             )
         if not clause.lits:
             # An empty clause falsifies every assignment outright.
-            rules.append(Rule(head=(Atom("sat"),)))
+            falsified.append(_SAT)
             continue
         padded = list(clause.lits) + [clause.lits[-1]] * (3 - len(clause.lits))
+        name = Constant(f"c{i}")
         for slot, lit in enumerate(padded, start=1):
-            facts.append(
-                Atom(
-                    f"pos_{slot}",
-                    (Constant(f"c{i}"), Constant(names[abs(lit)]), Integer(0 if lit < 0 else 1)),
-                )
-            )
-
-    var_x = Variable("X")
-    rules.append(
-        Rule(
-            head=(Atom("ass", (var_x, Integer(1))), Atom("ass", (var_x, Integer(0)))),
-            pos_body=(pos(Atom("var", (var_x,))),),
-        )
-    )
-    for value in (0, 1):
-        rules.append(
-            Rule(
-                head=(Atom("ass", (var_x, Integer(value))),),
-                pos_body=(pos(Atom("sat")), pos(Atom("exists", (var_x,)))),
-            )
-        )
-    sat_body = []
-    for slot in (1, 2, 3):
-        c_var = Variable("C")
-        x_var = Variable(f"X{slot}")
-        a_var = Variable(f"A{slot}")
-        sat_body.append(pos(Atom(f"pos_{slot}", (c_var, x_var, a_var))))
-        sat_body.append(
-            pos(Atom("ass", (x_var, Arith("-", Integer(1), a_var))))
-        )
-    rules.append(Rule(head=(Atom("sat"),), pos_body=tuple(sat_body)))
-    rules.append(Rule(head=(), neg_body=(neg(Atom("sat")),)))
-    return Program(rules, facts)
+            facts.append(Atom(f"pos_{slot}", (name, names[abs(lit)], _ZERO if lit < 0 else _ONE)))
+    return Program(_CLASSIC_RULES, facts + falsified)
 
 
 def _large_rule_parts(clauses, universal_set, max_tuple_width):

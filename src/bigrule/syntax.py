@@ -258,9 +258,6 @@ class Program:
     def __init__(self, rules: Iterable[Rule] = (), facts: Iterable[Atom] = ()):
         kept_rules: list[Rule] = []
         all_facts: list[Atom] = list(facts)
-        for f in all_facts:
-            if not f.is_ground():
-                raise ValueError(f"fact must be ground: {f}")
         for r in rules:
             if (
                 len(r.head) == 1
@@ -298,16 +295,19 @@ class Program:
         return self._arities.keys() - {a.pred for r in self.rules for a in r.head}
 
     def _check_arities(self) -> dict[str, int]:
+        """Each predicate's arity, the first it is used with, facts first;
+        one walk over the facts also checks that they are ground."""
         arities: dict[str, int] = {}
 
         def see(a: Atom):
-            old = arities.setdefault(a.pred, a.arity)
-            if old != a.arity:
-                raise ArityError(
-                    f"predicate {a.pred} used with arity {old} and {a.arity}"
-                )
+            arity = len(a.args)
+            old = arities.setdefault(a.pred, arity)
+            if old != arity:
+                raise ArityError(f"predicate {a.pred} used with arity {old} and {arity}")
 
         for f in self.facts:
+            if not f.is_ground():
+                raise ValueError(f"fact must be ground: {f}")
             see(f)
         for r in self.rules:
             for a in r.head:
@@ -516,7 +516,11 @@ def join_order(atoms, bound, fresh: list):
     to `fresh` (names bound since the last step) before asking for the next
     index; only atoms holding a fresh name are rescored. Scores only grow,
     so a heap of (-score, index) with stale entries skipped yields the same
-    order as a scan for the maximum."""
+    order as a scan for the maximum. A body of at most one atom has its
+    order already."""
+    if len(atoms) < 2:
+        yield from range(len(atoms))
+        return
     score = [_bound_score(a, bound) for a in atoms]
     watch: dict[str, list[int]] = {}
     for i, a in enumerate(atoms):
@@ -547,7 +551,7 @@ def _bound_score(a: Atom, slots) -> int:
         if isinstance(arg, Variable):
             score += arg.name in slots
         elif isinstance(arg, Arith):
-            score += all(vn in slots for vn in term_variables(arg))
+            score += all(map(slots.__contains__, term_variables(arg)))
         else:
             score += 1
     return score

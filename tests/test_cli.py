@@ -174,6 +174,7 @@ def test_variable_only_inside_arithmetic_is_unsafe_exit_1(capsys, tmp_path, comm
         ("ground", "p(1/0).\n", (2, "", "error: division by zero in 1/0\n")),
         ("solve", "p(a+1).\n", (2, "", "error: arithmetic over non-integer value in a+1\n")),
         ("ground", "p(a+1).\n", (2, "", "error: arithmetic over non-integer value in a+1\n")),
+        ("ground", "p(1+2). p(3). q(X) :- p(X).\n", (0, "p(3).\nq(3).\n", "")),
     ],
 )
 def test_arithmetic_in_facts_is_evaluated(capsys, tmp_path, command, text, expected):

@@ -53,7 +53,6 @@ from bigrule.syntax import (
     Literal,
     Rule,
     Variable,
-    _bound_score,
     eval_term,
     global_vars,
     is_safe,
@@ -101,6 +100,13 @@ def test_ground_fact_only_program():
     result = ground(parse_program("p(a). q(b)."))
     assert result.rule_count == 0
     assert len(result.ground_program.rules) == 2  # facts preserved
+
+
+@pytest.mark.parametrize("text", ["p(1+2). p(3). q(X) :- p(X).", "p(3). p(1+2). q(X) :- p(X)."])
+def test_ground_arithmetic_fact_is_its_value_once(text):
+    gp = ground(parse_program(text)).ground_program
+    assert print_ground_program(gp) == "p(3).\nq(3).\n"
+    assert gp.atoms == (Atom("p", (Integer(3),)), Atom("q", (Integer(3),)))
 
 
 def test_ground_coloring_constraint_matches_facts():
@@ -964,24 +970,32 @@ def test_join_estimate_binds_what_the_plan_binds(r):
 
 def test_join_order_is_a_scan_for_the_best_score():
     """The heap yields what a scan of the atoms left for the most bound
-    arguments, ties to the earlier atom, yields."""
+    arguments, ties to the earlier atom, yields. An arithmetic argument is
+    bound once all its variables are."""
     rng = random.Random(5)
     names = [f"X{i}" for i in range(8)]
+
+    def argument():
+        roll = rng.random()
+        if roll < 0.6:
+            return Variable(rng.choice(names))
+        if roll < 0.8:
+            right = rng.choice([Integer(1), Variable(rng.choice(names))])
+            return Arith(rng.choice("+-"), Variable(rng.choice(names)), right)
+        return Constant("a")
+
+    def bound_arguments(a, seen):
+        return sum(variables_of(arg) <= seen for arg in a.args)
+
     for _ in range(500):
         atoms = [
-            Atom(
-                rng.choice("pqr"),
-                tuple(
-                    Variable(rng.choice(names)) if rng.random() < 0.8 else Constant("a")
-                    for _ in range(rng.randint(0, 3))
-                ),
-            )
+            Atom(rng.choice("pqr"), tuple(argument() for _ in range(rng.randint(0, 3))))
             for _ in range(rng.randint(0, 12))
         ]
         bound = set(rng.sample(names, rng.randint(0, 2)))
         scanned, left, seen = [], list(range(len(atoms))), set(bound)
         while left:
-            idx = max(left, key=lambda i: _bound_score(atoms[i], seen))
+            idx = max(left, key=lambda i: bound_arguments(atoms[i], seen))
             left.remove(idx)
             scanned.append(idx)
             seen.update(arg.name for arg in atoms[idx].args if isinstance(arg, Variable))

@@ -166,6 +166,32 @@ def test_qbf2_classic_short_clauses_padded():
     assert consistent(program) == (not eval_qbf(qbf))
 
 
+def test_qbf2_classic_empty_clause_is_a_sat_fact():
+    qbf = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n0\n1 2 0\n")
+    program = qbf2_classic(qbf)
+    # `sat.` follows the instance facts; the rules are the fixed five.
+    assert print_program(program) == (
+        "var(x1).\nvar(y2).\nexists(y2).\n"
+        "pos_1(c2,x1,1).\npos_2(c2,y2,1).\npos_3(c2,y2,1).\n"
+        "sat.\n"
+        "ass(X,1) | ass(X,0) :- var(X).\n"
+        "ass(X,0) :- sat, exists(X).\n"
+        "ass(X,1) :- sat, exists(X).\n"
+        "sat :- pos_1(C,X1,A1), ass(X1,1-A1), pos_2(C,X2,A2), ass(X2,1-A2),"
+        " pos_3(C,X3,A3), ass(X3,1-A3).\n"
+        ":- not sat.\n"
+    )
+    assert not eval_qbf(qbf)
+    assert consistent(program) and consistent(qbf2_large_rule(qbf))
+
+
+def test_qbf2_classic_programs_share_their_rules():
+    first = qbf2_classic(parse_qdimacs(TRUE_2QBF)).rules
+    second = qbf2_classic(parse_qdimacs(FALSE_2QBF)).rules
+    assert len(first) == len(second) == 5
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_qbf2_large_rule_clause_accessor_example():
     # clause c = not y1 or x2 or y3 over universal {2}, existentials {1,3}:
     # the existential tuple is (not y1, y3) and the blocked tuple is (1, 0).
