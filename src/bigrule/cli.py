@@ -14,7 +14,6 @@ from . import decompose as dec
 from . import oracle, parse, rewriters
 from .errors import BigruleError, InputSemanticsError, InternalError, ParseError
 from .syntax import GroundProgram, Program
-from .treedecomp import HEURISTICS
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -74,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common_decomp = argparse.ArgumentParser(add_help=False)
-    common_decomp.add_argument("--heuristic", choices=HEURISTICS, default=HEURISTICS[0])
     common_decomp.add_argument(
         "--no-threshold",
         dest="threshold",
@@ -191,11 +189,15 @@ def _run_rewrite(args) -> int:
 
 
 def _run(args) -> int:
+    # The first read of stdin takes all of it, so a second would see it empty.
+    inputs = ("program", "program_a", "program_b", "input", "--hyp", "--man")
+    from_stdin = [name for name in inputs if getattr(args, name.lstrip("-"), None) == "-"]
+    if len(from_stdin) > 1:
+        named = " and ".join(from_stdin)
+        raise InputSemanticsError(f"standard input can be read only once, but {named} are both '-'")
     if args.command == "decompose":
         program = _load_program(args.program, auto_rename=args.auto_rename)
-        out, report = dec.decompose_program(
-            program, heuristic=args.heuristic, threshold=args.threshold
-        )
+        out, report = dec.decompose_program(program, threshold=args.threshold)
         _write_out(args, parse.print_program(out))
         sys.stderr.write(report.render())
         return EXIT_OK
@@ -235,9 +237,7 @@ def _run(args) -> int:
 
     if args.command == "stats":
         program = _load_program(args.program, auto_rename=args.auto_rename)
-        _, report = dec.decompose_program(
-            program, heuristic=args.heuristic, threshold=args.threshold
-        )
+        _, report = dec.decompose_program(program, threshold=args.threshold)
         _write_out(args, report.render())
         return EXIT_OK
 

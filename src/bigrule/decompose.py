@@ -36,7 +36,6 @@ from .syntax import (
     variables_of,
 )
 from .treedecomp import (
-    HEURISTICS,
     TreeDecomposition,
     bag_tree,
     eliminate,
@@ -546,15 +545,11 @@ def rename_reserved(program: Program) -> Program:
     )
 
 
-def decompose_program(
-    program: Program,
-    heuristic: str = "min-fill",
-    threshold: bool = True,
-) -> tuple[Program, StatsReport]:
+def decompose_program(program: Program, threshold: bool = True) -> tuple[Program, StatsReport]:
     """Per rule: normalize aggregates and eliminate each part's Gaifman
-    graph along the heuristic, which gives its width. A bag tree is built,
-    and validated, only when the largest bag is smaller than the part: a
-    one-bag tree cannot split. One cost test decides a split: it replaces
+    graph along the min-fill order, which gives its width. A bag tree is
+    built, and validated, only when the largest bag is smaller than the
+    part: a one-bag tree cannot split. One cost test decides a split: it replaces
     the part when its join work plus RULE_COST for each rule it adds is
     below the whole part's join work (see `_join_estimate`), or when both
     join works are zero, as when no body predicate has facts or
@@ -564,13 +559,11 @@ def decompose_program(
     where it cannot pay. Rules are estimated in `Program.components`, the
     grounder's order, so derived predicates have sizes when they are read;
     the output keeps the input order. Facts pass through. The input's
-    rules are safe, since `Program` admits no other; the heuristic and the
-    reserved prefixes are checked here. An aggregate is kept whole when the
-    part split off it would negate a predicate outside `Program.fact_only`,
-    as the grounder reads aggregates only over rules that negate none. When
-    every rule comes back as itself, the input is returned."""
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}")
+    rules are safe, since `Program` admits no other; the reserved prefixes
+    are checked here. An aggregate is kept whole when the part split off it
+    would negate a predicate outside `Program.fact_only`, as the grounder
+    reads aggregates only over rules that negate none. When every rule
+    comes back as itself, the input is returned."""
     clashing = sorted(
         p for p in program.predicates() if p.startswith(RESERVED_PREFIXES)
     )
@@ -592,8 +585,7 @@ def decompose_program(
                 _add_heads(rule.head, rows, values, sizes)
         for index in members:
             decided[index] = _decompose_one(
-                index, program.rules[index], heuristic, threshold, sizes, not recursive,
-                fact_only,
+                index, program.rules[index], threshold, sizes, not recursive, fact_only
             )
     out_rules: list[Rule] = []
     report = StatsReport()
@@ -607,10 +599,7 @@ def decompose_program(
     return Program(out_rules, program.facts), report
 
 
-def _decompose_one(
-    index: int, original: Rule, heuristic: str, threshold: bool, sizes, add_heads: bool,
-    fact_only,
-):
+def _decompose_one(index: int, original: Rule, threshold: bool, sizes, add_heads: bool, fact_only):
     """The rules emitted for one source rule, and its statistics. With
     `add_heads`, adds the estimated sizes of its head predicates to
     `sizes`. An aggregate's helper may negate only `fact_only` predicates."""
@@ -651,7 +640,7 @@ def _decompose_one(
         piece_rows = rows
         if nvars > 1:  # one bag holds one variable: never split
             graph = gaifman(part)
-            order, bags = eliminate(graph, heuristic)
+            order, bags = eliminate(graph)
             largest = max(map(len, bags))
             width = max(width, largest - 1)
             # A tree splits only if it has two bags, so a bag smaller than

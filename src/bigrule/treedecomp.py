@@ -1,7 +1,7 @@
 """Gaifman graphs of rules and heuristic tree decomposition.
 
-Decompositions come from bucket elimination along a min-fill or min-degree
-ordering with lexicographic tie-breaking, so results are reproducible.
+Decompositions come from bucket elimination along a min-fill ordering with
+lexicographic tie-breaking, so results are reproducible.
 Eliminating a vertex makes its bag: the vertex and its neighbours then. The
 bag's parent is the bag of its first-eliminated other vertex, and extra
 roots hang below the last root. A bag may contain its parent's bag but
@@ -22,9 +22,6 @@ from dataclasses import dataclass
 
 from .errors import NoCoveringBagError, TooManyVerticesError
 from .syntax import Rule, variables_of
-
-# The elimination heuristics of `eliminate`, the default first.
-HEURISTICS = ("min-fill", "min-degree")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,26 +120,22 @@ class TreeDecomposition:
         return self._walk
 
 
-def decompose_graph(g: GaifmanGraph, heuristic: str = "min-fill") -> TreeDecomposition:
-    """Bucket elimination along the chosen heuristic ordering (`eliminate`),
-    then the bags joined into a tree (`bag_tree`). Ties are broken by the
+def decompose_graph(g: GaifmanGraph) -> TreeDecomposition:
+    """Bucket elimination along the min-fill ordering (`eliminate`), then
+    the bags joined into a tree (`bag_tree`). Ties are broken by the
     lexicographically smallest vertex name, which makes the result
     deterministic."""
-    order, bags = eliminate(g, heuristic)
+    order, bags = eliminate(g)
     if not bags:
         return TreeDecomposition([frozenset()], [], 0)
     return bag_tree(order, bags)
 
 
-def eliminate(
-    g: GaifmanGraph, heuristic: str = "min-fill"
-) -> tuple[list[str], list[frozenset[str]]]:
-    """The elimination order along the heuristic, ties to the smallest
-    name, and the bag each eliminated vertex makes. Every tree `bag_tree`
-    builds from them keeps the largest bag, so its width is the largest
-    bag's size less one."""
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}")
+def eliminate(g: GaifmanGraph) -> tuple[list[str], list[frozenset[str]]]:
+    """The min-fill elimination order, ties to the smallest name, and the
+    bag each eliminated vertex makes. Every tree `bag_tree` builds from
+    them keeps the largest bag, so its width is the largest bag's size
+    less one."""
     adj = g.adjacency()
     bags: list[frozenset[str]] = []
     eliminated: list[str] = []
@@ -153,14 +146,10 @@ def eliminate(
         present = sum(len(adj[u] & nbs) for u in nbs) // 2
         return len(nbs) * (len(nbs) - 1) // 2 - present
 
-    def degree(vtx: str) -> int:
-        return len(adj[vtx])
-
-    cost = fill_in if heuristic == "min-fill" else degree
-    # A heap of (cost, vertex) with stale entries skipped. Eliminating a
-    # vertex changes the degree of its neighbours only, and the fill-in of
-    # its neighbours and of theirs, so only those are recounted.
-    current = {vtx: cost(vtx) for vtx in adj}
+    # A heap of (fill-in, vertex) with stale entries skipped. Eliminating a
+    # vertex changes the fill-in of its neighbours and of theirs only, so
+    # only those are recounted.
+    current = {vtx: fill_in(vtx) for vtx in adj}
     heap = [(c, vtx) for vtx, c in current.items()]
     heapq.heapify(heap)
     while adj:
@@ -171,7 +160,7 @@ def eliminate(
         del current[best]
         bags.append(frozenset(nbs | {best}))
         eliminated.append(best)
-        if cost is fill_in and not c:
+        if not c:
             # No fill edge: a neighbour u loses only the missing pairs of
             # best with N(u) \ N[best], and no other fill-in changes.
             for u in nbs:
@@ -182,15 +171,13 @@ def eliminate(
                     current[u] -= drop
                     heapq.heappush(heap, (current[u], u))
             continue
+        touched = set(nbs)
         for u in nbs:
             adj[u].discard(best)
             adj[u].update(nbs - {u})
-        touched = set(nbs)
-        if cost is fill_in:
-            for u in nbs:
-                touched |= adj[u]
+            touched |= adj[u]
         for u in touched:
-            c = cost(u)
+            c = fill_in(u)
             if c != current[u]:
                 current[u] = c
                 heapq.heappush(heap, (c, u))

@@ -288,17 +288,15 @@ def test_criterion_8_td_validity_and_width():
     for program in _rule_corpus(200):
         rule = program.rules[0]
         graph = gaifman(rule)
-        for heuristic in ("min-fill", "min-degree"):
-            td = decompose_graph(graph, heuristic)
-            valid, why = validate_td(graph, td)
-            if not valid:
-                invalid.append(why)
+        td = decompose_graph(graph)
+        valid, why = validate_td(graph, td)
+        if not valid:
+            invalid.append(why)
         if len(graph.vertices) <= 8:
             checked += 1
             exact = exact_treewidth(graph)
-            heur = decompose_graph(graph, "min-fill").width
-            gaps.append(heur - exact)
-            if heur < exact:
+            gaps.append(td.width - exact)
+            if td.width < exact:
                 invalid.append(f"width below optimum on rule {rule}")
     worst = max(gaps) if gaps else 0
     ok = not invalid and worst <= 2

@@ -575,21 +575,23 @@ def test_solve_keeps_answer_sets_of_a_contradictory_ground_body(capsys, tmp_path
 
 
 def test_decompose_deterministic_and_min_degree(capsys, tmp_path):
+    # Min-fill is the one elimination order: repeats agree, and choosing an
+    # order is a usage error.
     src = tmp_path / "r.lp"
     src.write_text(
         "e(a,b). e(b,c).\n:- e(A,B), e(B,C), e(C,D), e(D,A), e(B,D).\n"
     )
     outputs = set()
-    for heuristic in ("min-fill", "min-degree", "min-fill"):
-        code, out, err = run_cli(
-            capsys, "decompose", "--heuristic", heuristic, str(src)
-        )
-        assert code == 0
-        outputs.add((heuristic, out, err))
-    by_heuristic = {}
-    for heuristic, out, err in outputs:
-        by_heuristic.setdefault(heuristic, set()).add((out, err))
-    assert all(len(v) == 1 for v in by_heuristic.values())
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "decompose", "--no-threshold", str(src))
+        assert code == 0 and "temp_" in out
+        outputs.add((out, err))
+    assert len(outputs) == 1
+    for heuristic in ("min-fill", "min-degree"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--heuristic", heuristic, str(src)])
+        assert exc.value.code == 2
+        assert "--heuristic" in capsys.readouterr().err
 
 
 def test_decompose_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -649,6 +651,30 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("p(a).\n"))
     code, out, _ = run_cli(capsys, "solve", "-")
     assert code == 10 and out == "p(a)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["check", "-", "-"], "a :- not b.\nb :- not a.\n", "program_a and program_b"),
+        (
+            ["rewrite", "abduce", "-", "--hyp", "-", "--man", "MAN"],
+            "atom(h). atom(m). rule(r0). head(r0,m). pos(r0,h).\n",
+            "input and --hyp",
+        ),
+    ],
+    ids=["check", "abduce"],
+)
+def test_a_second_read_of_stdin_exit_2(capsys, monkeypatch, tmp_path, argv, text, named):
+    # The first read would take all of stdin and the second see it empty:
+    # `check` then compared a program against the empty one, and `abduce`
+    # read no hypotheses.
+    man = tmp_path / "man.txt"
+    man.write_text("m\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, *[str(man) if a == "MAN" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: standard input can be read only once, but {named} are both '-'\n"
 
 
 def test_syntax_error_reported_before_unsafe_rule(capsys, monkeypatch):

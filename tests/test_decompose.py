@@ -32,7 +32,6 @@ from bigrule.syntax import (
     variables_of,
 )
 from bigrule.treedecomp import (
-    HEURISTICS,
     TreeDecomposition,
     decompose_graph,
     gaifman,
@@ -399,11 +398,10 @@ def test_aggregate_kept_whole_when_its_part_would_negate_a_non_fact_predicate(te
     program = parse_program(text)
     expected = project_answer_sets(ground(program).ground_program)
     assert {"h(1)", "h(2)"} <= set().union(*expected)
-    for heuristic in HEURISTICS:
-        for threshold in (True, False):
-            decomposed, _ = decompose_program(program, heuristic=heuristic, threshold=threshold)
-            assert ("temp_0_agg0" in print_program(decomposed)) is splits
-            assert project_answer_sets(ground(decomposed).ground_program) == expected
+    for threshold in (True, False):
+        decomposed, _ = decompose_program(program, threshold=threshold)
+        assert ("temp_0_agg0" in print_program(decomposed)) is splits
+        assert project_answer_sets(ground(decomposed).ground_program) == expected
 
 
 # ---------------------------------------------------------------- driver ----
@@ -427,15 +425,6 @@ def test_driver_hands_back_an_unchanged_program():
     assert decompose_program(program)[0] is program
     split, report = decompose_program(program, threshold=False)
     assert report.rules[0].decomposed and split is not program
-
-
-@pytest.mark.parametrize(
-    "text", ["p(a). q(X) :- p(X).", "p(a,b). q(X) :- p(X,Y)."], ids=["one-var", "two-vars"]
-)
-def test_driver_rejects_an_unknown_heuristic(text):
-    # Whether or not a part has two variables, and so reaches `eliminate`.
-    with pytest.raises(ValueError, match="unknown heuristic 'bogus'"):
-        decompose_program(parse_program(text), heuristic="bogus")
 
 
 @pytest.mark.parametrize(

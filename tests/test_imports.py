@@ -220,7 +220,7 @@ CROSS_CHECKS = {
     "grounding_estimate": "the worst-case bound that decomposition estimates are checked under",
     "eval_qbf_expansion": "a second QBF evaluator, checked against eval_qbf",
     "abduce_bruteforce": "the brute-force reference for abduction_encoding",
-    "exact_treewidth": "the exact width that the elimination heuristics are checked against",
+    "exact_treewidth": "the exact width that the min-fill elimination is checked against",
     "emit_qdimacs": "the writer that parse_qdimacs round-trips",
     "emit_reified": "the writer that parse_reified round-trips",
 }

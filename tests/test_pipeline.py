@@ -6,13 +6,11 @@ that grounding (`flp_answer_sets`). The decomposer's temp_ and dom_ atoms
 are projected away before the answer sets are compared."""
 
 import random
-from collections import Counter
 
 from bigrule.decompose import decompose_program
 from bigrule.errors import UnsupportedAggregateError
 from bigrule.oracle import answer_sets_naive, ground
 from bigrule.parse import parse_program, print_program
-from bigrule.treedecomp import HEURISTICS
 
 from corpus import random_pipeline_program
 from test_decompose import project_answer_sets
@@ -20,20 +18,19 @@ from test_ground_crosscheck import aggregate_program, flp_answer_sets, ground_na
 from test_ground_golden import AGGREGATE_TEXTS
 
 
-def check_pipeline(program) -> dict[str, int]:
-    """Assert that both routes agree; return, per heuristic, how many of its
-    two decompositions split a rule."""
+def check_pipeline(program) -> int:
+    """Assert that both routes agree; return how many of the two
+    decompositions split a rule."""
     naive = ground_naive(program)
     expected = {
         frozenset(str(naive.atoms[i]) for i in s.true_atoms) for s in answer_sets_naive(naive)
     }
-    splits = dict.fromkeys(HEURISTICS, 0)
-    for heuristic in HEURISTICS:
-        for threshold in (True, False):
-            small, report = decompose_program(program, heuristic=heuristic, threshold=threshold)
-            got = project_answer_sets(ground(small).ground_program)
-            assert got == expected, (heuristic, threshold, print_program(small))
-            splits[heuristic] += any(stats.decomposed for stats in report.rules)
+    splits = 0
+    for threshold in (True, False):
+        small, report = decompose_program(program, threshold=threshold)
+        got = project_answer_sets(ground(small).ground_program)
+        assert got == expected, (threshold, print_program(small))
+        splits += any(stats.decomposed for stats in report.rules)
     return splits
 
 
@@ -50,10 +47,8 @@ def test_pipeline_keeps_answer_sets_of_a_contradictory_ground_body():
 
 def test_pipeline_agrees_with_naive_route_on_random_programs():
     rng = random.Random(2718)
-    splits = Counter()
-    for _ in range(300):
-        splits.update(check_pipeline(random_pipeline_program(rng)))
-    assert all(splits[heuristic] > 300 for heuristic in HEURISTICS), splits
+    splits = sum(check_pipeline(random_pipeline_program(rng)) for _ in range(300))
+    assert splits > 300, splits
 
 
 # Where decomposition changes what the grounder sees: the link atom of a
@@ -67,12 +62,12 @@ SPLIT_TEXTS = (
 
 def test_aggregate_pipeline_agrees_with_naive_flp_answer_sets():
     """Golden's aggregate programs, SPLIT_TEXTS and generated programs whose
-    aggregates `split_aggregate` often splits, through both heuristics with
-    the threshold on and off. A decomposed program raises
+    aggregates `split_aggregate` often splits, decomposed with the threshold
+    on and off. A decomposed program raises
     UnsupportedAggregateError exactly when its source does."""
     rng = random.Random(0xA66)
     programs = [parse_program(text) for text in (*AGGREGATE_TEXTS, *SPLIT_TEXTS)]
-    programs += [aggregate_program(rng, detached=True) for _ in range(100)]
+    programs += [aggregate_program(rng, detached=True) for _ in range(200)]
     compared = splits = 0
     for program in programs:
         try:
@@ -80,18 +75,17 @@ def test_aggregate_pipeline_agrees_with_naive_flp_answer_sets():
             source_raises, expected = False, flp_answer_sets(program)
         except UnsupportedAggregateError:
             source_raises, expected = True, None
-        for heuristic in HEURISTICS:
-            for threshold in (True, False):
-                small, _ = decompose_program(program, heuristic=heuristic, threshold=threshold)
-                splits += any("_agg" in a.pred for r in small.rules for a in r.head)
-                try:
-                    gp = ground(small).ground_program
-                except UnsupportedAggregateError:
-                    assert source_raises, print_program(small)
-                    continue
-                assert not source_raises, print_program(program)
-                if expected is not None:
-                    assert project_answer_sets(gp) == expected, print_program(small)
-                    compared += 1
+        for threshold in (True, False):
+            small, _ = decompose_program(program, threshold=threshold)
+            splits += any("_agg" in a.pred for r in small.rules for a in r.head)
+            try:
+                gp = ground(small).ground_program
+            except UnsupportedAggregateError:
+                assert source_raises, print_program(small)
+                continue
+            assert not source_raises, print_program(program)
+            if expected is not None:
+                assert project_answer_sets(gp) == expected, print_program(small)
+                compared += 1
     assert compared >= 280
     assert splits >= 130

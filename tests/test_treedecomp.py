@@ -58,7 +58,7 @@ def test_gaifman_aggregate_is_one_unit():
 
 def test_decompose_worked_rule_width_two():
     g = gaifman(rule_of("h(X,W) :- e(X,Y), e(Y,Z), not e(Z,W), e(W,X)."))
-    td = decompose_graph(g, "min-fill")
+    td = decompose_graph(g)
     ok, report = validate_td(g, td)
     assert ok, report
     assert td.width == 2
@@ -227,12 +227,11 @@ def test_rerooting_preserves_width_and_bags():
         assert ok, report
 
 
-@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
-def test_random_decompositions_always_valid(heuristic):
+def test_random_decompositions_always_valid():
     rng = random.Random(31137)
     for _ in range(150):
         g = random_gaifman(rng)
-        td = decompose_graph(g, heuristic)
+        td = decompose_graph(g)
         ok, report = validate_td(g, td)
         assert ok, report
 
@@ -243,7 +242,7 @@ def test_heuristic_width_close_to_exact():
     for _ in range(120):
         g = random_gaifman(rng, max_vertices=8, edge_prob=0.5)
         exact = exact_treewidth(g)
-        td = decompose_graph(g, "min-fill")
+        td = decompose_graph(g)
         assert td.width >= exact
         worst_gap = max(worst_gap, td.width - exact)
     assert worst_gap <= 2
@@ -278,36 +277,34 @@ def test_decomposition_deterministic():
     rng = random.Random(8080)
     for _ in range(20):
         g = random_gaifman(rng)
-        td1 = decompose_graph(g, "min-fill")
-        td2 = decompose_graph(g, "min-fill")
+        td1 = decompose_graph(g)
+        td2 = decompose_graph(g)
         assert td1.bags == td2.bags and td1.edges == td2.edges and td1.root == td2.root
 
 
-@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
-def test_elimination_width_is_the_tree_width(heuristic):
+def test_elimination_width_is_the_tree_width():
     rng = random.Random(3000)
     for _ in range(3000):
         g = random_gaifman(rng, max_vertices=14, edge_prob=rng.random())
-        order, bags = eliminate(g, heuristic)
-        td = decompose_graph(g, heuristic)
+        order, bags = eliminate(g)
+        td = decompose_graph(g)
         assert max(map(len, bags), default=0) - 1 == td.width
         if bags:
             tree = bag_tree(order, bags)
             assert (tree.bags, tree.edges, tree.root) == (td.bags, td.edges, td.root)
 
 
-def _eliminate_by_recount(g, heuristic):
-    """Elimination that recounts every remaining vertex's cost each step."""
+def _eliminate_by_recount(g):
+    """Min-fill elimination that recounts every remaining vertex's fill-in
+    each step."""
     adj = g.adjacency()
     order = []
     while adj:
-        def cost(vtx):
+        def fill_in(vtx):
             nbs = adj[vtx]
-            if heuristic == "min-degree":
-                return len(nbs)
             return sum(1 for u in nbs for w in nbs if u < w and w not in adj[u])
 
-        best = min(adj, key=lambda vtx: (cost(vtx), vtx))
+        best = min(adj, key=lambda vtx: (fill_in(vtx), vtx))
         nbs = adj.pop(best)
         for u in nbs:
             adj[u] |= nbs - {u}
@@ -316,24 +313,11 @@ def _eliminate_by_recount(g, heuristic):
     return [vtx for vtx, _ in order], [bag for _, bag in order]
 
 
-@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
-def test_elimination_matches_a_recount_from_scratch(heuristic):
+def test_elimination_matches_a_recount_from_scratch():
     rng = random.Random(4242)
     for _ in range(400):
         g = random_gaifman(rng, max_vertices=12, edge_prob=rng.random())
-        assert eliminate(g, heuristic) == _eliminate_by_recount(g, heuristic)
-
-
-def test_unknown_heuristic_is_rejected_before_elimination():
-    empty = GaifmanGraph(frozenset(), frozenset())
-    # An edge to a vertex outside the graph breaks the adjacency, which the
-    # elimination reads first.
-    broken = GaifmanGraph(frozenset({"A"}), frozenset({("A", "B")}))
-    for g in (empty, broken):
-        with pytest.raises(ValueError, match="unknown heuristic"):
-            eliminate(g, "max-fill")
-        with pytest.raises(ValueError, match="unknown heuristic"):
-            decompose_graph(g, "max-fill")
+        assert eliminate(g) == _eliminate_by_recount(g)
 
 
 def test_min_fill_on_a_wide_clique_is_fast():

@@ -11,9 +11,9 @@ ground, solve), and each line of output is the sha256 of one kind of
 output, over all instances of one workload and seed, in instance order:
 
 - `rewriter`: `print_program` of each rewriter output;
-- `decompose`: `print_program` of each decomposed program, for both
-  heuristics with the threshold on and off;
-- `stats`: `StatsReport.render()` of the same four decompositions;
+- `decompose`: `print_program` of each decomposed program, with the
+  threshold on and off;
+- `stats`: `StatsReport.render()` of the same two decompositions;
 - `ground`: `print_ground_program` of the default decomposition's grounding;
 - `atoms`: its atom table, each atom's `repr`, so `Integer(3)` and
   `Constant('c')` arguments stay apart;
@@ -54,7 +54,6 @@ from bigrule import (  # noqa: E402
     threecol_single_rule,
 )
 from bigrule.parse import QdimacsWarning  # noqa: E402
-from bigrule.treedecomp import HEURISTICS  # noqa: E402
 
 # Workload -> (parser, rewriters), as in `perfbench/pipeline.py`.
 WORKLOADS = {
@@ -72,12 +71,10 @@ def instance_outputs(text: str, parse, rewriters, caps: dict):
     for rewrite in rewriters:
         program = rewrite(parsed)
         yield "rewriter", print_program(program)
-        for heuristic in HEURISTICS:
-            for threshold in (True, False):
-                small, report = decompose_program(program, heuristic=heuristic,
-                                                  threshold=threshold)
-                yield "decompose", print_program(small)
-                yield "stats", report.render()
+        for threshold in (True, False):
+            small, report = decompose_program(program, threshold=threshold)
+            yield "decompose", print_program(small)
+            yield "stats", report.render()
         small, _ = decompose_program(program)
         result = ground(small, max_ground_rules=caps["max_ground_rules"])
         gp = result.ground_program
