@@ -45,20 +45,21 @@ body true and its other head atoms false. Atoms outside the upper bound are
 false. Every upper bound is one Horn closure: a single forward sweep when
 each rule comes after all rules heading its positive body atoms (the usual
 shape of decomposed programs), otherwise sweeps until nothing changes; each
-propagation round starts with it. The root, before the first decision,
-starts from the facts (heads of body-less rules with one head atom) as one
-mask, with no rule mask or sweep of their own: the bottom of any split of
-the program (Lifschitz & Turner), they hold in every answer set, and clasp
-too settles them before its search. From there it propagates
-forward only: the search counts the atoms it made true as supported by the
-rules it settles, which holds only for atoms the forward step derives. The
-search covers only the rules the root leaves open, starting every closure
-from the atoms the root made true. Propagation leaves each leaf a supported
-model (see `_propagate`), so a leaf is checked only for subset-minimality
-against the reduct. There is one decision search (`_search`), depth first
-on an explicit stack, so search depth is not limited by recursion depth,
-and it runs twice: over the program, true branch first, for the candidates,
-and over each candidate's reduct, false branch first, for a model strictly
+propagation round starts with it. The root, before the first decision, is
+two of them in turn, Van Gelder's alternating fixpoint (JCSS 1993), from the
+facts (heads of body-less rules with one head atom) as one mask: the bottom
+of any split of the program (Lifschitz & Turner), they hold in every answer
+set, and clasp too settles them before its search. One closure bounds the
+atoms that can be true; the other makes true only what rules with one head
+atom and every negated atom outside the bound derive, as the search counts
+these atoms supported by the rules it settles. The search covers only the
+rules the root leaves open, starting every closure from the atoms the root
+made true. Propagation leaves each leaf a supported model (see
+`_propagate`), so a leaf is checked only for subset-minimality against the
+reduct. There is one decision search (`_search`), depth first on an
+explicit stack, so search depth is not limited by recursion depth, and it
+runs twice: over the program, true branch first, for the candidates, and
+over each candidate's reduct, false branch first, for a model strictly
 below it (`_minimal_below`), as in Koch, Leone & Pfeifer (AIJ 2003).
 Propagation prunes only branches without answer sets, so answer sets come
 out in lexicographic order of the decision atoms, true first. A literal
@@ -827,13 +828,11 @@ def _search(mask_rules, ordered: bool, universe: int, lo: int, f: int, decided: 
             stack += ((t | bit, f), (t, f | bit))
 
 
-def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int, *,
-               forward_only: bool = False):
+def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int):
     """Extend the assignment (t, f) to its fixpoint, or None on a conflict:
-    forward steps, and unless `forward_only` (the root) backward and support
-    steps for the atoms of t outside `lo`, a set of atoms every upper bound
-    contains. An atom no rule can support is a conflict. Each round starts
-    with the bound's closure under the current assignment.
+    forward, backward and support steps for the atoms of t outside `lo`,
+    which every upper bound contains. An atom no rule can support is a
+    conflict. Each round starts with the bound's closure under (t, f).
 
     A leaf's fixpoint is a supported model, so an answer-set candidate needs
     only the minimality check. `_search` decides the atoms of negative bodies
@@ -850,7 +849,7 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
             return None
         f |= universe & ~hi
         t_in, f_in = t, f
-        need = 0 if forward_only else t & ~lo
+        need = t & ~lo
         # Rules that can support each atom of `need`: in `once` for one, also
         # in `twice` for two or more; `sole` holds the last one seen. An atom
         # whose support is settled (body true, other head atoms false) goes
@@ -874,7 +873,7 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
                         open_t = ~t
                     continue
             elif not live:
-                if not forward_only and not body & (body - 1):
+                if not body & (body - 1):
                     if body & p:
                         f |= body
                         open_f = ~f
@@ -906,23 +905,29 @@ def _propagate(mask_rules, ordered: bool, universe: int, lo: int, t: int, f: int
 
 
 def _root_residual(facts: int, mask_rules, ordered: bool, universe: int):
-    """Propagate once at the root, with no decision made and forward only,
-    seeded with the facts as one mask (`_rule_masks`): a fact's rule always
-    fires and its head is never false, so starting from them reaches the
-    fixpoint that deriving them reaches, with no mask or sweep per fact.
-    None on a conflict, else (t0, f0, rest): the root assignment and, in
-    their order, the rules of `mask_rules` it leaves open. A rule is dropped
-    when its body can never hold (a positive atom in f0, a negative one in
-    t0, an atom in both) or when all its atoms are assigned, so that its
-    body holds and a head atom is in t0. Each atom of t0 is the only true
-    head atom, at every leaf, of the fact or rule that derived it, which is
-    dropped: t0 is supported. That holds only for atoms the forward step
-    derives, which is why the backward and support steps wait for the
-    search."""
-    root = _propagate(mask_rules, ordered, universe, facts, facts, 0, forward_only=True)
-    if root is None:
+    """The root, before any decision: the alternating fixpoint of two Horn
+    closures (Van Gelder, JCSS 47(1), 1993), from the facts as one mask
+    (`_rule_masks`). Each round closes the facts under the rules whose
+    negative body misses t0, the bound hi, then t0 under the sure rules,
+    those with every negated atom outside hi, so false, and at most one head
+    atom. None on a conflict (a sure constraint whose positive body is in
+    t0), else (t0, f0, rest): f0 the atoms outside hi, and rest, in their
+    order, the rules of `mask_rules` left open. A rule is dropped when its
+    body can never hold (a positive atom in f0, a negative one in t0, an
+    atom in both) or when all its atoms are assigned, so that its body holds
+    and a head atom is in t0. Each atom of t0 is a fact or the only head
+    atom of a sure rule whose body holds, which is dropped: t0 is supported
+    at every leaf. An atom made true because a constraint needs it would not
+    be, so the backward and support steps wait for the search."""
+    t, t0 = facts, None
+    while t != t0:
+        t0 = t
+        hi = _horn_closure(mask_rules, ordered, facts, t0)
+        sure = [(h, p, g) for h, p, g in mask_rules if not (g & hi or h & (h - 1))]
+        t = _horn_closure(sure, ordered, t0)
+    if any(not h and not p & ~t0 for h, p, _ in sure):
         return None
-    t0, f0 = root
+    f0 = universe & ~hi
     unassigned = universe & ~(t0 | f0)
     rest = [
         (h, p, g)

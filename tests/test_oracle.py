@@ -588,6 +588,82 @@ def test_contradictory_body_supports_nothing():
     assert has_answer_set(gp)
 
 
+def root_of(gp):
+    """`_root_residual` of gp in its rule order and reversed, each with the
+    one-sweep closure where the order allows it and with the repeated one."""
+    found = []
+    for rules in (gp.rules, gp.rules[::-1]):
+        facts, masks = _rule_masks(GroundProgram(gp.atoms, rules))
+        for in_order in {_is_ordered(masks), False}:
+            found.append(_root_residual(facts, masks, in_order, (1 << len(gp.atoms)) - 1))
+    return found
+
+
+def test_root_alternates_its_two_closures():
+    # Round 1 bounds every atom and derives b; round 2 drops c from the
+    # bound, as b is true, and derives d; round 3 changes nothing.
+    gp = gp_of(
+        ["a", "b", "c", "d"],
+        [
+            (("a",), (), ()),
+            (("b",), ("a",), ()),
+            (("c",), (), ("b",)),
+            (("d",), (), ("c",)),
+        ],
+    )
+    for root in root_of(gp):
+        assert root == (0b1011, 0b0100, [])
+    assert as_names(gp, answer_sets(gp)) == [["a", "b", "d"]]
+
+
+def test_root_conflict_from_a_constraint_it_derives():
+    # c can never be true, so `:- b, not c.` is sure, and b is derived.
+    gp = gp_of(["a", "b", "c"], [(("a",), (), ()), (("b",), ("a",), ()), ((), ("b",), ("c",))])
+    assert root_of(gp) == [None] * 3  # reversed, the constraint reads b first
+    assert answer_sets(gp) == answer_sets_naive(gp) == set()
+
+
+def chain_closure(n):
+    """The ground program of `p(X,Y) :- e(X,Y). p(X,Z) :- e(X,Y), p(Y,Z).`
+    over the edges e(i,i+1), i < n, rule by rule in binding order, so a
+    rule reads p atoms that later rules head: it is not ordered."""
+    atoms = [Atom("e", (Integer(i), Integer(i + 1))) for i in range(n)]
+    index = {}
+
+    def p(i, j):
+        if (i, j) not in index:
+            index[i, j] = len(atoms)
+            atoms.append(Atom("p", (Integer(i), Integer(j))))
+        return index[i, j]
+
+    rules = [GroundRule((i,), (), ()) for i in range(n)]
+    rules += [GroundRule((p(i, i + 1),), (i,), ()) for i in range(n)]
+    rules += [
+        GroundRule((p(i, k),), (i, p(i + 1, k)), ())
+        for i in range(n)
+        for k in range(i + 2, n + 1)
+    ]
+    return GroundProgram(tuple(atoms), tuple(rules))
+
+
+def test_root_closes_a_long_chain_fast():
+    # The root derives about one chain link per sweep of this unordered
+    # program; a root that closes the bound again after each such sweep
+    # takes about 30 s on 100 edges.
+    gp = chain_closure(100)
+    assert not _is_ordered(_rule_masks(gp)[1])
+    start = time.perf_counter()
+    assert has_answer_set(gp, max_atoms=len(gp.atoms))
+    assert time.perf_counter() - start < 3.0
+    gp = chain_closure(50)
+    start = time.perf_counter()
+    found = answer_sets(gp, max_atoms=len(gp.atoms))
+    assert time.perf_counter() - start < 0.5
+    assert [Counter(gp.atoms[i].pred for i in s.true_atoms) for s in found] == [
+        {"e": 50, "p": 1275}
+    ]
+
+
 def test_answer_sets_agree_with_naive_when_rule_parts_share_atoms():
     # One atom may sit in a rule's head and both bodies; `answer_sets` once
     # lost answer sets to rules like `:- a, not a.`.
